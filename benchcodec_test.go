@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/eval"
 	"repro/internal/trace"
 )
 
@@ -215,4 +216,50 @@ func BenchmarkPipelineReduce(b *testing.B) {
 			d.Close()
 		}
 	})
+}
+
+// BenchmarkTraceSignature signs all 20 catalog traces per iteration on
+// each decode path — the cost every service upload pays, hit or miss,
+// before the cache is consulted. It reports the per-event cost, since
+// the traces span two orders of magnitude in size.
+func BenchmarkTraceSignature(b *testing.B) {
+	r := sharedRunner(b)
+	var v1s, v2s [][]byte
+	events := 0
+	for _, name := range eval.AllNames() {
+		full, err := r.Trace(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var v1, v2 bytes.Buffer
+		if err := trace.Encode(&v1, full); err != nil {
+			b.Fatal(err)
+		}
+		if err := trace.EncodeV2(&v2, full); err != nil {
+			b.Fatal(err)
+		}
+		v1s, v2s = append(v1s, v1.Bytes()), append(v2s, v2.Bytes())
+		events += full.NumEvents()
+	}
+	for _, c := range []struct {
+		name string
+		srcs [][]byte
+		open func([]byte) io.Reader
+	}{
+		{"v1", v1s, func(p []byte) io.Reader { return bytes.NewReader(p) }},
+		{"v2-parallel", v2s, func(p []byte) io.Reader { return bytes.NewReader(p) }},
+		{"v2-stream", v2s, func(p []byte) io.Reader { return seqReader{bytes.NewReader(p)} }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, src := range c.srcs {
+					if _, err := trace.SignatureOfWith(c.open(src), trace.DecoderOptions{Workers: 1}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
+		})
+	}
 }

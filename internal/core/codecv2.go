@@ -411,7 +411,7 @@ func decodeReducedV2Sequential(cr *v2countingReader, br *bufio.Reader, opts trac
 		if err := opts.Ctx.Err(); err != nil {
 			return nil, err
 		}
-		e, payload, err := trace.ReadBlock(br, pos())
+		e, payload, err := trace.ReadBlock(br, pos(), nil)
 		if err != nil {
 			return nil, fmt.Errorf("core: rank %d of %d block: %w", i, nRanks, err)
 		}

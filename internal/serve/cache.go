@@ -23,11 +23,15 @@ type CacheKey struct {
 
 // CacheEntry is one cached reduction: the exact reduced-container
 // bytes previously served plus the run's stats (replayed into response
-// headers on a hit).
+// headers on a hit). The cache charges cap(Body), every byte the entry
+// holds, so Body should be allocated at its exact size.
 type CacheEntry struct {
 	Body  []byte
 	Stats core.StreamStats
 }
+
+// size is what the entry is charged: its body's whole backing array.
+func (e *CacheEntry) size() int64 { return int64(cap(e.Body)) }
 
 // Cache is a byte-budgeted LRU over reduced containers. A zero budget
 // disables caching (every Get misses, Put drops).
@@ -74,14 +78,14 @@ func (c *Cache) Get(k CacheKey) (*CacheEntry, bool) {
 // used entries until the byte budget holds. Entries larger than the
 // whole budget are not cached.
 func (c *Cache) Put(k CacheKey, ent *CacheEntry) {
-	size := int64(len(ent.Body))
+	size := ent.size()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if size > c.budget {
 		return
 	}
 	if el, ok := c.entries[k]; ok {
-		c.used -= int64(len(el.Value.(*cacheItem).ent.Body))
+		c.used -= el.Value.(*cacheItem).ent.size()
 		c.order.Remove(el)
 		delete(c.entries, k)
 	}
@@ -91,7 +95,7 @@ func (c *Cache) Put(k CacheKey, ent *CacheEntry) {
 			break
 		}
 		item := back.Value.(*cacheItem)
-		c.used -= int64(len(item.ent.Body))
+		c.used -= item.ent.size()
 		c.order.Remove(back)
 		delete(c.entries, item.key)
 	}
@@ -107,7 +111,8 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// Used returns the cached body bytes currently held.
+// Used returns the cached body bytes currently held, counted by
+// capacity.
 func (c *Cache) Used() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

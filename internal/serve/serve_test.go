@@ -410,6 +410,80 @@ func TestUploadLimits(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body status = %d, want 413", resp.StatusCode)
 	}
+
+	// A chunked upload declares no length, so the spool grows under the
+	// budget and the overrun is caught while reading.
+	req, err := http.NewRequest(http.MethodPost, ts2.URL+"/v1/reduce?method=avgWave",
+		io.MultiReader(bytes.NewReader(upload)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("chunked POST: %v", err)
+	}
+	readBody(t, resp)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized chunked body status = %d, want 413", resp.StatusCode)
+	}
+
+	// A declared length over the budget is refused before the body is
+	// read at all.
+	req = httptest.NewRequest(http.MethodPost, "/v1/reduce?method=avgWave", unreadable{t})
+	req.ContentLength = 17
+	rec := httptest.NewRecorder()
+	small.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("over-budget Content-Length status = %d, want 413", rec.Code)
+	}
+
+	// A body that ends before its declared length is the client's fault.
+	req = httptest.NewRequest(http.MethodPost, "/v1/reduce?method=avgWave", bytes.NewReader(upload))
+	req.ContentLength = int64(len(upload)) + 100
+	rec = httptest.NewRecorder()
+	NewServer(Config{DegradeAt: 2}).Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("short body status = %d, want 400", rec.Code)
+	}
+}
+
+// unreadable is a request body that fails the test if it is read.
+type unreadable struct{ t *testing.T }
+
+func (u unreadable) Read([]byte) (int, error) {
+	u.t.Error("request body was read")
+	return 0, io.EOF
+}
+
+// TestCacheChargesHeldBytes pins the cache's budget to the memory it
+// holds: after several misses, the backing arrays of the cached bodies
+// add up to exactly what the cache reports as used, and hold nothing
+// beyond the reduced bytes themselves.
+func TestCacheChargesHeldBytes(t *testing.T) {
+	upload := encodeTrace(t, workloadTrace(t), 2)
+	srv := NewServer(Config{DegradeAt: 2})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, q := range []string{"method=avgWave", "method=avgWave&format=v2", "method=euclidean", "method=relDiff&format=v2"} {
+		resp := postReduce(t, ts.URL, upload, q)
+		body := readBody(t, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", q, resp.StatusCode, body)
+		}
+	}
+	var held, served int64
+	for el := srv.cache.order.Front(); el != nil; el = el.Next() {
+		body := el.Value.(*cacheItem).ent.Body
+		held += int64(cap(body))
+		served += int64(len(body))
+	}
+	if n := srv.cache.Len(); n != 4 {
+		t.Fatalf("cache holds %d entries, want 4", n)
+	}
+	if used := srv.cache.Used(); held != used || served != used {
+		t.Errorf("cache reports %d bytes used but holds %d bytes of backing arrays for %d bytes of bodies",
+			used, held, served)
+	}
 }
 
 // TestBadRequests covers parameter validation.

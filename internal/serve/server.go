@@ -238,11 +238,7 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Spool the upload: the signature pass and the reduce pass each
-	// decode it, and a bytes.Reader gives the v2 decoder its
-	// random-access block-parallel path. MaxUploadBytes is the
-	// per-session memory budget; beyond it the request fails cleanly.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
+	body, err := s.spoolUpload(w, r)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -311,9 +307,36 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 		s.failDecode(w, r, err)
 		return
 	}
-	ent := &CacheEntry{Body: out.Bytes(), Stats: *stats}
+	// Cache an exact-size copy: out's backing array has grown by
+	// doubling, and the cache charges every byte it holds.
+	reduced := make([]byte, out.Len())
+	copy(reduced, out.Bytes())
+	ent := &CacheEntry{Body: reduced, Stats: *stats}
 	s.cache.Put(key, ent)
 	s.writeReduced(w, params, sig, degraded, ent, false, begin)
+}
+
+// spoolUpload reads the whole upload into memory: the signature pass and
+// the reduce pass each decode it, and a bytes.Reader gives the v2
+// decoder its random-access block-parallel path. MaxUploadBytes is the
+// per-session memory budget. A declared Content-Length sizes the spool
+// in one allocation, and one over the budget is refused before any
+// read; a body of unknown length (chunked) grows under
+// http.MaxBytesReader instead, so no reservation ever exceeds the
+// budget. A body shorter than its declared length is an error.
+func (s *Server) spoolUpload(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	limit := s.cfg.MaxUploadBytes
+	if r.ContentLength > limit {
+		return nil, &http.MaxBytesError{Limit: limit}
+	}
+	if r.ContentLength < 0 {
+		return io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	}
+	buf := make([]byte, r.ContentLength)
+	if _, err := io.ReadFull(r.Body, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // failDecode maps a decode/reduce failure to a status: client

@@ -313,9 +313,12 @@ func ReadBlockAtBuf(ra io.ReaderAt, e BlockEntry, buf []byte) (payload, backing 
 
 // ReadBlock reads the next inline block from r sequentially. offset is
 // the block's file position (for the index entry the caller later checks
-// against the footer). The payload buffer grows with the bytes actually
-// read, so a hostile length cannot force a large upfront allocation.
-func ReadBlock(r io.Reader, offset uint64) (BlockEntry, []byte, error) {
+// against the footer). The payload is read into buf when its capacity
+// suffices, so a caller that passes the previous payload back reuses one
+// buffer across blocks; otherwise the payload grows with the bytes
+// actually read, so a hostile length cannot force a large upfront
+// allocation.
+func ReadBlock(r io.Reader, offset uint64, buf []byte) (BlockEntry, []byte, error) {
 	var hdr [blockHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return BlockEntry{}, nil, noEOF(err)
@@ -331,14 +334,22 @@ func ReadBlock(r io.Reader, offset uint64) (BlockEntry, []byte, error) {
 	if e.Length > maxBlockPayload {
 		return BlockEntry{}, nil, fmt.Errorf("trace: block payload length %d too large", e.Length)
 	}
-	var buf bytes.Buffer
-	buf.Grow(int(min(e.Length, 1<<16)))
-	if n, err := io.Copy(&buf, io.LimitReader(r, int64(e.Length))); err != nil {
-		return BlockEntry{}, nil, err
-	} else if n < int64(e.Length) {
-		return BlockEntry{}, nil, io.ErrUnexpectedEOF
+	var payload []byte
+	if n := int(e.Length); cap(buf) >= n {
+		payload = buf[:n]
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return BlockEntry{}, nil, noEOF(err)
+		}
+	} else {
+		grown := bytes.NewBuffer(buf[:0])
+		grown.Grow(min(n, 1<<16))
+		if m, err := io.Copy(grown, io.LimitReader(r, int64(n))); err != nil {
+			return BlockEntry{}, nil, err
+		} else if m < int64(n) {
+			return BlockEntry{}, nil, io.ErrUnexpectedEOF
+		}
+		payload = grown.Bytes()
 	}
-	payload := buf.Bytes()
 	if crc := CRC32C(payload); crc != e.CRC {
 		return BlockEntry{}, nil, fmt.Errorf("trace: rank %d block checksum %08x, want %08x", e.Rank, crc, e.CRC)
 	}
@@ -821,6 +832,7 @@ type v2sequentialDecoder struct {
 	checked  bool
 	ctx      context.Context
 	free     *eventFreeList
+	buf      []byte // payload storage reused across blocks
 }
 
 // newV2SequentialDecoder builds the sequential decoder; br wraps cr and
@@ -861,10 +873,13 @@ func (d *v2sequentialDecoder) nextRank() (*RankTrace, error) {
 		}
 		return nil, io.EOF
 	}
-	e, payload, err := ReadBlock(d.br, d.pos())
+	e, payload, err := ReadBlock(d.br, d.pos(), d.buf)
 	if err != nil {
 		return nil, fmt.Errorf("trace: rank %d of %d block: %w", d.next, d.nRanks, err)
 	}
+	// Events copy nothing out of the payload (names come from the
+	// table), so the next block can be read into the same storage.
+	d.buf = payload
 	d.next++
 	d.observed = append(d.observed, e)
 	c := NewCursor(payload)
