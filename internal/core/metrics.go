@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/trace"
@@ -117,13 +118,14 @@ func stampCountMismatch(full *trace.Trace, red *Reduced, r int) error {
 	return fmt.Errorf("core: rank %d timestamp count mismatch %d vs %d", r, nFull, nRed)
 }
 
-// quantileAbsDiff sorts the collected absolute differences and returns
-// the value the given quantile of them stays within (0 for no stamps).
+// quantileAbsDiff returns the value the given quantile of the collected
+// absolute differences stays within (0 for no stamps): the element a
+// full sort would leave at that rank, found by selection. It reorders
+// diffs.
 func quantileAbsDiff(diffs []trace.Time, quantile float64) trace.Time {
 	if len(diffs) == 0 {
 		return 0
 	}
-	slices.Sort(diffs)
 	idx := int(quantile*float64(len(diffs))) - 1
 	if idx < 0 {
 		idx = 0
@@ -131,7 +133,63 @@ func quantileAbsDiff(diffs []trace.Time, quantile float64) trace.Time {
 	if idx >= len(diffs) {
 		idx = len(diffs) - 1
 	}
-	return diffs[idx]
+	return selectNth(diffs, idx)
+}
+
+// selectNth returns the element slices.Sort would leave at a[k],
+// reordering a. It is a quickselect whose rounds each narrow the window
+// holding k (partition3). After 2·log2(len(a)) rounds it sorts what is
+// left of the window instead, so an input that defeats the pivot rule
+// costs no more than the sort that selection replaces.
+func selectNth(a []trace.Time, k int) trace.Time {
+	lo, hi := 0, len(a)
+	for rounds := 2 * bits.Len(uint(len(a))); rounds > 0; rounds-- {
+		var found bool
+		if lo, hi, found = partition3(a, lo, hi, k); found {
+			return a[k]
+		}
+	}
+	slices.Sort(a[lo:hi])
+	return a[k]
+}
+
+// partition3 is one selection round over the window a[lo:hi], which
+// holds index k. It partitions the window three ways — below, equal to
+// and above the median of its first, middle and last elements — and
+// reports found when k lands among the elements equal to that pivot, so
+// a run of equal values (stamp errors repeat a lot) settles in one
+// round. Otherwise it returns the part that holds k as the next window.
+func partition3(a []trace.Time, lo, hi, k int) (int, int, bool) {
+	p := median3(a[lo], a[lo+(hi-lo)/2], a[hi-1])
+	lt, i, gt := lo, lo, hi
+	for i < gt {
+		switch v := a[i]; {
+		case v < p:
+			a[lt], a[i] = v, a[lt]
+			lt++
+			i++
+		case v > p:
+			gt--
+			a[i], a[gt] = a[gt], v
+		default:
+			i++
+		}
+	}
+	switch {
+	case k < lt:
+		return lo, lt, false
+	case k >= gt:
+		return gt, hi, false
+	}
+	return lo, hi, true
+}
+
+// median3 returns the median of three values.
+func median3(a, b, c trace.Time) trace.Time {
+	if a > b {
+		a, b = b, a
+	}
+	return max(a, min(b, c))
 }
 
 // SizeReport summarizes the file-size criterion for one reduction.

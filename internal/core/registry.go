@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -48,8 +49,12 @@ func ThresholdSweep(method string) []float64 {
 }
 
 // NewMethod constructs the named similarity policy with the given
-// threshold (ignored for iter_avg; truncated to int for iter_k).
+// threshold (ignored for iter_avg; truncated to int for iter_k). A NaN
+// or infinite threshold is rejected for every method.
 func NewMethod(name string, threshold float64) (Policy, error) {
+	if math.IsNaN(threshold) || math.IsInf(threshold, 0) {
+		return nil, fmt.Errorf("core: %s threshold %v is not finite", name, threshold)
+	}
 	switch name {
 	case "relDiff":
 		return NewRelDiff(threshold), nil

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestNewMethodAllNames(t *testing.T) {
 	for _, name := range MethodNames {
@@ -11,6 +14,13 @@ func TestNewMethodAllNames(t *testing.T) {
 		}
 		if p.Name() != name {
 			t.Errorf("NewMethod(%q).Name() = %q", name, p.Name())
+		}
+		// A non-finite threshold is rejected by every method, iter_avg
+		// (which ignores its threshold) included.
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if _, err := NewMethod(name, bad); err == nil {
+				t.Errorf("NewMethod(%q, %v) accepted a non-finite threshold", name, bad)
+			}
 		}
 	}
 }

@@ -6,6 +6,7 @@ package segment
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/trace"
 )
@@ -34,52 +35,63 @@ type Segment struct {
 
 // Signature identifies the pattern class of a segment: context plus the
 // identity (name, kind, message parameters) of every event in order. Two
-// segments are a "possible match" in the paper's sense iff their
-// signatures are equal.
+// segments are a "possible match" in the paper's sense only if their
+// signatures are equal; Comparable settles the rare collision.
+//
+// A Signature is an in-process bucket key, not a content hash: its value
+// may change between releases and must not be persisted or compared
+// across processes. (The trace content signature that keys the service
+// cache is trace.Signature, a SHA-256.)
 type Signature uint64
 
-// FNV-64a parameters, inlined so signature hashing runs without
-// interface dispatch or decimal formatting on the per-segment hot path.
+// The hash state starts at the FNV-64 offset basis and folds one 64-bit
+// word at a time: xor, multiply by the FNV-64 prime, rotate. Both the
+// multiply and the rotate are bijections, so two segments whose inputs
+// differ only in their last word never collide.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
 
-// fnvStr folds a length-prefixed string into an FNV-64a state.
-func fnvStr(h uint64, x string) uint64 {
-	h = fnvInt(h, uint64(len(x)))
-	for i := 0; i < len(x); i++ {
-		h = (h ^ uint64(x[i])) * fnvPrime64
-	}
-	return h
-}
+// mix folds one word into the hash state.
+func mix(h, v uint64) uint64 { return bits.RotateLeft64((h^v)*fnvPrime64, 27) }
 
-// fnvInt folds a 64-bit value into an FNV-64a state byte by byte.
-func fnvInt(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ (v & 0xff)) * fnvPrime64
-		v >>= 8
+// mixString folds a string as its length followed by its bytes in
+// little-endian 8-byte words, the last one zero-padded.
+func mixString(h uint64, x string) uint64 {
+	h = mix(h, uint64(len(x)))
+	for ; len(x) >= 8; x = x[8:] {
+		h = mix(h, uint64(x[0])|uint64(x[1])<<8|uint64(x[2])<<16|uint64(x[3])<<24|
+			uint64(x[4])<<32|uint64(x[5])<<40|uint64(x[6])<<48|uint64(x[7])<<56)
+	}
+	if len(x) > 0 {
+		var w uint64
+		for i := 0; i < len(x); i++ {
+			w |= uint64(x[i]) << (8 * i)
+		}
+		h = mix(h, w)
 	}
 	return h
 }
 
 // Sig returns the segment's signature, computing and caching it on first
-// call.
+// call. It covers exactly what Comparable compares — the context, the
+// event count, and each event's SameShape fields — so comparable
+// segments always share a signature. The value is not stable across
+// releases; see Signature.
 func (s *Segment) Sig() Signature {
 	if s.sig != 0 {
 		return s.sig
 	}
 	h := uint64(fnvOffset64)
-	h = fnvStr(h, s.Context)
-	h = fnvInt(h, uint64(len(s.Events)))
+	h = mixString(h, s.Context)
+	h = mix(h, uint64(len(s.Events)))
 	for i := range s.Events {
 		e := &s.Events[i]
-		h = fnvStr(h, e.Name)
-		h = fnvInt(h, uint64(e.Kind))
-		h = fnvInt(h, uint64(e.Peer))
-		h = fnvInt(h, uint64(e.Tag))
-		h = fnvInt(h, uint64(e.Bytes))
-		h = fnvInt(h, uint64(e.Root))
+		h = mixString(h, e.Name)
+		h = mix(h, uint64(e.Kind)<<32|uint64(uint32(e.Root)))
+		h = mix(h, uint64(uint32(e.Peer))<<32|uint64(uint32(e.Tag)))
+		h = mix(h, uint64(e.Bytes))
 	}
 	s.sig = Signature(h)
 	if s.sig == 0 {
@@ -93,7 +105,7 @@ func (s *Segment) Sig() Signature {
 func (s *Segment) ResetSig() { s.sig = 0 }
 
 // ForceSig overrides the cached signature. It exists solely so tests can
-// simulate FNV-64 signature collisions between non-comparable segments —
+// simulate signature collisions between non-comparable segments —
 // infeasible to construct organically — and exercise the collision
 // defenses downstream. Never call it outside tests.
 func (s *Segment) ForceSig(sig Signature) { s.sig = sig }

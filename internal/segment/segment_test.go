@@ -141,6 +141,50 @@ func TestSignatureAndComparable(t *testing.T) {
 	if segs[0].Sig() == diffBytes.Sig() {
 		t.Error("signature must cover message parameters")
 	}
+	// The signature covers exactly what Comparable compares: every
+	// identity field changes it, no timing field does.
+	base := segs[1]
+	for _, c := range []struct {
+		field    string
+		edit     func(s *Segment)
+		identity bool
+	}{
+		{"Context", func(s *Segment) { s.Context = "main.2" }, true},
+		{"event count", func(s *Segment) { s.Events = s.Events[:1] }, true},
+		{"Name", func(s *Segment) { s.Events[1].Name = "MPI_Allgatherv" }, true},
+		{"Kind", func(s *Segment) { s.Events[1].Kind = trace.KindAlltoall }, true},
+		{"Peer", func(s *Segment) { s.Events[1].Peer = 3 }, true},
+		{"Tag", func(s *Segment) { s.Events[1].Tag = 1 }, true},
+		{"Bytes", func(s *Segment) { s.Events[1].Bytes = 16 }, true},
+		{"Root", func(s *Segment) { s.Events[1].Root = 0 }, true},
+		{"Enter", func(s *Segment) { s.Events[0].Enter += 5 }, false},
+		{"Exit", func(s *Segment) { s.Events[1].Exit += 5 }, false},
+		{"Start", func(s *Segment) { s.Start += 7 }, false},
+		{"End", func(s *Segment) { s.End += 7 }, false},
+		{"Weight", func(s *Segment) { s.Weight = 4 }, false},
+	} {
+		e := base.Clone()
+		c.edit(e)
+		e.ResetSig()
+		if changed := e.Sig() != base.Sig(); changed != c.identity {
+			t.Errorf("changing %s: signature changed = %v, want %v", c.field, changed, c.identity)
+		}
+		if e.Comparable(base) == c.identity {
+			t.Errorf("changing %s: Comparable = %v, want %v", c.field, !c.identity, !c.identity)
+		}
+	}
+	// Names that differ only in their last byte, on both sides of the
+	// 8-byte word boundary.
+	for _, n := range []int{7, 8, 9, 16} {
+		a, b := base.Clone(), base.Clone()
+		prefix := strings.Repeat("x", n-1)
+		a.Events[0].Name, b.Events[0].Name = prefix+"a", prefix+"b"
+		a.ResetSig()
+		b.ResetSig()
+		if a.Sig() == b.Sig() {
+			t.Errorf("%d-byte names %q and %q share a signature", n, a.Events[0].Name, b.Events[0].Name)
+		}
+	}
 }
 
 // TestMeasurementsLayout pins the canonical measurement vector order to

@@ -503,6 +503,28 @@ func TestBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("junk upload: status %d, want 400", resp.StatusCode)
 	}
+	// Non-finite thresholds, on a valid upload so only the threshold can
+	// be at fault. A NaN cache key never equals itself: had such a
+	// request been served, its entry could never be hit or evicted.
+	upload := encodeTrace(t, workloadTrace(t), 1)
+	for _, q := range []string{"threshold=NaN", "threshold=Inf", "threshold=%2BInf"} {
+		resp := postReduce(t, ts.URL, upload, "method=avgWave&"+q)
+		readBody(t, resp)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("reduce %s: status %d, want 400", q, resp.StatusCode)
+		}
+		resp, err := http.Get(ts.URL + "/v1/analyze?sig=" + strings.Repeat("00", 32) + "&method=avgWave&" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		readBody(t, resp)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("analyze %s: status %d, want 400", q, resp.StatusCode)
+		}
+	}
+	if n := srv.cache.Len(); n != 0 {
+		t.Errorf("cache holds %d entries after rejected requests, want 0", n)
+	}
 }
 
 // TestHealthMetricsDrain covers the observability surface and the

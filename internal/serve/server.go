@@ -152,6 +152,12 @@ func parseReduceParams(r *http.Request) (reduceParams, error) {
 		}
 		p.threshold = v
 	}
+	// The policy constructor is the one threshold check the CLI, the
+	// library and the service share; it rejects NaN and infinities,
+	// whose cache keys would never match.
+	if _, err := core.NewMethod(p.method, p.threshold); err != nil {
+		return p, err
+	}
 	if m := q.Get("match"); m != "" {
 		mode, err := core.ParseMatchMode(m)
 		if err != nil {

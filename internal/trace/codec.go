@@ -37,14 +37,30 @@ type CountingWriter struct{ N int64 }
 // Write implements io.Writer.
 func (c *CountingWriter) Write(p []byte) (int, error) { c.N += int64(len(p)); return len(p), nil }
 
-// EncodedSize returns the number of bytes Encode would write for t.
+// EncodedSize returns the number of bytes Encode would write for t,
+// computed from the distinct names and the event counts instead of by
+// encoding: magic, workload name, name count, each distinct name once,
+// rank count, then 8 header bytes per rank and EventRecordSize per event.
 func EncodedSize(t *Trace) int64 {
-	var c CountingWriter
-	// Encode into a counting writer; errors are impossible on CountingWriter.
-	if err := Encode(&c, t); err != nil {
-		panic("trace: EncodedSize: " + err.Error())
+	size := int64(len(traceMagic)) + 4 + int64(len(t.Name)) + 4 + 4
+	seen := map[string]struct{}{}
+	var last string
+	for i := range t.Ranks {
+		events := t.Ranks[i].Events
+		size += 8 + int64(len(events))*EventRecordSize
+		for j := range events {
+			// Only a name that differs from the previous event's needs
+			// the map; the first event always does.
+			if name := events[j].Name; len(seen) == 0 || name != last {
+				last = name
+				if _, ok := seen[name]; !ok {
+					seen[name] = struct{}{}
+					size += 4 + int64(len(name))
+				}
+			}
+		}
 	}
-	return c.N
+	return size
 }
 
 // NameTable assigns dense IDs to event name strings during encoding.

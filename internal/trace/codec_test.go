@@ -24,17 +24,6 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 	}
 }
 
-func TestEncodedSizeMatchesEncode(t *testing.T) {
-	orig := validTrace()
-	var buf bytes.Buffer
-	if err := Encode(&buf, orig); err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	if got := EncodedSize(orig); got != int64(buf.Len()) {
-		t.Errorf("EncodedSize = %d, Encode wrote %d", got, buf.Len())
-	}
-}
-
 func TestEncodedSizeGrowsWithEvents(t *testing.T) {
 	small := New("t", 1)
 	small.Ranks[0].Events = []Event{

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -416,7 +415,7 @@ func (c *Cursor) Len() int { return len(c.b) - c.off }
 func (c *Cursor) Uvarint() (uint64, error) {
 	v, n := binary.Uvarint(c.b[c.off:])
 	if n <= 0 {
-		return 0, fmt.Errorf("trace: truncated or overlong varint at payload offset %d", c.off)
+		return 0, varintError(c.off)
 	}
 	c.off += n
 	return v, nil
@@ -426,7 +425,7 @@ func (c *Cursor) Uvarint() (uint64, error) {
 func (c *Cursor) Varint() (int64, error) {
 	v, n := binary.Varint(c.b[c.off:])
 	if n <= 0 {
-		return 0, fmt.Errorf("trace: truncated or overlong varint at payload offset %d", c.off)
+		return 0, varintError(c.off)
 	}
 	c.off += n
 	return v, nil
@@ -501,73 +500,75 @@ func ParseEventsV2Into(c *Cursor, names []string, n uint32, dst []Event) ([]Even
 	if cap(events) == 0 {
 		events = make([]Event, 0, n)
 	}
+	// The record loop runs over a local slice and offset. Delta encoding
+	// makes almost every field a one-byte varint, decoded here in line;
+	// only longer ones go through encoding/binary.
+	b, off := c.b, c.off
+	var f [8]uint64 // nameID, kind, Δenter, duration, peer, tag, bytes, root
 	var prev Time
 	for j := uint32(0); j < n; j++ {
-		nameID, err := c.Uvarint()
-		if err != nil {
-			return nil, err
+		for k := range f {
+			if off < len(b) && b[off] < 0x80 {
+				f[k] = uint64(b[off])
+				off++
+				continue
+			}
+			v, m := binary.Uvarint(b[off:])
+			if m <= 0 {
+				return nil, varintError(off)
+			}
+			f[k] = v
+			off += m
 		}
-		if nameID >= uint64(len(names)) {
-			return nil, fmt.Errorf("trace: name id %d out of range (%d names)", nameID, len(names))
+		if f[0] >= uint64(len(names)) {
+			return nil, fmt.Errorf("trace: name id %d out of range (%d names)", f[0], len(names))
 		}
-		kind, err := c.Uvarint()
-		if err != nil {
-			return nil, err
+		if f[1] >= uint64(numKinds) {
+			return nil, fmt.Errorf("trace: unknown event kind %d", f[1])
 		}
-		if kind >= uint64(numKinds) {
-			return nil, fmt.Errorf("trace: unknown event kind %d", kind)
+		// A zigzag-mapped value fits in int32 exactly when it is below 2^32.
+		if f[4]|f[5]|f[7] >= 1<<32 {
+			return nil, int32Overflow(f[4], f[5], f[7])
 		}
-		dEnter, err := c.Varint()
-		if err != nil {
-			return nil, err
-		}
-		dur, err := c.Varint()
-		if err != nil {
-			return nil, err
-		}
-		peer, err := c.varint32("peer")
-		if err != nil {
-			return nil, err
-		}
-		tag, err := c.varint32("tag")
-		if err != nil {
-			return nil, err
-		}
-		nbytes, err := c.Varint()
-		if err != nil {
-			return nil, err
-		}
-		root, err := c.varint32("root")
-		if err != nil {
-			return nil, err
-		}
-		enter := prev + dEnter
+		enter := prev + unzigzag(f[2])
 		prev = enter
 		events = append(events, Event{
-			Name:  names[nameID],
-			Kind:  EventKind(kind),
+			Name:  names[f[0]],
+			Kind:  EventKind(f[1]),
 			Enter: enter,
-			Exit:  enter + dur,
-			Peer:  peer,
-			Tag:   tag,
-			Bytes: nbytes,
-			Root:  root,
+			Exit:  enter + unzigzag(f[3]),
+			Peer:  int32(unzigzag(f[4])),
+			Tag:   int32(unzigzag(f[5])),
+			Bytes: unzigzag(f[6]),
+			Root:  int32(unzigzag(f[7])),
 		})
 	}
+	c.off = off
 	return events, nil
 }
 
-// varint32 reads a signed varint that must fit in an int32 (peer, tag,
-// root — i32 fields in the v1 record and the data model).
-func (c *Cursor) varint32(field string) (int32, error) {
-	v, err := c.Varint()
-	if err != nil {
-		return 0, err
+// unzigzag maps a zigzag-encoded uvarint back to its signed value, as
+// binary.Varint does.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// varintError reports a varint at payload offset off that is truncated
+// or longer than binary.MaxVarintLen64 bytes.
+func varintError(off int) error {
+	return fmt.Errorf("trace: truncated or overlong varint at payload offset %d", off)
+}
+
+// int32Overflow names the first of the zigzag-mapped peer, tag and root
+// fields that does not fit in int32 (the v1 record and the data model
+// hold them as i32).
+func int32Overflow(peer, tag, root uint64) error {
+	field, u := "peer", peer
+	if peer < 1<<32 {
+		field, u = "tag", tag
+		if tag < 1<<32 {
+			field, u = "root", root
+		}
 	}
-	if v < math.MinInt32 || v > math.MaxInt32 {
-		return 0, fmt.Errorf("trace: %s value %d overflows int32", field, v)
-	}
-	return int32(v), nil
+	return fmt.Errorf("trace: %s value %d overflows int32", field, unzigzag(u))
 }
 
 // countingReader counts consumed bytes so positions can be recovered

@@ -40,7 +40,9 @@ type (
 	EventKind = trace.EventKind
 	// Time is a timestamp/duration in microseconds.
 	Time = trace.Time
-	// Segment is a marker-delimited slice of one rank's trace.
+	// Segment is a marker-delimited slice of one rank's trace. Its Sig
+	// is an in-process pattern-class key: it may change between
+	// releases and must not be persisted.
 	Segment = segment.Segment
 	// Method is a segment-similarity policy.
 	Method = core.Policy
