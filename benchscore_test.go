@@ -8,7 +8,8 @@
 // (eval.EvaluateReduced); BenchmarkScoreReconstructRef times the
 // reference that materializes Reconstruct() and re-walks every event.
 // BenchmarkAnalyzeReduced / BenchmarkAnalyzeReconstructRef isolate the
-// diagnosis kernel, where the representative-scaling speedup is largest.
+// diagnosis kernel, where the representative-scaling speedup is largest;
+// BenchmarkAnalyze times the same engine on the full traces.
 // The parity tests guarantee all paths produce identical results.
 package repro
 
@@ -98,6 +99,27 @@ func benchAnalyze(b *testing.B, analyze func(*core.Reduced) (*expert.Diagnosis, 
 
 // BenchmarkAnalyzeReduced isolates the direct diagnosis kernel.
 func BenchmarkAnalyzeReduced(b *testing.B) { benchAnalyze(b, expert.AnalyzeReduced) }
+
+// BenchmarkAnalyze isolates the full-trace diagnosis, which the study
+// runs once per workload.
+func BenchmarkAnalyze(b *testing.B) {
+	for _, workload := range reduceBenchWorkloads {
+		b.Run(workload, func(b *testing.B) {
+			full := reduceBenchTrace(b, workload)
+			var cells int
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d, err := expert.Analyze(full)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cells = len(d.Sev)
+			}
+			b.ReportMetric(float64(cells), "cells")
+		})
+	}
+}
 
 // BenchmarkAnalyzeReconstructRef isolates the reconstruct-and-re-walk
 // diagnosis the direct kernel replaces.

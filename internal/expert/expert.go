@@ -98,7 +98,8 @@ type Diagnosis struct {
 	// significance decisions.
 	WallTime float64
 	// Sev maps each (metric, location) to the per-rank severity vector
-	// in µs. Severities of wait metrics may be negative on skewed traces.
+	// in µs, of length and capacity NumRanks. Severities of wait metrics
+	// may be negative on skewed traces.
 	Sev map[Key][]float64
 }
 
@@ -143,220 +144,265 @@ func (d *Diagnosis) MaxAbs() float64 {
 	return m
 }
 
-func (d *Diagnosis) add(metric, location string, rank int, amount float64) {
-	k := Key{Metric: metric, Location: location}
-	v, ok := d.Sev[k]
-	if !ok {
-		v = make([]float64, d.NumRanks)
-		d.Sev[k] = v
-	}
-	v[rank] += amount
+// metric is the engine's index of a metric; metricNames maps it back to
+// the metric's name in a copy of MetricNames no caller can modify.
+type metric uint8
+
+const (
+	mExecution metric = iota
+	mLateSender
+	mLateReceiver
+	mEarlyGather
+	mLateBroadcast
+	mWaitBarrier
+	mWaitNxN
+	numMetrics
+)
+
+var metricNames = [numMetrics]string{
+	MetricExecution, MetricLateSender, MetricLateReceiver,
+	MetricEarlyGather, MetricLateBroadcast, MetricWaitBarrier, MetricWaitNxN,
 }
 
-// p2pEvent is one side of a point-to-point operation in stream order.
-type p2pEvent struct {
-	rank int
-	ev   trace.Event
+// cell is one diagnosis cell: a metric at an interned location.
+type cell struct {
+	m   metric
+	loc int32
 }
 
 // chanKey identifies a point-to-point channel; positional pairing happens
 // per channel.
 type chanKey struct {
-	src, dst int
-	tag      int32
+	src, dst, tag int32
 }
 
-// commStreams collects the communication events of a trace in per-rank
-// stream order, the input of the pattern scoring shared by Analyze (which
-// walks a materialized event stream) and AnalyzeReduced (which walks
-// representatives and execution records).
-type commStreams struct {
-	sends map[chanKey][]p2pEvent
-	recvs map[chanKey][]p2pEvent
-	colls [][]trace.Event
+// commRec is one communication event placed for pairing: absolute enter,
+// clipped exit, interned location, root and kind. Its rank is implied by
+// the stream that holds it.
+type commRec struct {
+	enter, exit trace.Time
+	loc, root   int32
+	kind        trace.EventKind
 }
 
-func newCommStreams(nRanks int) *commStreams {
-	return &commStreams{
-		sends: map[chanKey][]p2pEvent{},
-		recvs: map[chanKey][]p2pEvent{},
-		colls: make([][]trace.Event, nRanks),
+// analysis is the dense engine behind Analyze and AnalyzeReduced. It
+// interns every location once, gives every (metric, location) cell one
+// row of a single rows × ranks severity array, and gives every channel a
+// slot the first time an event names it. The pairing streams are counted
+// before anything is placed, then carved exactly sized out of one
+// allocation (carve), so placement never regrows a stream.
+type analysis struct {
+	nRanks int
+
+	locIdx   map[string]int32
+	locs     []string
+	lastName string
+	lastLoc  int32 // loc of lastName, -1 before the first intern
+
+	rowOf []int32 // loc*numMetrics + metric → severity row, -1 if absent
+	cells []cell  // row → cell
+	sev   []float64
+
+	slotOf map[chanKey]int32
+	chans  []chanKey // slot → channel
+	// Streams 0..nRanks-1 hold each rank's collective calls; channel slot
+	// s owns stream nRanks+2s (its sends) and nRanks+2s+1 (its receives).
+	count   []int
+	streams [][]commRec
+}
+
+func newAnalysis(nRanks int) *analysis {
+	return &analysis{
+		nRanks:  nRanks,
+		locIdx:  map[string]int32{},
+		lastLoc: -1,
+		slotOf:  map[chanKey]int32{},
+		count:   make([]int, nRanks),
 	}
 }
 
-// sendKey and recvKey name the channel an event belongs to; positional
-// pairing matches the k-th send on a channel with its k-th receive.
-func sendKey(rank int, e trace.Event) chanKey {
-	return chanKey{src: rank, dst: int(e.Peer), tag: e.Tag}
-}
-func recvKey(rank int, e trace.Event) chanKey {
-	return chanKey{src: int(e.Peer), dst: rank, tag: e.Tag}
+// loc interns a location name. Consecutive events often share a name, so
+// the map is probed only when the name changes.
+func (a *analysis) loc(name string) int32 {
+	if a.lastLoc >= 0 && name == a.lastName {
+		return a.lastLoc
+	}
+	id, ok := a.locIdx[name]
+	if !ok {
+		id = int32(len(a.locs))
+		a.locIdx[name] = id
+		a.locs = append(a.locs, name)
+		for range numMetrics {
+			a.rowOf = append(a.rowOf, -1)
+		}
+	}
+	a.lastName, a.lastLoc = name, id
+	return id
 }
 
-// add routes one (clipped) event of the given rank into the pairing
-// streams; compute events are ignored. Events must arrive in per-rank
-// stream order — that order is the pairing basis.
-func (cs *commStreams) add(rank int, e trace.Event) {
+// row returns the severity row of the (m, loc) cell, creating the cell on
+// first use: a cell exists exactly when some severity was added to it.
+func (a *analysis) row(m metric, loc int32) int {
+	i := int(loc)*int(numMetrics) + int(m)
+	if r := a.rowOf[i]; r >= 0 {
+		return int(r)
+	}
+	r := len(a.cells)
+	a.rowOf[i] = int32(r)
+	a.cells = append(a.cells, cell{m: m, loc: loc})
+	a.sev = append(a.sev, make([]float64, a.nRanks)...)
+	return r
+}
+
+func (a *analysis) add(m metric, loc int32, rank int, amount trace.Time) {
+	a.sev[a.row(m, loc)*a.nRanks+rank] += float64(amount)
+}
+
+// stream returns the pairing stream of rank's event e, giving its channel
+// a slot on first use, or -1 when e is no communication event.
+func (a *analysis) stream(rank int, e *trace.Event) int {
+	var k chanKey
 	switch {
 	case e.Kind == trace.KindSend || e.Kind == trace.KindSsend:
-		k := sendKey(rank, e)
-		cs.sends[k] = append(cs.sends[k], p2pEvent{rank: rank, ev: e})
+		k = chanKey{src: int32(rank), dst: e.Peer, tag: e.Tag}
 	case e.Kind == trace.KindRecv:
-		k := recvKey(rank, e)
-		cs.recvs[k] = append(cs.recvs[k], p2pEvent{rank: rank, ev: e})
+		k = chanKey{src: e.Peer, dst: int32(rank), tag: e.Tag}
 	case e.Kind.IsCollective():
-		cs.colls[rank] = append(cs.colls[rank], e)
+		return rank
+	default:
+		return -1
+	}
+	slot, ok := a.slotOf[k]
+	if !ok {
+		slot = int32(len(a.chans))
+		a.slotOf[k] = slot
+		a.chans = append(a.chans, k)
+		a.count = append(a.count, 0, 0)
+	}
+	st := a.nRanks + 2*int(slot)
+	if e.Kind == trace.KindRecv {
+		st++
+	}
+	return st
+}
+
+// carve gives every stream its counted capacity out of one allocation.
+func (a *analysis) carve() {
+	total := 0
+	for _, n := range a.count {
+		total += n
+	}
+	buf := make([]commRec, total)
+	a.streams = make([][]commRec, len(a.count))
+	off := 0
+	for st, n := range a.count {
+		a.streams[st] = buf[off : off : off+n]
+		off += n
 	}
 }
 
 // score runs the point-to-point and collective pattern analyses over the
-// collected streams, accumulating severities into d.
-func (cs *commStreams) score(d *Diagnosis) error {
+// placed streams.
+func (a *analysis) score() error {
 	// Point-to-point patterns: positional pairing per channel.
-	for k, ss := range cs.sends {
-		rr := cs.recvs[k]
+	for slot, k := range a.chans {
+		ss, rr := a.streams[a.nRanks+2*slot], a.streams[a.nRanks+2*slot+1]
+		if len(ss) == 0 {
+			if len(rr) > 0 {
+				return fmt.Errorf("expert: channel %d->%d tag %d has %d recvs but no sends",
+					k.src, k.dst, k.tag, len(rr))
+			}
+			continue
+		}
 		if len(rr) != len(ss) {
 			return fmt.Errorf("expert: channel %d->%d tag %d has %d sends but %d recvs",
 				k.src, k.dst, k.tag, len(ss), len(rr))
 		}
 		for i := range ss {
-			s, r := ss[i], rr[i]
-			switch s.ev.Kind {
+			s, r := &ss[i], &rr[i]
+			switch s.kind {
 			case trace.KindSend:
 				// Waiting cannot extend past the receive's (clipped) exit.
-				wait := minTime(s.ev.Enter, r.ev.Exit) - r.ev.Enter
-				d.add(MetricLateSender, r.ev.Name, r.rank, float64(wait))
+				a.add(mLateSender, r.loc, int(k.dst), min(s.enter, r.exit)-r.enter)
 			case trace.KindSsend:
-				wait := minTime(r.ev.Enter, s.ev.Exit) - s.ev.Enter
-				d.add(MetricLateReceiver, s.ev.Name, s.rank, float64(wait))
+				a.add(mLateReceiver, s.loc, int(k.src), min(r.enter, s.exit)-s.enter)
 				// In a rendezvous the receiver also blocks when the sender
 				// is late — the Late Sender pattern on the receive side.
-				rwait := minTime(s.ev.Enter, r.ev.Exit) - r.ev.Enter
-				d.add(MetricLateSender, r.ev.Name, r.rank, float64(rwait))
+				a.add(mLateSender, r.loc, int(k.dst), min(s.enter, r.exit)-r.enter)
 			}
-		}
-	}
-	for k, rr := range cs.recvs {
-		if _, ok := cs.sends[k]; !ok && len(rr) > 0 {
-			return fmt.Errorf("expert: channel %d->%d tag %d has %d recvs but no sends",
-				k.src, k.dst, k.tag, len(rr))
 		}
 	}
 
 	// Collective patterns: the k-th collective call of every rank forms
 	// one instance (collectives are globally ordered per communicator).
 	n := 0
-	for r := range cs.colls {
-		if len(cs.colls[r]) > n {
-			n = len(cs.colls[r])
-		}
+	for r := range a.nRanks {
+		n = max(n, len(a.streams[r]))
 	}
-	inst := make([]trace.Event, 0, len(cs.colls))
-	for i := 0; i < n; i++ {
-		inst = inst[:0]
-		for r := range cs.colls {
-			if i >= len(cs.colls[r]) {
-				return fmt.Errorf("expert: rank %d has %d collective calls, others have more", r, len(cs.colls[r]))
+	for i := range n {
+		for r := range a.nRanks {
+			if i >= len(a.streams[r]) {
+				return fmt.Errorf("expert: rank %d has %d collective calls, others have more", r, len(a.streams[r]))
 			}
-			inst = append(inst, cs.colls[r][i])
 		}
-		if err := analyzeCollective(d, inst); err != nil {
+		if err := a.collective(i); err != nil {
 			return fmt.Errorf("expert: collective occurrence %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
-// clipExits returns rank r's non-marker events with each event's Exit
-// clipped to the next event's Enter — the view a merged time-ordered
-// consumer has of a (possibly skewed) trace. Durations can come out
-// negative when reconstruction error makes an event start before its
-// predecessor nominally ends.
-func clipExits(rt *trace.RankTrace) []trace.Event {
-	out := make([]trace.Event, 0, len(rt.Events))
-	for _, e := range rt.Events {
-		if e.Kind.IsMarker() {
-			continue
-		}
-		out = append(out, e)
-	}
-	for i := 0; i+1 < len(out); i++ {
-		if out[i].Exit > out[i+1].Enter {
-			out[i].Exit = out[i+1].Enter
-		}
-	}
-	return out
-}
-
-// Analyze runs the pattern analysis over t.
-func Analyze(t *trace.Trace) (*Diagnosis, error) {
-	d := &Diagnosis{
-		Name:     t.Name,
-		NumRanks: t.NumRanks(),
-		WallTime: float64(t.EndTime()),
-		Sev:      map[Key][]float64{},
-	}
-	cs := newCommStreams(t.NumRanks())
-	for r := range t.Ranks {
-		for _, e := range clipExits(&t.Ranks[r]) {
-			d.add(MetricExecution, e.Name, r, float64(e.Duration()))
-			cs.add(r, e)
-		}
-	}
-	if err := cs.score(d); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// analyzeCollective scores one collective instance; inst is indexed by
-// rank.
-func analyzeCollective(d *Diagnosis, inst []trace.Event) error {
-	kind, name, root := inst[0].Kind, inst[0].Name, inst[0].Root
+// collective scores the i-th collective instance: call i of every rank.
+func (a *analysis) collective(i int) error {
+	inst := func(r int) *commRec { return &a.streams[r][i] }
+	kind, loc, root := inst(0).kind, inst(0).loc, inst(0).root
 	var lastEnter trace.Time
-	for r, e := range inst {
-		if e.Kind != kind || e.Name != name || e.Root != root {
+	for r := range a.nRanks {
+		e := inst(r)
+		if e.kind != kind || e.loc != loc || e.root != root {
 			return fmt.Errorf("rank %d calls %s(%s root=%d), rank 0 calls %s(%s root=%d)",
-				r, e.Name, e.Kind, e.Root, name, kind, root)
+				r, a.locs[e.loc], e.kind, e.root, a.locs[loc], kind, root)
 		}
-		if e.Enter > lastEnter {
-			lastEnter = e.Enter
+		lastEnter = max(lastEnter, e.enter)
+	}
+	switch kind {
+	case trace.KindGather, trace.KindReduce, trace.KindBcast:
+		if root < 0 || int(root) >= a.nRanks {
+			return fmt.Errorf("%s(%s) names root %d of %d ranks", a.locs[loc], kind, root, a.nRanks)
 		}
 	}
 	switch kind {
 	case trace.KindBarrier:
-		for r, e := range inst {
-			d.add(MetricWaitBarrier, name, r, float64(minTime(lastEnter, e.Exit)-e.Enter))
+		for r := range a.nRanks {
+			e := inst(r)
+			a.add(mWaitBarrier, loc, r, min(lastEnter, e.exit)-e.enter)
 		}
 	case trace.KindAllgather, trace.KindAlltoall, trace.KindAllreduce:
-		for r, e := range inst {
-			d.add(MetricWaitNxN, name, r, float64(minTime(lastEnter, e.Exit)-e.Enter))
+		for r := range a.nRanks {
+			e := inst(r)
+			a.add(mWaitNxN, loc, r, min(lastEnter, e.exit)-e.enter)
 		}
 	case trace.KindGather, trace.KindReduce:
 		// Root waits for the last contributor; unclamped, so a root that
 		// arrives last reports negative severity.
 		var lastOther trace.Time
 		first := true
-		for r, e := range inst {
-			if int32(r) == root {
-				continue
-			}
-			if first || e.Enter > lastOther {
-				lastOther = e.Enter
+		for r := range a.nRanks {
+			if e := inst(r); int32(r) != root && (first || e.enter > lastOther) {
+				lastOther = e.enter
 				first = false
 			}
 		}
 		if !first {
-			re := inst[root]
-			d.add(MetricEarlyGather, name, int(root), float64(minTime(lastOther, re.Exit)-re.Enter))
+			re := inst(int(root))
+			a.add(mEarlyGather, loc, int(root), min(lastOther, re.exit)-re.enter)
 		}
 	case trace.KindBcast:
-		rootEnter := inst[root].Enter
-		for r, e := range inst {
-			if int32(r) == root {
-				continue
+		rootEnter := inst(int(root)).enter
+		for r := range a.nRanks {
+			if e := inst(r); int32(r) != root {
+				a.add(mLateBroadcast, loc, r, min(rootEnter, e.exit)-e.enter)
 			}
-			d.add(MetricLateBroadcast, name, r, float64(minTime(rootEnter, e.Exit)-e.Enter))
 		}
 	default:
 		return fmt.Errorf("unexpected collective kind %s", kind)
@@ -364,9 +410,78 @@ func analyzeCollective(d *Diagnosis, inst []trace.Event) error {
 	return nil
 }
 
-func minTime(a, b trace.Time) trace.Time {
-	if a < b {
-		return a
+// diagnosis builds the result: each cell's vector is its row of the
+// severity array, capped at NumRanks so an append cannot spill into the
+// next row.
+func (a *analysis) diagnosis(name string, wall trace.Time) *Diagnosis {
+	d := &Diagnosis{
+		Name:     name,
+		NumRanks: a.nRanks,
+		WallTime: float64(wall),
+		Sev:      make(map[Key][]float64, len(a.cells)),
 	}
-	return b
+	n := a.nRanks
+	for row, c := range a.cells {
+		d.Sev[Key{Metric: metricNames[c.m], Location: a.locs[c.loc]}] = a.sev[row*n : (row+1)*n : (row+1)*n]
+	}
+	return d
+}
+
+// nextEvent returns the index of the first non-marker event of evs at or
+// after i, or len(evs).
+func nextEvent(evs []trace.Event, i int) int {
+	for i < len(evs) && evs[i].Kind.IsMarker() {
+		i++
+	}
+	return i
+}
+
+// Analyze runs the pattern analysis over t.
+func Analyze(t *trace.Trace) (*Diagnosis, error) {
+	a := newAnalysis(t.NumRanks())
+
+	// First pass: wall time and stream sizes. The stream of every
+	// communication event is recorded in walk order, so the second pass
+	// resolves no channel again.
+	var wall trace.Time
+	var streamOf []int32
+	for r := range t.Ranks {
+		evs := t.Ranks[r].Events
+		for i := range evs {
+			wall = max(wall, evs[i].Exit)
+			if st := a.stream(r, &evs[i]); st >= 0 {
+				a.count[st]++
+				streamOf = append(streamOf, int32(st))
+			}
+		}
+	}
+	a.carve()
+
+	// Second pass over each rank's non-marker events, clipping each exit
+	// at the next one's enter: the view a merged, time-ordered consumer
+	// has of a (possibly skewed) trace.
+	next := 0
+	for r := range t.Ranks {
+		evs := t.Ranks[r].Events
+		for i := nextEvent(evs, 0); i < len(evs); {
+			e := &evs[i]
+			j := nextEvent(evs, i+1)
+			exit := e.Exit
+			if j < len(evs) {
+				exit = min(exit, evs[j].Enter)
+			}
+			loc := a.loc(e.Name)
+			a.add(mExecution, loc, r, exit-e.Enter)
+			if e.Kind.IsPointToPoint() || e.Kind.IsCollective() {
+				st := streamOf[next]
+				a.streams[st] = append(a.streams[st], commRec{enter: e.Enter, exit: exit, loc: loc, root: e.Root, kind: e.Kind})
+				next++
+			}
+			i = j
+		}
+	}
+	if err := a.score(); err != nil {
+		return nil, err
+	}
+	return a.diagnosis(t.Name, wall), nil
 }

@@ -1,6 +1,7 @@
 package expert
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/trace"
@@ -41,6 +42,22 @@ func (b *builder) coll(rank int, kind trace.EventKind, root int32, enter, exit t
 		Peer: trace.NoPeer, Bytes: 0, Root: root})
 }
 
+// analyze runs Analyze on a hand-built trace and holds it to the
+// reference engine: both fail, or both produce the same diagnosis. Every
+// hand-built trace in this file goes through it.
+func analyze(t *testing.T, tr *trace.Trace) (*Diagnosis, error) {
+	t.Helper()
+	d, err := Analyze(tr)
+	ref, refErr := refAnalyze(tr)
+	if (err != nil) != (refErr != nil) {
+		t.Fatalf("Analyze error %v, reference error %v", err, refErr)
+	}
+	if err == nil {
+		requireEqual(t, d, ref)
+	}
+	return d, err
+}
+
 func sev(t *testing.T, d *Diagnosis, metric, loc string) []float64 {
 	t.Helper()
 	v, ok := d.Sev[Key{Metric: metric, Location: loc}]
@@ -53,7 +70,7 @@ func sev(t *testing.T, d *Diagnosis, metric, loc string) []float64 {
 func TestExecutionSeverity(t *testing.T) {
 	b := newBuilder(1)
 	b.compute(0, "do_work", 0, 100).compute(0, "do_work", 100, 250)
-	d, err := Analyze(b.t)
+	d, err := analyze(t, b.t)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -69,7 +86,7 @@ func TestLateSenderSeverity(t *testing.T) {
 	b := newBuilder(2)
 	b.compute(0, "w", 0, 400).send(0, 1, trace.KindSend, 400, 410)
 	b.send(1, 0, trace.KindRecv, 100, 420)
-	d, err := Analyze(b.t)
+	d, err := analyze(t, b.t)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -89,7 +106,7 @@ func TestLateSenderNegative(t *testing.T) {
 	b := newBuilder(2)
 	b.send(0, 1, trace.KindSend, 50, 60)
 	b.send(1, 0, trace.KindRecv, 200, 210)
-	d, err := Analyze(b.t)
+	d, err := analyze(t, b.t)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -106,7 +123,7 @@ func TestLateReceiverSeverity(t *testing.T) {
 	b := newBuilder(2)
 	b.send(0, 1, trace.KindSsend, 100, 620)
 	b.compute(1, "w", 0, 600).send(1, 0, trace.KindRecv, 600, 620)
-	d, err := Analyze(b.t)
+	d, err := analyze(t, b.t)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -128,7 +145,7 @@ func TestWaitCapByExit(t *testing.T) {
 	// The recv (claims to) exit at 300, before the send even started —
 	// only possible in a skewed reconstruction.
 	b.send(1, 0, trace.KindRecv, 100, 300)
-	d, err := Analyze(b.t)
+	d, err := analyze(t, b.t)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -144,7 +161,7 @@ func TestWaitAtBarrier(t *testing.T) {
 	for r, e := range enters {
 		b.coll(r, trace.KindBarrier, -1, e, 410)
 	}
-	d, err := Analyze(b.t)
+	d, err := analyze(t, b.t)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -162,7 +179,7 @@ func TestWaitNxN(t *testing.T) {
 	b := newBuilder(2)
 	b.coll(0, trace.KindAlltoall, -1, 100, 500)
 	b.coll(1, trace.KindAlltoall, -1, 450, 500)
-	d, err := Analyze(b.t)
+	d, err := analyze(t, b.t)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -179,7 +196,7 @@ func TestEarlyGather(t *testing.T) {
 	b.coll(0, trace.KindGather, 0, 100, 710)
 	b.coll(1, trace.KindGather, 0, 700, 710)
 	b.coll(2, trace.KindGather, 0, 300, 310)
-	d, err := Analyze(b.t)
+	d, err := analyze(t, b.t)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -193,7 +210,7 @@ func TestEarlyGatherRootLate(t *testing.T) {
 	b := newBuilder(2)
 	b.coll(0, trace.KindGather, 0, 900, 910)
 	b.coll(1, trace.KindGather, 0, 100, 110)
-	d, err := Analyze(b.t)
+	d, err := analyze(t, b.t)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -210,7 +227,7 @@ func TestLateBroadcast(t *testing.T) {
 	b.coll(0, trace.KindBcast, 0, 500, 510)
 	b.coll(1, trace.KindBcast, 0, 100, 510)
 	b.coll(2, trace.KindBcast, 0, 200, 510)
-	d, err := Analyze(b.t)
+	d, err := analyze(t, b.t)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -227,7 +244,7 @@ func TestClipExits(t *testing.T) {
 	b := newBuilder(1)
 	b.compute(0, "a", 0, 500) // claims to run until 500
 	b.compute(0, "b", 300, 400)
-	d, err := Analyze(b.t)
+	d, err := analyze(t, b.t)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -240,7 +257,7 @@ func TestClipExits(t *testing.T) {
 	b2.compute(0, "a", 0, 500)
 	b2.compute(0, "b", 300, 350)
 	b2.compute(0, "c", 320, 330) // b clipped to [300,320]
-	d2, err := Analyze(b2.t)
+	d2, err := analyze(t, b2.t)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +271,7 @@ func TestMarkersIgnored(t *testing.T) {
 	b.add(0, trace.Event{Name: "main.1", Kind: trace.KindMarkBegin, Peer: trace.NoPeer, Root: trace.NoPeer})
 	b.compute(0, "w", 0, 100)
 	b.add(0, trace.Event{Name: "main.1", Kind: trace.KindMarkEnd, Enter: 100, Exit: 100, Peer: trace.NoPeer, Root: trace.NoPeer})
-	d, err := Analyze(b.t)
+	d, err := analyze(t, b.t)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -269,21 +286,21 @@ func TestAnalyzeErrors(t *testing.T) {
 	t.Run("unbalanced p2p", func(t *testing.T) {
 		b := newBuilder(2)
 		b.send(0, 1, trace.KindSend, 0, 10)
-		if _, err := Analyze(b.t); err == nil {
+		if _, err := analyze(t, b.t); err == nil {
 			t.Error("send without recv must fail")
 		}
 	})
 	t.Run("recv without send", func(t *testing.T) {
 		b := newBuilder(2)
 		b.send(1, 0, trace.KindRecv, 0, 10)
-		if _, err := Analyze(b.t); err == nil {
+		if _, err := analyze(t, b.t); err == nil {
 			t.Error("recv without send must fail")
 		}
 	})
 	t.Run("collective count mismatch", func(t *testing.T) {
 		b := newBuilder(2)
 		b.coll(0, trace.KindBarrier, -1, 0, 10)
-		if _, err := Analyze(b.t); err == nil {
+		if _, err := analyze(t, b.t); err == nil {
 			t.Error("missing collective participant must fail")
 		}
 	})
@@ -291,17 +308,30 @@ func TestAnalyzeErrors(t *testing.T) {
 		b := newBuilder(2)
 		b.coll(0, trace.KindBarrier, -1, 0, 10)
 		b.coll(1, trace.KindAlltoall, -1, 0, 10)
-		if _, err := Analyze(b.t); err == nil {
+		if _, err := analyze(t, b.t); err == nil {
 			t.Error("mixed collective kinds must fail")
 		}
 	})
+	// A rooted collective whose agreed root is no rank of the trace.
+	for _, kind := range []trace.EventKind{trace.KindGather, trace.KindReduce, trace.KindBcast} {
+		for _, root := range []int32{-1, 2, 99} {
+			t.Run(fmt.Sprintf("%s root %d", kind, root), func(t *testing.T) {
+				b := newBuilder(2)
+				b.coll(0, kind, root, 0, 10)
+				b.coll(1, kind, root, 5, 10)
+				if _, err := analyze(t, b.t); err == nil {
+					t.Errorf("%s with root %d of 2 ranks must fail", kind, root)
+				}
+			})
+		}
+	}
 }
 
 func TestDiagnosisHelpers(t *testing.T) {
 	b := newBuilder(2)
 	b.compute(0, "w", 0, 100)
 	b.compute(1, "w", 0, 300)
-	d, err := Analyze(b.t)
+	d, err := analyze(t, b.t)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,7 @@
 // displaced in time. Severities are built from durations and waits —
 // differences of timestamps — so the time shift cancels everywhere a
 // computation stays within one segment. AnalyzeReduced therefore profiles
-// each representative once (per-location clipped durations, its
-// communication events, its extremes) and then:
+// each executed representative once and then:
 //
 //   - scales the per-location execution times by the representative's
 //     execution count instead of re-walking its events per execution;
@@ -17,208 +16,201 @@
 //     exit clipping of each execution's final event against the next
 //     execution's first event — in O(execution records);
 //   - places only the communication events (typically a small fraction of
-//     a trace) at absolute time for the cross-rank pattern pairing, which
-//     is shared verbatim with Analyze.
+//     a trace) at absolute time for the cross-rank pattern pairing.
+//
+// It runs on the dense engine it shares with Analyze (expert.go):
+// locations are interned once, severities accumulate in one rows × ranks
+// array, and a profile records the pairing stream of each communication
+// event, so the channel of an event is resolved once per representative,
+// not once per execution. A first pass validates the execution records,
+// profiles the executed representatives and counts every stream as
+// execution count × profile events; a second pass places the events into
+// streams carved exactly to those counts, so no stream regrows.
+//
+// Markers follow the reconstruction: Analyze skips marker events, so a
+// profile skips any stored in a representative when it computes
+// durations, clips, communication events and the first and last event.
+// Wall time is the latest stamp reconstruction would emit, and that
+// includes markers: the begin marker at each execution's start, the end
+// marker at start + End, and the exits of stored markers.
 //
 // The result is exactly equal to Analyze(Reconstruct()) — all severities
-// are sums of integer microsecond differences, exact in float64 — at a
-// cost proportional to representatives + execution records +
-// communication events instead of the full event count. parity_test.go
-// enforces the equality for every workload × method.
+// are sums of integer microsecond differences, exact in float64, so the
+// order of accumulation cannot change a bit — at a cost proportional to
+// representatives + execution records + communication events instead of
+// the full event count. The original map-based engine is kept in
+// ref_test.go as the oracle: TestAnalyzeMatchesReference and
+// FuzzAnalyzeReduced hold both analyzers to it, and parity_test.go holds
+// the whole scorer to the reconstruct-based one for every workload ×
+// method.
 
 package expert
 
 import (
 	"fmt"
-	"slices"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/segment"
 	"repro/internal/trace"
 )
 
-// commEvent is one communication event of a representative, with the
-// within-segment clip already applied to its exit.
-type commEvent struct {
-	ev trace.Event
-	// last marks the representative's final event, whose effective exit
-	// depends on the following execution and is re-clipped per execution.
+// repComm is one communication event of a representative, times relative
+// to the segment start and the within-segment clip applied to its exit.
+type repComm struct {
+	rec    commRec
+	stream int32
+	// last marks the representative's final non-marker event, whose
+	// effective exit depends on the following execution.
 	last bool
 }
 
-// repProfile caches everything AnalyzeReduced needs about one stored
-// representative, so per-execution work is O(1) + O(its comm events).
+// repProfile is what the per-execution pass needs of one executed
+// representative.
 type repProfile struct {
-	// nEvents is the representative's event count.
-	nEvents int
-	// dur sums each location's clipped durations over all events except
-	// the final one (whose clip is per-execution). Locations whose events
-	// sum to zero keep their entry: Analyze creates a diagnosis cell for
-	// every event, and so must the scaled path.
-	dur map[string]int64
-	// comm lists the representative's communication events in stream
-	// order, times relative to the segment start.
-	comm []commEvent
-	// firstEnter is the first event's relative enter — the value the
-	// previous execution's final exit is clipped against.
+	// commLo and commHi bound the representative's communication events
+	// in the list profile appends them to.
+	commLo, commHi int
+	// lastRow is the execution row of the final non-marker event, or -1
+	// when the representative has no non-marker event.
+	lastRow int
+	// firstEnter is the first non-marker event's relative enter — the
+	// bound the previous execution's final exit is clipped against.
 	firstEnter trace.Time
-	// lastName/lastEnter/lastExit describe the final event.
-	lastName            string
+	// lastEnter and lastExit are the final non-marker event's stamps.
 	lastEnter, lastExit trace.Time
-	// lastIsComm marks a final event that is also a communication event.
-	lastIsComm bool
-	// maxExit is the latest relative stamp reconstruction would emit for
-	// one execution: max(segment end marker, every event exit).
+	// maxExit is the latest relative stamp reconstruction emits for one
+	// execution: the begin marker (0), the end marker and every exit.
 	maxExit trace.Time
 }
 
-// profileRep builds the per-representative profile. Within-segment exit
-// clipping (event i's exit against event i+1's enter) is shift-invariant,
-// so it is resolved here once; only the final event's clip crosses into
-// the next execution.
-func profileRep(s *segment.Segment) *repProfile {
-	p := &repProfile{
-		nEvents: len(s.Events),
-		dur:     make(map[string]int64, 4),
-		maxExit: s.End,
+// profile summarizes representative s of rank, executed count times,
+// appending its communication events to comm, and adds its within-segment
+// execution times scaled by count. Within-segment exit clipping is
+// shift-invariant, so it is resolved here once; only the final event's
+// clip crosses into the next execution.
+func (a *analysis) profile(p *repProfile, comm []repComm, rank int, s *segment.Segment, count int) []repComm {
+	evs := s.Events
+	p.maxExit = max(0, s.End)
+	for i := range evs {
+		p.maxExit = max(p.maxExit, evs[i].Exit)
 	}
-	for i, e := range s.Events {
-		if e.Exit > p.maxExit {
-			p.maxExit = e.Exit
-		}
-		clipped := e
-		if i+1 < len(s.Events) {
-			if next := s.Events[i+1].Enter; clipped.Exit > next {
-				clipped.Exit = next
-			}
-			p.dur[e.Name] += clipped.Exit - clipped.Enter
+	p.lastRow = -1
+	p.commLo = len(comm)
+	i := nextEvent(evs, 0)
+	if i < len(evs) {
+		p.firstEnter = evs[i].Enter
+	}
+	for i < len(evs) {
+		e := &evs[i]
+		j := nextEvent(evs, i+1)
+		loc := a.loc(e.Name)
+		// Analyze creates the execution cell of every event, even one
+		// whose durations sum to zero, and so must the profile.
+		row := a.row(mExecution, loc)
+		exit := e.Exit
+		last := j == len(evs)
+		if last {
+			p.lastRow, p.lastEnter, p.lastExit = row, e.Enter, e.Exit
 		} else {
-			p.lastName, p.lastEnter, p.lastExit = e.Name, e.Enter, e.Exit
-			p.lastIsComm = e.Kind.IsPointToPoint() || e.Kind.IsCollective()
+			exit = min(exit, evs[j].Enter)
+			a.sev[row*a.nRanks+rank] += float64((exit - e.Enter) * trace.Time(count))
 		}
-		if e.Kind.IsPointToPoint() || e.Kind.IsCollective() {
-			p.comm = append(p.comm, commEvent{ev: clipped, last: i+1 == len(s.Events)})
+		if st := a.stream(rank, e); st >= 0 {
+			a.count[st] += count
+			comm = append(comm, repComm{
+				rec:    commRec{enter: e.Enter, exit: exit, loc: loc, root: e.Root, kind: e.Kind},
+				stream: int32(st),
+				last:   last,
+			})
 		}
+		i = j
 	}
-	if p.nEvents > 0 {
-		p.firstEnter = s.Events[0].Enter
-	}
-	return p
+	p.commHi = len(comm)
+	return comm
 }
 
 // AnalyzeReduced runs the pattern analysis directly over a reduced trace,
 // producing the same Diagnosis Analyze would produce for
-// r.Reconstruct() without building the reconstruction. See the package
-// comment above for the algorithm; Analyze remains the reference path.
+// r.Reconstruct() without building the reconstruction. See the comment
+// at the top of this file for the algorithm.
 func AnalyzeReduced(r *core.Reduced) (*Diagnosis, error) {
-	d := &Diagnosis{
-		Name:     r.Name,
-		NumRanks: len(r.Ranks),
-		Sev:      map[Key][]float64{},
+	a := newAnalysis(len(r.Ranks))
+	maxStored, maxExecs, totalStored := 0, 0, 0
+	for rank := range r.Ranks {
+		maxStored = max(maxStored, len(r.Ranks[rank].Stored))
+		maxExecs = max(maxExecs, len(r.Ranks[rank].Execs))
+		totalStored += len(r.Ranks[rank].Stored)
 	}
-	cs := newCommStreams(len(r.Ranks))
-	var wall trace.Time
+
+	// First pass: validate and count the executions of every
+	// representative, profile each executed one, and size the streams.
+	counts := make([]int, maxStored)
+	profiles := make([]repProfile, totalStored) // rank-major, by stored id
+	var comm []repComm
+	base := 0
 	for rank := range r.Ranks {
 		rr := &r.Ranks[rank]
-
-		// Count executions per representative and profile each
-		// representative that actually executes.
-		counts := make([]int64, len(rr.Stored))
+		execs := counts[:len(rr.Stored)]
+		clear(execs)
 		for _, ex := range rr.Execs {
 			if ex.ID < 0 || ex.ID >= len(rr.Stored) {
 				return nil, fmt.Errorf("expert: rank %d exec references segment %d of %d",
 					rank, ex.ID, len(rr.Stored))
 			}
-			counts[ex.ID]++
+			execs[ex.ID]++
 		}
-		profiles := make([]*repProfile, len(rr.Stored))
-		for id := range rr.Stored {
-			if counts[id] > 0 {
-				profiles[id] = profileRep(rr.Stored[id])
+		for id, n := range execs {
+			if n > 0 {
+				comm = a.profile(&profiles[base+id], comm, rank, rr.Stored[id], n)
 			}
 		}
+		base += len(rr.Stored)
+	}
+	a.carve()
 
-		// Scaled body contribution: every execution of a representative
-		// adds the same within-segment clipped durations. The same pass
-		// presizes the rank's pairing streams — exact counts fall out of
-		// profile × execution-count, so the placement loop below never
-		// regrows a slice.
-		totals := map[string]int64{}
-		collN := 0
-		for id, p := range profiles {
-			if p == nil {
-				continue
-			}
-			for loc, sum := range p.dur {
-				totals[loc] += sum * counts[id]
-			}
-			n := int(counts[id])
-			for _, ce := range p.comm {
-				switch {
-				case ce.ev.Kind == trace.KindSend || ce.ev.Kind == trace.KindSsend:
-					k := sendKey(rank, ce.ev)
-					cs.sends[k] = slices.Grow(cs.sends[k], n)
-				case ce.ev.Kind == trace.KindRecv:
-					k := recvKey(rank, ce.ev)
-					cs.recvs[k] = slices.Grow(cs.recvs[k], n)
-				case ce.ev.Kind.IsCollective():
-					collN += n
-				}
-			}
-		}
-		if collN > 0 {
-			cs.colls[rank] = make([]trace.Event, 0, collN)
-		}
-
-		// nextEnter[k] is the absolute enter of the first event after
-		// execution k in the merged (marker-free) stream — the clip bound
-		// for execution k's final event. Computed by a backward sweep that
-		// skips executions of empty representatives.
-		nextEnter := make([]trace.Time, len(rr.Execs))
-		hasNext := make([]bool, len(rr.Execs))
-		var curEnter trace.Time
-		var curHas bool
+	// Second pass, per rank: the final-event clip of every execution and
+	// the placement of its communication events at absolute time.
+	// nextEnter[k] is the absolute enter of the first non-marker event
+	// after execution k — the clip bound of its final event, MaxInt64
+	// when none follows. A backward sweep computes it, skipping
+	// executions of representatives without non-marker events.
+	nextEnter := make([]trace.Time, maxExecs)
+	var wall trace.Time
+	base = 0
+	for rank := range r.Ranks {
+		rr := &r.Ranks[rank]
+		ps := profiles[base : base+len(rr.Stored)]
+		base += len(rr.Stored)
+		bound := trace.Time(math.MaxInt64)
 		for k := len(rr.Execs) - 1; k >= 0; k-- {
-			nextEnter[k], hasNext[k] = curEnter, curHas
-			if p := profiles[rr.Execs[k].ID]; p.nEvents > 0 {
-				curEnter, curHas = rr.Execs[k].Start+p.firstEnter, true
+			nextEnter[k] = bound
+			if p := &ps[rr.Execs[k].ID]; p.lastRow >= 0 {
+				bound = rr.Execs[k].Start + p.firstEnter
 			}
 		}
-
-		// Per-execution pass: O(1) boundary fixup plus communication
-		// placement. Compute events are never touched here.
 		for k, ex := range rr.Execs {
-			p := profiles[ex.ID]
-			if w := ex.Start + p.maxExit; w > wall {
-				wall = w
-			}
-			if p.nEvents == 0 {
+			p := &ps[ex.ID]
+			wall = max(wall, ex.Start+p.maxExit)
+			if p.lastRow < 0 {
 				continue
 			}
-			lastExit := ex.Start + p.lastExit
-			if hasNext[k] && lastExit > nextEnter[k] {
-				lastExit = nextEnter[k]
-			}
-			totals[p.lastName] += lastExit - (ex.Start + p.lastEnter)
-			for _, ce := range p.comm {
-				abs := ce.ev
-				abs.Enter += ex.Start
-				if ce.last {
-					abs.Exit = lastExit
+			lastExit := min(ex.Start+p.lastExit, nextEnter[k])
+			a.sev[p.lastRow*a.nRanks+rank] += float64(lastExit - (ex.Start + p.lastEnter))
+			for _, c := range comm[p.commLo:p.commHi] {
+				rec := c.rec
+				rec.enter += ex.Start
+				if c.last {
+					rec.exit = lastExit
 				} else {
-					abs.Exit += ex.Start
+					rec.exit += ex.Start
 				}
-				cs.add(rank, abs)
+				a.streams[c.stream] = append(a.streams[c.stream], rec)
 			}
-		}
-
-		for loc, total := range totals {
-			d.add(MetricExecution, loc, rank, float64(total))
 		}
 	}
-	d.WallTime = float64(wall)
-	if err := cs.score(d); err != nil {
+	if err := a.score(); err != nil {
 		return nil, err
 	}
-	return d, nil
+	return a.diagnosis(r.Name, wall), nil
 }

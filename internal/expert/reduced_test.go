@@ -18,8 +18,8 @@ func compute(name string, enter, exit trace.Time) trace.Event {
 		Peer: trace.NoPeer, Root: trace.NoPeer}
 }
 
-// analyzeBoth runs the direct and reconstruct-based analyzers and fails
-// on any error.
+// analyzeBoth runs the direct analyzer and the reference engine over the
+// reconstruction, and fails on any error.
 func analyzeBoth(t *testing.T, red *core.Reduced) (direct, ref *Diagnosis) {
 	t.Helper()
 	direct, err := AnalyzeReduced(red)
@@ -30,19 +30,24 @@ func analyzeBoth(t *testing.T, red *core.Reduced) (direct, ref *Diagnosis) {
 	if err != nil {
 		t.Fatalf("Reconstruct: %v", err)
 	}
-	ref, err = Analyze(recon)
+	ref, err = refAnalyze(recon)
 	if err != nil {
-		t.Fatalf("Analyze(Reconstruct()): %v", err)
+		t.Fatalf("refAnalyze(Reconstruct()): %v", err)
 	}
 	return direct, ref
 }
 
-// requireEqual asserts exact diagnosis equality.
+// requireEqual asserts exact diagnosis equality, and that every vector
+// of direct is exactly NumRanks long with no spare capacity, so an
+// append by a caller cannot write into another cell.
 func requireEqual(t *testing.T, direct, ref *Diagnosis) {
 	t.Helper()
 	if direct.Name != ref.Name || direct.NumRanks != ref.NumRanks || direct.WallTime != ref.WallTime {
 		t.Fatalf("metadata differs: direct {%q %d %g} vs reference {%q %d %g}",
 			direct.Name, direct.NumRanks, direct.WallTime, ref.Name, ref.NumRanks, ref.WallTime)
+	}
+	if direct.Sev == nil {
+		t.Fatal("direct diagnosis has a nil severity map")
 	}
 	if len(direct.Sev) != len(ref.Sev) {
 		t.Fatalf("cell sets differ: direct %v vs reference %v", direct.Keys(), ref.Keys())
@@ -51,6 +56,9 @@ func requireEqual(t *testing.T, direct, ref *Diagnosis) {
 		dv, ok := direct.Sev[k]
 		if !ok {
 			t.Fatalf("direct diagnosis is missing cell %v", k)
+		}
+		if len(dv) != direct.NumRanks || cap(dv) != direct.NumRanks {
+			t.Fatalf("cell %v: vector len %d cap %d, want both %d", k, len(dv), cap(dv), direct.NumRanks)
 		}
 		for i := range rv {
 			if dv[i] != rv[i] {
@@ -126,5 +134,88 @@ func TestAnalyzeReducedBadExec(t *testing.T) {
 	}
 	if _, err := AnalyzeReduced(red); err == nil {
 		t.Fatal("AnalyzeReduced accepted an out-of-range execution id")
+	}
+}
+
+// TestAnalyzeReducedMarkerInSegment stores a marker event inside a
+// representative, which the reduced decoders accept. Reconstruction
+// replays it and Analyze skips it, so it must neither become a location
+// nor bound the clip of the event before it.
+func TestAnalyzeReducedMarkerInSegment(t *testing.T) {
+	inner := trace.Event{Name: "inner", Kind: trace.KindMarkBegin, Enter: 4, Exit: 4,
+		Peer: trace.NoPeer, Root: trace.NoPeer}
+	rep := seg("main.1", 10, compute("w", 0, 6), inner, compute("v", 5, 9))
+	red := &core.Reduced{
+		Name: "marker", Method: "test",
+		Ranks: []core.RankReduced{{
+			Rank:   0,
+			Stored: []*segment.Segment{rep},
+			Execs:  []core.Exec{{ID: 0, Start: 0}, {ID: 0, Start: 20}},
+		}},
+		TotalSegments: 2,
+	}
+	direct, ref := analyzeBoth(t, red)
+	requireEqual(t, direct, ref)
+	// w is clipped at v's enter (5), not at the marker (4).
+	if got := direct.Total(Key{Metric: MetricExecution, Location: "w"}); got != 10 {
+		t.Fatalf("w total = %g, want 10", got)
+	}
+}
+
+// TestAnalyzeReducedNegativeEnd stores a representative whose end and
+// event stamps are negative. The reconstruction's begin marker sits at
+// the execution start, so the wall time is that start, not the start
+// plus the (negative) end.
+func TestAnalyzeReducedNegativeEnd(t *testing.T) {
+	rep := seg("main.1", -5, compute("w", -8, -7))
+	red := &core.Reduced{
+		Name: "negative", Method: "test",
+		Ranks: []core.RankReduced{{
+			Rank:   0,
+			Stored: []*segment.Segment{rep},
+			Execs:  []core.Exec{{ID: 0, Start: 8}},
+		}},
+		TotalSegments: 1,
+	}
+	direct, ref := analyzeBoth(t, red)
+	requireEqual(t, direct, ref)
+	if direct.WallTime != 8 {
+		t.Fatalf("WallTime = %g, want 8", direct.WallTime)
+	}
+}
+
+// TestAnalyzeReducedAllocsFlatInExecutions pins the exact stream sizing:
+// placing an execution's events allocates nothing, so the allocations of
+// a diagnosis do not grow with the execution count. Each representative
+// sends twice on one channel, the case a per-representative presize
+// misses.
+func TestAnalyzeReducedAllocsFlatInExecutions(t *testing.T) {
+	p2p := func(kind trace.EventKind, peer int32, enter, exit trace.Time) trace.Event {
+		return trace.Event{Name: kind.String(), Kind: kind, Enter: enter, Exit: exit, Peer: peer, Tag: 7, Root: trace.NoPeer}
+	}
+	pingPong := func(execs int) *core.Reduced {
+		red := &core.Reduced{Name: "pingpong", Method: "test", Ranks: []core.RankReduced{
+			{Rank: 0, Stored: []*segment.Segment{seg("main.1", 40,
+				p2p(trace.KindSend, 1, 0, 5), p2p(trace.KindSend, 1, 5, 10), p2p(trace.KindRecv, 1, 10, 30))}},
+			{Rank: 1, Stored: []*segment.Segment{seg("main.1", 40,
+				p2p(trace.KindRecv, 0, 0, 8), p2p(trace.KindRecv, 0, 8, 12), p2p(trace.KindSend, 0, 20, 25))}},
+		}}
+		for r := range red.Ranks {
+			for k := range execs {
+				red.Ranks[r].Execs = append(red.Ranks[r].Execs, core.Exec{ID: 0, Start: trace.Time(k) * 50})
+			}
+		}
+		return red
+	}
+	allocs := func(execs int) float64 {
+		red := pingPong(execs)
+		return testing.AllocsPerRun(10, func() {
+			if _, err := AnalyzeReduced(red); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(4), allocs(4000); many != few {
+		t.Fatalf("AnalyzeReduced allocates %v times for 4 executions but %v for 4000", few, many)
 	}
 }

@@ -382,6 +382,44 @@ func TestAnalyze(t *testing.T) {
 	}
 }
 
+// TestAnalyzeUnpairedTrace uploads a trace that reduces but cannot be
+// diagnosed: both ranks call MPI_Gather with root 99. The reduce
+// succeeds; the analyze answers 422 with a reason and counts an error.
+func TestAnalyzeUnpairedTrace(t *testing.T) {
+	tr := trace.New("bad_root", 2)
+	for r := range tr.Ranks {
+		tr.Ranks[r].Events = []trace.Event{
+			{Name: "main.1", Kind: trace.KindMarkBegin, Enter: 0, Exit: 0, Peer: trace.NoPeer, Root: trace.NoPeer},
+			{Name: "MPI_Gather", Kind: trace.KindGather, Enter: 0, Exit: 10, Peer: trace.NoPeer, Root: 99},
+			{Name: "main.1", Kind: trace.KindMarkEnd, Enter: 10, Exit: 10, Peer: trace.NoPeer, Root: trace.NoPeer},
+		}
+	}
+	srv := NewServer(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp := postReduce(t, ts.URL, encodeTrace(t, tr, 2), "method=avgWave&format=v2")
+	readBody(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("reduce status %d, want 200", resp.StatusCode)
+	}
+	before := srv.metrics.ErrorsTotal.Value()
+	aresp, err := http.Get(ts.URL + "/v1/analyze?sig=" + resp.Header.Get("X-Tracered-Signature") + "&method=avgWave&format=v2")
+	if err != nil {
+		t.Fatalf("GET /v1/analyze: %v", err)
+	}
+	body := readBody(t, aresp)
+	if aresp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("analyze status %d, want 422: %s", aresp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "root 99") {
+		t.Errorf("analyze body %q does not name the bad root", body)
+	}
+	if got := srv.metrics.ErrorsTotal.Value(); got != before+1 {
+		t.Errorf("errors counter went %d -> %d, want one more", before, got)
+	}
+}
+
 // TestUploadLimits pins the per-tenant decode caps and body budget.
 func TestUploadLimits(t *testing.T) {
 	tr := workloadTrace(t)

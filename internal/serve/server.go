@@ -423,7 +423,7 @@ type analyzeStats struct {
 // handleAnalyze serves the diagnosis of a previously reduced trace,
 // addressed by the signature (and parameters) the reduce response
 // reported. Reductions age out of the cache; a miss is a 404 and the
-// client re-reduces.
+// client re-reduces. A trace the analyzer rejects is a 422.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	sig, err := trace.ParseSignature(q.Get("sig"))
@@ -450,7 +450,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	diag, err := expert.AnalyzeReduced(red)
 	if err != nil {
-		s.httpError(w, http.StatusInternalServerError, fmt.Errorf("analyzing: %w", err))
+		// The reduction decoded, so the client's trace itself does not
+		// pair up (say, a rooted collective naming no rank).
+		s.httpError(w, http.StatusUnprocessableEntity, fmt.Errorf("analyzing: %w", err))
 		return
 	}
 	resp := analyzeResponse{
