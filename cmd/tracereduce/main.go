@@ -113,6 +113,7 @@ func run(in, out, method string, threshold float64, mode tracered.MatchMode, fv 
 		f.Close()
 		return fmt.Errorf("reading trace: %w", err)
 	}
+	defer dec.Close()
 	// The input file is the encoded full trace, so its size on disk is the
 	// full-trace byte count the paper's size criterion divides by.
 	st, err := os.Stat(in)

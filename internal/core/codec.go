@@ -47,7 +47,7 @@ func EncodedReducedSize(r *Reduced) int64 {
 func EncodeReduced(w io.Writer, r *Reduced) error {
 	bw := bufio.NewWriter(w)
 	nt := reducedNameTable(r)
-	if err := writeReducedV1Header(bw, r.Name, r.Method, nt, len(r.Ranks)); err != nil {
+	if err := writeReducedHeader(bw, reducedMagic, r.Name, r.Method, nt, len(r.Ranks)); err != nil {
 		return err
 	}
 	var chunk []byte
@@ -60,28 +60,28 @@ func EncodeReduced(w io.Writer, r *Reduced) error {
 	return bw.Flush()
 }
 
-// writeReducedV1Header writes the TRR1 header: magic, workload name,
-// method, name table, rank count.
-func writeReducedV1Header(bw io.Writer, name, method string, nt *trace.NameTable, nRanks int) error {
-	if _, err := io.WriteString(bw, reducedMagic); err != nil {
+// writeReducedHeader writes the header both reduced container versions
+// share: magic, workload name, method, name table, rank count.
+func writeReducedHeader(w io.Writer, magic, name, method string, nt *trace.NameTable, nRanks int) error {
+	if _, err := io.WriteString(w, magic); err != nil {
 		return err
 	}
-	if err := trace.WriteString(bw, name); err != nil {
+	if err := trace.WriteString(w, name); err != nil {
 		return err
 	}
-	if err := trace.WriteString(bw, method); err != nil {
+	if err := trace.WriteString(w, method); err != nil {
 		return err
 	}
 	le := binary.LittleEndian
-	if err := binary.Write(bw, le, uint32(len(nt.Names()))); err != nil {
+	if err := binary.Write(w, le, uint32(len(nt.Names()))); err != nil {
 		return err
 	}
 	for _, s := range nt.Names() {
-		if err := trace.WriteString(bw, s); err != nil {
+		if err := trace.WriteString(w, s); err != nil {
 			return err
 		}
 	}
-	return binary.Write(bw, le, uint32(nRanks))
+	return binary.Write(w, le, uint32(nRanks))
 }
 
 // appendRankReducedV1 appends one rank's TRR1 section — rank header,
@@ -127,130 +127,120 @@ func DecodeReduced(rd io.Reader) (*Reduced, error) {
 // that cancels the decode between ranks.
 func DecodeReducedWith(rd io.Reader, opts trace.DecoderOptions) (*Reduced, error) {
 	opts = opts.Resolve()
-	sr, ok, err := trace.SectionFor(rd)
+	c, err := trace.OpenContainer(rd, reducedMagicV2)
 	if err != nil {
 		return nil, err
 	}
-	if ok {
-		if magic, err := trace.PeekMagic(sr); err == nil && magic == reducedMagicV2 {
-			return decodeReducedV2Parallel(sr, opts)
+	if c.Magic != reducedMagic && c.Magic != reducedMagicV2 {
+		return nil, fmt.Errorf("core: bad magic %q", c.Magic)
+	}
+	hdr, names, nRanks, err := trace.ReadHeader(c.Header, opts.Limits, 2)
+	if err != nil {
+		return nil, err
+	}
+	// The declared rank count only caps the initial capacity: a hostile
+	// header can promise a million ranks in a few bytes.
+	r := &Reduced{Name: hdr[0], Method: hdr[1], Ranks: make([]RankReduced, 0, min(nRanks, 1<<12))}
+	if c.Magic == reducedMagic {
+		for i := 0; i < nRanks; i++ {
+			if err := opts.Ctx.Err(); err != nil {
+				return nil, err
+			}
+			rr, err := readRankReducedV1(c.Header, names)
+			if err == io.EOF {
+				// The header promised this rank: the file is truncated,
+				// not cleanly ended.
+				err = io.ErrUnexpectedEOF
+			}
+			if err != nil {
+				return nil, fmt.Errorf("core: rank %d of %d: %w", i, nRanks, err)
+			}
+			r.Ranks = append(r.Ranks, rr)
 		}
+		return r, nil
 	}
-	cr := &v2countingReader{r: rd}
-	br := bufio.NewReader(cr)
-	magic := make([]byte, len(reducedMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("core: reading magic: %w", err)
-	}
-	switch string(magic) {
-	case reducedMagic:
-		return decodeReducedV1(br, opts)
-	case reducedMagicV2:
-		return decodeReducedV2Sequential(cr, br, opts)
-	default:
-		return nil, fmt.Errorf("core: bad magic %q", magic)
-	}
-}
-
-// decodeReducedV1 reads the TRR1 body after the magic.
-func decodeReducedV1(br *bufio.Reader, opts trace.DecoderOptions) (*Reduced, error) {
-	lim := opts.Limits
-	name, err := trace.ReadStringLimit(br, lim.MaxStringLen)
+	blocks, err := trace.NewBlockReader(c, nRanks, opts,
+		func(e trace.BlockEntry, payload []byte) (RankReduced, error) {
+			return parseRankReducedV2(e, payload, names)
+		})
 	if err != nil {
 		return nil, err
 	}
-	method, err := trace.ReadStringLimit(br, lim.MaxStringLen)
-	if err != nil {
-		return nil, err
-	}
-	le := binary.LittleEndian
-	var nNames uint32
-	if err := binary.Read(br, le, &nNames); err != nil {
-		return nil, err
-	}
-	if nNames > lim.MaxNames {
-		return nil, fmt.Errorf("core: name table size %d exceeds the %d-entry cap", nNames, lim.MaxNames)
-	}
-	names := make([]string, 0, min(nNames, 1<<12))
-	for i := uint32(0); i < nNames; i++ {
-		s, err := trace.ReadStringLimit(br, lim.MaxStringLen)
+	defer blocks.Close()
+	for {
+		rr, err := blocks.Next()
+		if err == io.EOF {
+			return r, nil
+		}
 		if err != nil {
 			return nil, err
 		}
-		names = append(names, s)
+		r.Ranks = append(r.Ranks, rr)
 	}
-	var nRanks uint32
-	if err := binary.Read(br, le, &nRanks); err != nil {
-		return nil, err
+}
+
+// readRankReducedV1 reads one rank's TRR1 section.
+func readRankReducedV1(br *bufio.Reader, names []string) (RankReduced, error) {
+	le := binary.LittleEndian
+	var hdr [12]byte // rank, nstored, nexecs
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return RankReduced{}, err
 	}
-	if nRanks > lim.MaxRanks {
-		return nil, fmt.Errorf("core: rank count %d exceeds the %d cap", nRanks, lim.MaxRanks)
+	rr := RankReduced{Rank: int(le.Uint32(hdr[0:]))}
+	nStored, nExecs := le.Uint32(hdr[4:]), le.Uint32(hdr[8:])
+	if nStored > 1<<24 || nExecs > 1<<28 {
+		return rr, fmt.Errorf("core: rank %d: implausible counts stored=%d execs=%d", rr.Rank, nStored, nExecs)
 	}
-	r := &Reduced{Name: name, Method: method, Ranks: make([]RankReduced, nRanks)}
-	rec := make([]byte, trace.EventRecordSize)
-	for i := range r.Ranks {
-		if err := opts.Ctx.Err(); err != nil {
-			return nil, err
+	// Initial capacities are capped below the declared counts: a hostile
+	// header can promise huge counts, but every record costs input
+	// bytes, so growth-by-append bounds memory by stream size.
+	rr.Stored = make([]*segment.Segment, 0, min(nStored, 1<<12))
+	var rec [trace.EventRecordSize]byte
+	for j := uint32(0); j < nStored; j++ {
+		var shdr [20]byte // contextID, end, weight, nevents
+		if _, err := io.ReadFull(br, shdr[:]); err != nil {
+			return rr, err
 		}
-		var hdr [3]uint32
-		if err := binary.Read(br, le, &hdr); err != nil {
-			return nil, err
+		ctxID, nEvents := le.Uint32(shdr[0:]), le.Uint32(shdr[16:])
+		if int(ctxID) >= len(names) {
+			return rr, fmt.Errorf("core: context id %d out of range", ctxID)
 		}
-		rr := &r.Ranks[i]
-		rr.Rank = int(hdr[0])
-		nStored, nExecs := hdr[1], hdr[2]
-		if nStored > 1<<24 || nExecs > 1<<28 {
-			return nil, fmt.Errorf("core: rank %d: implausible counts stored=%d execs=%d", rr.Rank, nStored, nExecs)
+		s := &segment.Segment{Context: names[ctxID], Rank: rr.Rank,
+			End: int64(le.Uint64(shdr[4:])), Weight: int(le.Uint32(shdr[12:]))}
+		s.Events = make([]trace.Event, 0, min(nEvents, 1<<12))
+		for k := uint32(0); k < nEvents; k++ {
+			if _, err := io.ReadFull(br, rec[:]); err != nil {
+				return rr, err
+			}
+			e, err := trace.GetEventRecord(rec[:], names)
+			if err != nil {
+				return rr, err
+			}
+			s.Events = append(s.Events, e)
 		}
-		// Initial capacities are capped below the declared counts: a
-		// hostile header can promise huge counts, but every record costs
-		// input bytes, so growth-by-append bounds memory by stream size.
-		rr.Stored = make([]*segment.Segment, 0, min(nStored, 1<<12))
-		for j := uint32(0); j < nStored; j++ {
-			var ctxID uint32
-			var end int64
-			var weight, nEvents uint32
-			if err := binary.Read(br, le, &ctxID); err != nil {
-				return nil, err
-			}
-			if err := binary.Read(br, le, &end); err != nil {
-				return nil, err
-			}
-			if err := binary.Read(br, le, &weight); err != nil {
-				return nil, err
-			}
-			if err := binary.Read(br, le, &nEvents); err != nil {
-				return nil, err
-			}
-			if int(ctxID) >= len(names) {
-				return nil, fmt.Errorf("core: context id %d out of range", ctxID)
-			}
-			s := &segment.Segment{Context: names[ctxID], Rank: rr.Rank, End: end, Weight: int(weight)}
-			s.Events = make([]trace.Event, 0, min(nEvents, 1<<12))
-			for k := uint32(0); k < nEvents; k++ {
-				if _, err := io.ReadFull(br, rec); err != nil {
-					return nil, err
-				}
-				e, err := trace.GetEventRecord(rec, names)
-				if err != nil {
-					return nil, err
-				}
-				s.Events = append(s.Events, e)
-			}
-			rr.Stored = append(rr.Stored, s)
-		}
-		rr.Execs = make([]Exec, 0, min(nExecs, 1<<16))
-		for j := uint32(0); j < nExecs; j++ {
-			var id uint32
-			var start int64
-			if err := binary.Read(br, le, &id); err != nil {
-				return nil, err
-			}
-			if err := binary.Read(br, le, &start); err != nil {
-				return nil, err
-			}
-			rr.Execs = append(rr.Execs, Exec{ID: int(id), Start: start})
-		}
+		rr.Stored = append(rr.Stored, s)
 	}
-	return r, nil
+	rr.Execs = make([]Exec, 0, min(nExecs, 1<<16))
+	var exrec [ExecRecordSize]byte
+	for j := uint32(0); j < nExecs; j++ {
+		if _, err := io.ReadFull(br, exrec[:]); err != nil {
+			return rr, err
+		}
+		id := le.Uint32(exrec[0:])
+		if err := checkExecID(rr.Rank, uint64(j), uint64(id), uint64(nStored)); err != nil {
+			return rr, err
+		}
+		rr.Execs = append(rr.Execs, Exec{ID: int(id), Start: int64(le.Uint64(exrec[4:]))})
+	}
+	return rr, nil
+}
+
+// checkExecID rejects exec record j of a rank when it references a
+// representative the rank does not store; both container versions hold
+// the execution log to this.
+func checkExecID(rank int, j, id, nStored uint64) error {
+	if id >= nStored {
+		return fmt.Errorf("core: rank %d exec %d: segment id %d out of range (%d stored)", rank, j, id, nStored)
+	}
+	return nil
 }

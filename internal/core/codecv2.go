@@ -1,13 +1,10 @@
 package core
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/segment"
 	"repro/internal/trace"
@@ -103,30 +100,6 @@ func registerRankNames(nt *trace.NameTable, rr *RankReduced) {
 	}
 }
 
-// writeReducedV2Header writes the TRR2 container header: magic, workload
-// name, method, name table, rank count.
-func writeReducedV2Header(bw *trace.BlockWriter, name, method string, nt *trace.NameTable, nRanks int) error {
-	if _, err := io.WriteString(bw, reducedMagicV2); err != nil {
-		return err
-	}
-	if err := trace.WriteString(bw, name); err != nil {
-		return err
-	}
-	if err := trace.WriteString(bw, method); err != nil {
-		return err
-	}
-	le := binary.LittleEndian
-	if err := binary.Write(bw, le, uint32(len(nt.Names()))); err != nil {
-		return err
-	}
-	for _, s := range nt.Names() {
-		if err := trace.WriteString(bw, s); err != nil {
-			return err
-		}
-	}
-	return binary.Write(bw, le, uint32(nRanks))
-}
-
 // EncodeReducedV2 writes r to w in the columnar v2 reduced format
 // (TRR2). It is the sequential reference; EncodeReducedV2With produces
 // identical bytes on a worker pool. The v1 format remains the default
@@ -145,7 +118,7 @@ func EncodeReducedV2With(w io.Writer, r *Reduced, opts trace.EncoderOptions) err
 func encodeReducedV2(w io.Writer, r *Reduced, workers int) error {
 	bw := trace.NewBlockWriter(w)
 	nt := reducedNameTable(r)
-	if err := writeReducedV2Header(bw, r.Name, r.Method, nt, len(r.Ranks)); err != nil {
+	if err := writeReducedHeader(bw, reducedMagicV2, r.Name, r.Method, nt, len(r.Ranks)); err != nil {
 		return err
 	}
 	// The prescan registered every name, so concurrent encoders only
@@ -257,9 +230,8 @@ func parseRankReducedV2(e trace.BlockEntry, payload []byte, names []string) (Ran
 		if err != nil {
 			return rr, err
 		}
-		if id >= nStored {
-			return rr, fmt.Errorf("core: rank %d exec %d: segment id %d out of range (%d stored)",
-				rr.Rank, j, id, nStored)
+		if err := checkExecID(rr.Rank, j, id, nStored); err != nil {
+			return rr, err
 		}
 		dStart, err := c.Varint()
 		if err != nil {
@@ -273,169 +245,4 @@ func parseRankReducedV2(e trace.BlockEntry, payload []byte, names []string) (Ran
 		return rr, fmt.Errorf("core: rank %d block: %w", rr.Rank, err)
 	}
 	return rr, nil
-}
-
-// readReducedV2Header reads the TRR2 header after the magic: workload
-// name, method, name table, rank count — the same caps as v1.
-func readReducedV2Header(br *bufio.Reader, lim trace.DecodeLimits) (name, method string, names []string, nRanks int, err error) {
-	name, err = trace.ReadStringLimit(br, lim.MaxStringLen)
-	if err != nil {
-		return "", "", nil, 0, err
-	}
-	method, err = trace.ReadStringLimit(br, lim.MaxStringLen)
-	if err != nil {
-		return "", "", nil, 0, err
-	}
-	le := binary.LittleEndian
-	var nNames uint32
-	if err = binary.Read(br, le, &nNames); err != nil {
-		return "", "", nil, 0, err
-	}
-	if nNames > lim.MaxNames {
-		return "", "", nil, 0, fmt.Errorf("core: name table size %d exceeds the %d-entry cap", nNames, lim.MaxNames)
-	}
-	names = make([]string, 0, min(nNames, 1<<12))
-	for i := uint32(0); i < nNames; i++ {
-		s, err := trace.ReadStringLimit(br, lim.MaxStringLen)
-		if err != nil {
-			return "", "", nil, 0, err
-		}
-		names = append(names, s)
-	}
-	var n uint32
-	if err = binary.Read(br, le, &n); err != nil {
-		return "", "", nil, 0, err
-	}
-	if n > lim.MaxRanks {
-		return "", "", nil, 0, fmt.Errorf("core: rank count %d exceeds the %d cap", n, lim.MaxRanks)
-	}
-	return name, method, names, int(n), nil
-}
-
-// decodeReducedV2Parallel decodes a TRR2 container from a random-access
-// input: the footer index is validated once, then blocks are decoded
-// into their rank slots by a bounded worker pool.
-func decodeReducedV2Parallel(sr *io.SectionReader, opts trace.DecoderOptions) (*Reduced, error) {
-	workers := opts.Workers
-	cr := &v2countingReader{r: io.NewSectionReader(sr, 0, sr.Size())}
-	br := bufio.NewReader(cr)
-	magic := make([]byte, len(reducedMagicV2))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("core: reading magic: %w", err)
-	}
-	name, method, names, nRanks, err := readReducedV2Header(br, opts.Limits)
-	if err != nil {
-		return nil, err
-	}
-	headerEnd := uint64(cr.n) - uint64(br.Buffered())
-	entries, err := trace.ReadBlockIndexLimit(sr, sr.Size(), reducedMagicV2, headerEnd, opts.Limits.MaxRanks)
-	if err != nil {
-		return nil, err
-	}
-	if len(entries) != nRanks {
-		return nil, fmt.Errorf("core: %d blocks indexed for %d ranks", len(entries), nRanks)
-	}
-	r := &Reduced{Name: name, Method: method, Ranks: make([]RankReduced, nRanks)}
-	if workers > nRanks {
-		workers = nRanks
-	}
-	var (
-		claim   atomic.Int64
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		failed  atomic.Bool
-		firstEr error
-		// bufs recycles block read buffers: parsed segments hold
-		// name-table strings and decoded values, never payload bytes, so
-		// a buffer is free for reuse once its block has been parsed.
-		bufs sync.Pool
-	)
-	claim.Store(-1)
-	for w := 0; w < max(workers, 1); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				// Stop claiming once any worker has failed or the decode
-				// was cancelled, so a corrupt block or a disconnected
-				// caller aborts the whole decode promptly instead of
-				// decoding every remaining block first.
-				if failed.Load() {
-					return
-				}
-				if err := opts.Ctx.Err(); err != nil {
-					errOnce.Do(func() { firstEr = err })
-					failed.Store(true)
-					return
-				}
-				i := int(claim.Add(1))
-				if i >= len(entries) {
-					return
-				}
-				var buf []byte
-				if bp, _ := bufs.Get().(*[]byte); bp != nil {
-					buf = *bp
-				}
-				payload, buf, err := trace.ReadBlockAtBuf(sr, entries[i], buf)
-				if err == nil {
-					r.Ranks[i], err = parseRankReducedV2(entries[i], payload, names)
-				}
-				bufs.Put(&buf)
-				if err != nil {
-					errOnce.Do(func() { firstEr = err })
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstEr != nil {
-		return nil, firstEr
-	}
-	return r, nil
-}
-
-// decodeReducedV2Sequential decodes a TRR2 container from a plain
-// stream: blocks in file order via the inline headers, then the footer
-// is verified against the observed blocks.
-func decodeReducedV2Sequential(cr *v2countingReader, br *bufio.Reader, opts trace.DecoderOptions) (*Reduced, error) {
-	name, method, names, nRanks, err := readReducedV2Header(br, opts.Limits)
-	if err != nil {
-		return nil, err
-	}
-	pos := func() uint64 { return uint64(cr.n) - uint64(br.Buffered()) }
-	r := &Reduced{Name: name, Method: method, Ranks: make([]RankReduced, nRanks)}
-	observed := make([]trace.BlockEntry, 0, nRanks)
-	for i := 0; i < nRanks; i++ {
-		if err := opts.Ctx.Err(); err != nil {
-			return nil, err
-		}
-		e, payload, err := trace.ReadBlock(br, pos(), nil)
-		if err != nil {
-			return nil, fmt.Errorf("core: rank %d of %d block: %w", i, nRanks, err)
-		}
-		observed = append(observed, e)
-		r.Ranks[i], err = parseRankReducedV2(e, payload, names)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := trace.CheckBlockFooter(br, reducedMagicV2, observed, pos()); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// v2countingReader mirrors the trace package's position tracking for the
-// sequential v2 path.
-type v2countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *v2countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }

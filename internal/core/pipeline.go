@@ -5,15 +5,13 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
-	"runtime/pprof"
-	"strconv"
 	"sync"
 
 	"repro/internal/trace"
 )
 
-// Pipelined reduce-to-writer path: decode, per-rank reduction, and
+// Pipelined reduce-to-writer path: the rank-parallel engine (engine.go)
+// with an encoding sink, so decode, per-rank reduction, and
 // reduced-block encode all overlap. Each rank's reduced block is encoded
 // by the worker that finished reducing that rank, while other workers
 // are still pulling ranks from the source; only the final container
@@ -109,8 +107,9 @@ func ReduceStreamToWriterMode(name string, p Policy, mode MatchMode, next func()
 	return ReduceStreamToWriterOpts(name, p, next, w, version, StreamOptions{Mode: mode})
 }
 
-// StreamOptions configure the pipelined reduce-to-writer path. The zero
-// value is the exact-scan default on a GOMAXPROCS pool.
+// StreamOptions configure the rank-parallel engine behind the streaming
+// entry points. The zero value is the exact-scan default on a
+// GOMAXPROCS pool.
 type StreamOptions struct {
 	// Mode selects the matcher's search mode (see MatchMode).
 	Mode MatchMode
@@ -133,175 +132,114 @@ type StreamOptions struct {
 // ReduceStreamToWriterOpts is ReduceStreamToWriterMode with an explicit
 // worker count and cancellation context.
 func ReduceStreamToWriterOpts(name string, p Policy, next func() (*trace.RankTrace, error), w io.Writer, version int, opts StreamOptions) (*StreamStats, error) {
-	mode := opts.Mode
 	if version != 1 && version != 2 {
 		return nil, fmt.Errorf("core: unknown reduced container version %d", version)
 	}
-	ctx := opts.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var (
-		srcMu    sync.Mutex // serializes next and the arrival counter
-		arrivals int
-		firstErr error
-
-		// The registration turnstile: rank i's worker may register its
-		// names only once ranks 0..i-1 have registered theirs, so the
-		// shared table grows exactly as the batch prescan would.
-		regMu   sync.Mutex
-		regCond = sync.NewCond(&regMu)
-		regTurn int
-		aborted bool
-
-		nt = trace.NewNameTable()
-
-		outMu  sync.Mutex // guards chunks/metas growth and the counters
-		chunks [][]byte
-		ranks  []uint32
-		counts []uint32
-	)
-	abortReg := func() {
-		regMu.Lock()
-		aborted = true
-		regCond.Broadcast()
-		regMu.Unlock()
-	}
-	fail := func(err error) {
-		srcMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		srcMu.Unlock()
-		// Wake turnstile waiters: the failed rank will never take its
-		// turn, so blocked later ranks must be released.
-		abortReg()
-	}
-	stats := &StreamStats{Name: name, Method: p.Name()}
-	// Cancellation rides the existing failure path: fail latches the
-	// error and wakes every turnstile waiter, so blocked workers unwind
-	// exactly as they would on a decode error.
-	// Latch an already-dead context synchronously: AfterFunc fires on its
-	// own goroutine, and a small stream can finish before it runs.
-	if err := ctx.Err(); err != nil {
+	s := &encodeSink{version: version, nt: trace.NewNameTable(), stats: StreamStats{Name: name, Method: p.Name()}}
+	s.regCond = sync.NewCond(&s.regMu)
+	if err := reduceRanks(name, p, next, opts, s); err != nil {
 		return nil, err
 	}
-	stopCancel := context.AfterFunc(ctx, func() { fail(ctx.Err()) })
-	defer stopCancel()
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	return s.write(w)
+}
+
+// encodeSink registers each reduced rank's names in rank order and
+// encodes the rank's chunk on the worker that reduced it, spooling the
+// chunks until write assembles the container.
+type encodeSink struct {
+	version int
+	nt      *trace.NameTable
+
+	// The registration turnstile: rank i's worker may register its
+	// names only once ranks 0..i-1 have registered theirs, so the
+	// shared table grows exactly as the batch prescan would.
+	regMu   sync.Mutex
+	regCond *sync.Cond
+	regTurn int
+	aborted bool
+
+	outMu  sync.Mutex // guards the spooled chunks and the counters
+	chunks [][]byte
+	ranks  []uint32
+	counts []uint32
+	stats  StreamStats
+}
+
+func (s *encodeSink) put(i int, r *RankReducer) {
+	rr := r.Finish()
+	// Every reduced index takes its registration turn unless the run
+	// aborts, so the turn sequence stays contiguous and no waiter is
+	// stranded.
+	s.regMu.Lock()
+	for s.regTurn != i && !s.aborted {
+		s.regCond.Wait()
 	}
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < workers; wkr++ {
-		wg.Add(1)
-		// Label the worker goroutines so CPU profiles split pipeline time
-		// by stage and method instead of lumping it under one anonymous
-		// function (tracereduce -cpuprofile, tracereduced -cpuprofile).
-		go pprof.Do(ctx, pprof.Labels(
-			"subsystem", "reduce-pipeline",
-			"method", p.Name(),
-			"worker", strconv.Itoa(wkr),
-		), func(context.Context) {
-			defer wg.Done()
-			for {
-				srcMu.Lock()
-				if firstErr != nil {
-					srcMu.Unlock()
-					return
-				}
-				rt, err := next()
-				i := arrivals
-				if err == nil {
-					arrivals++
-				} else if err != io.EOF {
-					firstErr = err
-				}
-				srcMu.Unlock()
-				if err != nil {
-					if err != io.EOF {
-						abortReg()
-					}
-					return
-				}
-				r := NewRankReducerMode(i, p, mode)
-				if err := r.FeedEvents(rt.Rank, rt.Events); err != nil {
-					fail(fmt.Errorf("trace %q: %w", name, err))
-					return
-				}
-				// The reducer copied everything it keeps out of rt.Events,
-				// so the rank's storage can go back to the decoder now.
-				if opts.Recycle != nil {
-					opts.Recycle(rt)
-				}
-				rr := r.Finish()
-				// Every claimed index takes its registration turn unless
-				// the run aborts, so the turn sequence stays contiguous
-				// and no waiter is stranded.
-				regMu.Lock()
-				for regTurn != i && !aborted {
-					regCond.Wait()
-				}
-				if aborted {
-					regMu.Unlock()
-					return
-				}
-				ids := snapshotRankNames(nt, &rr)
-				regTurn++
-				regCond.Broadcast()
-				regMu.Unlock()
-				// Encode this rank's block concurrently from the private
-				// id snapshot; the raw rank and reducer state die here,
-				// only the compact chunk is spooled.
-				var chunk []byte
-				if version == 2 {
-					chunk = appendRankReducedV2(nil, ids, &rr)
-				} else {
-					chunk = appendRankReducedV1(nil, ids, &rr)
-				}
-				outMu.Lock()
-				for len(chunks) <= i {
-					chunks = append(chunks, nil)
-					ranks = append(ranks, 0)
-					counts = append(counts, 0)
-				}
-				chunks[i] = chunk
-				ranks[i] = uint32(rr.Rank)
-				counts[i] = uint32(len(rr.Stored) + len(rr.Execs))
-				stats.TotalSegments += r.TotalSegments()
-				stats.Matches += r.Matches()
-				stats.PossibleMatches += r.PossibleMatches()
-				stats.StoredSegments += len(rr.Stored)
-				outMu.Unlock()
-			}
-		})
+	if s.aborted {
+		s.regMu.Unlock()
+		return
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	ids := snapshotRankNames(s.nt, &rr)
+	s.regTurn++
+	s.regCond.Broadcast()
+	s.regMu.Unlock()
+	// Encode this rank's block concurrently from the private id snapshot;
+	// the raw rank and reducer state die here, only the compact chunk is
+	// spooled.
+	var chunk []byte
+	if s.version == 2 {
+		chunk = appendRankReducedV2(nil, ids, &rr)
+	} else {
+		chunk = appendRankReducedV1(nil, ids, &rr)
 	}
-	stats.Ranks = len(chunks)
+	s.outMu.Lock()
+	defer s.outMu.Unlock()
+	for len(s.chunks) <= i {
+		s.chunks = append(s.chunks, nil)
+		s.ranks = append(s.ranks, 0)
+		s.counts = append(s.counts, 0)
+	}
+	s.chunks[i] = chunk
+	s.ranks[i] = uint32(rr.Rank)
+	s.counts[i] = uint32(len(rr.Stored) + len(rr.Execs))
+	s.stats.TotalSegments += r.TotalSegments()
+	s.stats.Matches += r.Matches()
+	s.stats.PossibleMatches += r.PossibleMatches()
+	s.stats.StoredSegments += len(rr.Stored)
+}
+
+// abort wakes every turnstile waiter: a failed rank never takes its
+// turn, so later ranks must not wait for it.
+func (s *encodeSink) abort() {
+	s.regMu.Lock()
+	s.aborted = true
+	s.regCond.Broadcast()
+	s.regMu.Unlock()
+}
+
+// write assembles the container — header, spooled chunks, and for v2
+// the footer — once the name table is complete.
+func (s *encodeSink) write(w io.Writer) (*StreamStats, error) {
+	s.stats.Ranks = len(s.chunks)
 	cw := &passthroughCounter{w: w}
-	switch version {
-	case 2:
+	if s.version == 2 {
 		bw := trace.NewBlockWriter(cw)
-		if err := writeReducedV2Header(bw, name, p.Name(), nt, len(chunks)); err != nil {
+		if err := writeReducedHeader(bw, reducedMagicV2, s.stats.Name, s.stats.Method, s.nt, len(s.chunks)); err != nil {
 			return nil, err
 		}
-		for i, chunk := range chunks {
-			if err := bw.WriteBlock(ranks[i], counts[i], chunk); err != nil {
+		for i, chunk := range s.chunks {
+			if err := bw.WriteBlock(s.ranks[i], s.counts[i], chunk); err != nil {
 				return nil, err
 			}
 		}
 		if err := bw.Finish(reducedMagicV2); err != nil {
 			return nil, err
 		}
-	default:
+	} else {
 		bw := bufio.NewWriter(cw)
-		if err := writeReducedV1Header(bw, name, p.Name(), nt, len(chunks)); err != nil {
+		if err := writeReducedHeader(bw, reducedMagic, s.stats.Name, s.stats.Method, s.nt, len(s.chunks)); err != nil {
 			return nil, err
 		}
-		for _, chunk := range chunks {
+		for _, chunk := range s.chunks {
 			if _, err := bw.Write(chunk); err != nil {
 				return nil, err
 			}
@@ -310,6 +248,6 @@ func ReduceStreamToWriterOpts(name string, p Policy, next func() (*trace.RankTra
 			return nil, err
 		}
 	}
-	stats.BytesWritten = cw.n
-	return stats, nil
+	s.stats.BytesWritten = cw.n
+	return &s.stats, nil
 }

@@ -2,9 +2,8 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/segment"
 	"repro/internal/trace"
@@ -73,14 +72,14 @@ func (r *Reduced) StoredSegments() int {
 // its pattern class, and either logged as an execution of a match or
 // appended as a new representative.
 //
-// Ranks are independent (the paper reduces intra-process), so Reduce runs
-// one RankReducer per rank on a GOMAXPROCS-bounded worker pool. The
-// output is deterministic — per-rank results land in the rank-indexed
-// Ranks slice and the counters are merged after the workers join — and
-// byte-identical to the single-threaded reference ReduceSequential.
-// Because p is shared by the workers, policies must be safe for
-// concurrent use on distinct ranks' segments; every built-in policy is
-// stateless and qualifies.
+// Ranks are independent (the paper reduces intra-process), so Reduce
+// runs the rank-parallel engine over t.Ranks: one RankReducer per rank
+// on a worker pool bounded by GOMAXPROCS and the rank count. The output
+// is deterministic — per-rank results land in the rank-indexed Ranks
+// slice — and byte-identical to the single-threaded reference
+// ReduceSequential. Because p is shared by the workers, policies must be
+// safe for concurrent use on distinct ranks' segments; every built-in
+// policy is stateless and qualifies.
 func Reduce(t *trace.Trace, p Policy) (*Reduced, error) {
 	return ReduceMode(t, p, MatchModeExact)
 }
@@ -90,57 +89,16 @@ func Reduce(t *trace.Trace, p Policy) (*Reduced, error) {
 // through a sublinear index where the policy supports one (see
 // MatchMode for the per-mode guarantees).
 func ReduceMode(t *trace.Trace, p Policy, mode MatchMode) (*Reduced, error) {
-	red := &Reduced{Name: t.Name, Method: p.Name(), Ranks: make([]RankReduced, len(t.Ranks))}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(t.Ranks) {
-		workers = len(t.Ranks)
-	}
-	reducers := make([]*RankReducer, len(t.Ranks))
-	errs := make([]error, len(t.Ranks))
-	if workers <= 1 {
-		for i := range t.Ranks {
-			reducers[i], errs[i] = reduceRank(t, i, p, mode)
+	i := 0
+	next := func() (*trace.RankTrace, error) {
+		if i == len(t.Ranks) {
+			return nil, io.EOF
 		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(t.Ranks) {
-						return
-					}
-					reducers[i], errs[i] = reduceRank(t, i, p, mode)
-				}
-			}()
-		}
-		wg.Wait()
+		i++
+		return &t.Ranks[i-1], nil
 	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-		rr := reducers[i]
-		red.Ranks[i] = rr.Finish()
-		red.TotalSegments += rr.TotalSegments()
-		red.Matches += rr.Matches()
-		red.PossibleMatches += rr.PossibleMatches()
-	}
-	return red, nil
-}
-
-// reduceRank streams rank i of t through a fused splitter + reducer.
-// RankReduced.Rank is the slice index, matching the historical batch
-// behaviour; the splitter reports errors under the rank's own ID.
-func reduceRank(t *trace.Trace, i int, p Policy, mode MatchMode) (*RankReducer, error) {
-	r := NewRankReducerMode(i, p, mode)
-	if err := r.FeedEvents(t.Ranks[i].Rank, t.Ranks[i].Events); err != nil {
-		return nil, fmt.Errorf("trace %q: %w", t.Name, err)
-	}
-	return r, nil
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(t.Ranks)))
+	return collect(t.Name, p, next, StreamOptions{Mode: mode, Workers: workers}, len(t.Ranks))
 }
 
 // ReduceSequential is the retained single-threaded reference

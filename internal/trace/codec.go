@@ -362,84 +362,63 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 // NewDecoderWith is NewDecoder with explicit options.
 func NewDecoderWith(r io.Reader, opts DecoderOptions) (*Decoder, error) {
 	opts = opts.Resolve()
-	sr, ok, err := SectionFor(r)
+	c, err := OpenContainer(r, traceMagicV2)
 	if err != nil {
 		return nil, err
 	}
-	if ok {
-		if magic, err := PeekMagic(sr); err == nil && magic == traceMagicV2 {
-			return newV2ParallelDecoder(sr, opts)
+	if c.Magic != traceMagic && c.Magic != traceMagicV2 {
+		return nil, fmt.Errorf("trace: bad magic %q", c.Magic)
+	}
+	hdr, names, nRanks, err := ReadHeader(c.Header, opts.Limits, 1)
+	if err != nil {
+		return nil, err
+	}
+	d := &Decoder{name: hdr[0], names: names, nRanks: nRanks, free: newEventFreeList(opts.Workers)}
+	if c.Magic == traceMagicV2 {
+		if err := newV2Decoder(c, d, opts); err != nil {
+			return nil, err
 		}
-		// Not a v2 container (or too short to tell): r's position was
-		// restored by SectionFor, so the stream path below sees the file
-		// from the start.
+		return d, nil
 	}
-	cr := &countingReader{r: r}
-	br := bufio.NewReader(cr)
-	magic := make([]byte, len(traceMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	switch string(magic) {
-	case traceMagic:
-		return newV1Decoder(br, opts)
-	case traceMagicV2:
-		return newV2SequentialDecoder(cr, br, opts)
-	default:
-		return nil, fmt.Errorf("trace: bad magic %q", magic)
-	}
+	v1 := &v1decoder{br: c.Header, names: names, nRanks: nRanks, ctx: opts.Ctx, free: d.free}
+	d.version, d.next, d.close = 1, v1.nextRank, func() {}
+	return d, nil
 }
 
-// newV1Decoder reads the TRC1 header after the magic.
-func newV1Decoder(br *bufio.Reader, opts DecoderOptions) (*Decoder, error) {
-	name, names, nRanks, err := readTraceHeader(br, opts.Limits)
-	if err != nil {
-		return nil, err
-	}
-	free := newEventFreeList(opts.Workers)
-	v1 := &v1decoder{br: br, names: names, nRanks: nRanks, ctx: opts.Ctx, free: free}
-	return &Decoder{
-		name:    name,
-		names:   names,
-		nRanks:  nRanks,
-		version: 1,
-		next:    v1.nextRank,
-		close:   func() {},
-		free:    free,
-	}, nil
-}
-
-// readTraceHeader reads the header fields shared by both trace container
-// versions after the magic — workload name, name table, rank count —
-// under the given allocation caps.
-func readTraceHeader(br *bufio.Reader, lim DecodeLimits) (name string, names []string, nRanks int, err error) {
-	name, err = ReadStringLimit(br, lim.MaxStringLen)
-	if err != nil {
-		return "", nil, 0, fmt.Errorf("trace: reading name: %w", err)
+// ReadHeader reads the header fields every container version shares
+// after the magic — nStrings length-prefixed strings (the workload name,
+// then for the reduced containers the method), the name table, and the
+// rank count — under the given allocation caps.
+func ReadHeader(br *bufio.Reader, lim DecodeLimits, nStrings int) (strs, names []string, nRanks int, err error) {
+	strs = make([]string, nStrings)
+	for i := range strs {
+		if strs[i], err = ReadStringLimit(br, lim.MaxStringLen); err != nil {
+			return nil, nil, 0, fmt.Errorf("trace: reading header: %w", err)
+		}
 	}
 	var nNames uint32
 	if err = binary.Read(br, binary.LittleEndian, &nNames); err != nil {
-		return "", nil, 0, err
+		return nil, nil, 0, err
 	}
 	if nNames > lim.MaxNames {
-		return "", nil, 0, fmt.Errorf("trace: name table size %d exceeds the %d-entry cap", nNames, lim.MaxNames)
+		return nil, nil, 0, fmt.Errorf("trace: name table size %d exceeds the %d-entry cap", nNames, lim.MaxNames)
 	}
 	names = make([]string, 0, min(nNames, 1<<12))
 	for i := uint32(0); i < nNames; i++ {
 		s, err := ReadStringLimit(br, lim.MaxStringLen)
 		if err != nil {
-			return "", nil, 0, fmt.Errorf("trace: reading name table: %w", err)
+			return nil, nil, 0, fmt.Errorf("trace: reading name table: %w", err)
 		}
 		names = append(names, s)
 	}
 	var n uint32
 	if err = binary.Read(br, binary.LittleEndian, &n); err != nil {
-		return "", nil, 0, err
+		return nil, nil, 0, err
 	}
 	if n > lim.MaxRanks {
-		return "", nil, 0, fmt.Errorf("trace: rank count %d exceeds the %d cap", n, lim.MaxRanks)
+		return nil, nil, 0, fmt.Errorf("trace: rank count %d exceeds the %d cap", n, lim.MaxRanks)
 	}
-	return name, names, int(n), nil
+	return strs, names, int(n), nil
 }
 
 // Name returns the workload name from the trace header.
@@ -529,7 +508,9 @@ func Decode(r io.Reader) (*Trace, error) {
 		return nil, err
 	}
 	defer d.Close()
-	t := &Trace{Name: d.Name(), Ranks: make([]RankTrace, 0, d.NumRanks())}
+	// The declared rank count only caps the initial capacity: a hostile
+	// header can promise a million ranks in a few bytes.
+	t := &Trace{Name: d.Name(), Ranks: make([]RankTrace, 0, min(d.NumRanks(), 1<<12))}
 	for {
 		rt, err := d.NextRank()
 		if err == io.EOF {

@@ -291,7 +291,7 @@ func TestDecodeV2NextRankAfterClose(t *testing.T) {
 }
 
 // failRestoreReader is random-access (ReaderAt + Seeker) but refuses the
-// absolute seek SectionFor uses to restore the caller's position.
+// absolute seek sectionFor uses to restore the caller's position.
 type failRestoreReader struct {
 	*bytes.Reader
 }
@@ -306,17 +306,17 @@ func (f *failRestoreReader) Seek(off int64, whence int) (int64, error) {
 }
 
 // TestSectionForRestoreFailure pins the probe's failure contract: when
-// the restoring seek fails the reader sits at EOF, so SectionFor must
+// the restoring seek fails the reader sits at EOF, so sectionFor must
 // surface the seek error instead of letting callers fall through to a
 // sequential decode that reports a baffling EOF.
 func TestSectionForRestoreFailure(t *testing.T) {
 	data := encodeV2Bytes(t, v2TestTrace())
-	_, ok, err := SectionFor(&failRestoreReader{bytes.NewReader(data)})
+	_, ok, err := sectionFor(&failRestoreReader{bytes.NewReader(data)})
 	if ok {
-		t.Fatal("SectionFor reported ok despite failed restore")
+		t.Fatal("sectionFor reported ok despite failed restore")
 	}
 	if !errors.Is(err, errRestore) {
-		t.Fatalf("SectionFor error = %v, want wrapped %v", err, errRestore)
+		t.Fatalf("sectionFor error = %v, want wrapped %v", err, errRestore)
 	}
 	if _, err := NewDecoder(&failRestoreReader{bytes.NewReader(data)}); !errors.Is(err, errRestore) {
 		t.Fatalf("NewDecoder error = %v, want wrapped %v", err, errRestore)

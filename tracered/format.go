@@ -157,7 +157,7 @@ type ReduceStreamStats = core.StreamStats
 // reduced it. The bytes written are identical to WriteReducedFormat of
 // the ReduceStream result, but the full Reduced is never materialized —
 // peak memory is a pool's worth of ranks plus the compact encoded
-// blocks.
+// blocks. When it returns an error it has closed d.
 func ReduceStreamToWriter(d *TraceDecoder, m Method, w io.Writer, f Format) (*ReduceStreamStats, error) {
 	return ReduceStreamToWriterMode(d, m, MatchModeExact, w, f)
 }
@@ -177,12 +177,13 @@ type StreamOptions = core.StreamOptions
 // ReduceStreamToWriterOpts is ReduceStreamToWriter with explicit
 // options, the form the serving layer uses to bound each session's
 // share of the worker fleet and to stop the pipeline when a client
-// disconnects.
+// disconnects. Like ReduceStreamToWriter, it closes d when it returns an
+// error.
 func ReduceStreamToWriterOpts(d *TraceDecoder, m Method, w io.Writer, f Format, opts StreamOptions) (*ReduceStreamStats, error) {
 	switch f {
 	case FormatV1, FormatV2:
 	default:
-		return nil, fmt.Errorf("tracered: unknown reduced format %v", f)
+		return nil, closeOnError(d, fmt.Errorf("tracered: unknown reduced format %v", f))
 	}
 	// The decoder owning the ranks is right here, so recycle event
 	// buffers back to it by default: steady-state event storage stays at
@@ -190,5 +191,6 @@ func ReduceStreamToWriterOpts(d *TraceDecoder, m Method, w io.Writer, f Format, 
 	if opts.Recycle == nil {
 		opts.Recycle = d.Recycle
 	}
-	return core.ReduceStreamToWriterOpts(d.Name(), m, d.NextRank, w, int(f), opts)
+	st, err := core.ReduceStreamToWriterOpts(d.Name(), m, d.NextRank, w, int(f), opts)
+	return st, closeOnError(d, err)
 }

@@ -156,14 +156,27 @@ func NewTraceDecoder(r io.Reader) (*TraceDecoder, error) { return trace.NewDecod
 
 // ReduceStream reduces ranks as d decodes them, holding at most a worker
 // pool's worth of ranks in memory instead of the whole trace. The result
-// is byte-identical to Reduce over the fully decoded trace.
+// is byte-identical to Reduce over the fully decoded trace. When it
+// returns an error it has closed d.
 func ReduceStream(d *TraceDecoder, m Method) (*Reduced, error) {
-	return core.ReduceStream(d.Name(), m, d.NextRank)
+	return ReduceStreamMode(d, m, MatchModeExact)
 }
 
 // ReduceStreamMode is ReduceStream under an explicit MatchMode.
 func ReduceStreamMode(d *TraceDecoder, m Method, mode MatchMode) (*Reduced, error) {
-	return core.ReduceStreamMode(d.Name(), m, mode, d.NextRank)
+	red, err := core.ReduceStreamMode(d.Name(), m, mode, d.NextRank)
+	return red, closeOnError(d, err)
+}
+
+// closeOnError closes d when a reduction over it returned err. The
+// reduction stops pulling ranks at its first failure, and an unclosed
+// random-access version-2 decoder would keep its block workers, and the
+// ranks they decoded ahead, waiting for a consumer that never returns.
+func closeOnError(d *TraceDecoder, err error) error {
+	if err != nil {
+		d.Close()
+	}
+	return err
 }
 
 // SplitSegments segments a trace without reducing it; the result is
