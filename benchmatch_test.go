@@ -1,10 +1,8 @@
 // Matcher-layer benchmarks over the shared matchbench workload: one
 // pattern class whose identical measurement norms defeat the exact
-// scan's lower-bound pruning, the worst case the approximate indexes
-// (vptree, lsh) exist for. `cmd/benchsnap` measures the same workload at
-// full scale and commits the snapshot to BENCH_matcher.json; these
-// benchmarks keep the matcher layer in the ordinary `go test -bench`
-// surface (and CI's one-iteration bench smoke) at a lighter scale.
+// scan's lower-bound pruning, the matcher's worst case. They keep the
+// per-method scan cost in the ordinary `go test -bench` surface (and
+// CI's one-iteration bench smoke).
 package repro
 
 import (
@@ -22,13 +20,13 @@ const (
 
 // warmMatchBench returns a matcher with the benchmark class fully
 // inserted, plus the candidate set the scan loop draws from.
-func warmMatchBench(b *testing.B, method string, mode core.MatchMode) (*core.Matcher, []*segment.Segment) {
+func warmMatchBench(b *testing.B, method string) (*core.Matcher, []*segment.Segment) {
 	b.Helper()
 	p, err := core.DefaultMethod(method)
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := core.NewMatcherMode(p, mode)
+	m := core.NewMatcher(p)
 	id := 0
 	for _, r := range matchbench.Reps(benchMatchClasses) {
 		cls, idx, cs := m.Scan(r)
@@ -44,63 +42,38 @@ func warmMatchBench(b *testing.B, method string, mode core.MatchMode) (*core.Mat
 	return m, matchbench.Candidates(benchMatchClasses, benchMatchCandidates)
 }
 
-// BenchmarkMatcherScan measures Matcher.Scan per method × match mode
-// against the warm worst-case class. Modes that fall back to the exact
-// scan for a method (core.IndexKind reports "scan") are skipped beyond
-// exact itself: they would measure the same code path twice.
+// BenchmarkMatcherScan measures Matcher.Scan per method against the
+// warm worst-case class.
 func BenchmarkMatcherScan(b *testing.B) {
 	for _, method := range core.MethodNames {
-		for _, mode := range []core.MatchMode{
-			core.MatchModeExact, core.MatchModeVPTree, core.MatchModeLSH, core.MatchModeAuto,
-		} {
-			p, err := core.DefaultMethod(method)
-			if err != nil {
-				b.Fatal(err)
+		b.Run(method, func(b *testing.B) {
+			m, cands := warmMatchBench(b, method)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Scan(cands[i%len(cands)])
 			}
-			if mode != core.MatchModeExact && core.IndexKind(p, mode) == "scan" {
-				continue
-			}
-			b.Run(method+"/"+mode.String(), func(b *testing.B) {
-				m, cands := warmMatchBench(b, method, mode)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					m.Scan(cands[i%len(cands)])
-				}
-			})
-		}
+		})
 	}
 }
 
 // BenchmarkMatcherReduce measures the end-to-end stream reduction
-// (insert the centers, then match every candidate) per wavelet method ×
-// mode — the rows where the mode dimension changes the reduction cost
-// most.
+// (insert the centers, then match every candidate) for the two wavelet
+// methods and euclidean.
 func BenchmarkMatcherReduce(b *testing.B) {
 	stream := matchbench.Stream(benchMatchClasses, benchMatchCandidates)
 	for _, method := range []string{"avgWave", "haarWave", "euclidean"} {
-		for _, mode := range []core.MatchMode{
-			core.MatchModeExact, core.MatchModeVPTree, core.MatchModeLSH, core.MatchModeAuto,
-		} {
-			p, err := core.DefaultMethod(method)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if mode != core.MatchModeExact && core.IndexKind(p, mode) == "scan" {
-				continue
-			}
-			b.Run(method+"/"+mode.String(), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					rp, err := core.DefaultMethod(method)
-					if err != nil {
-						b.Fatal(err)
-					}
-					rr := core.NewRankReducerMode(0, rp, mode)
-					for _, s := range stream {
-						rr.Feed(s)
-					}
+		b.Run(method, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p, err := core.DefaultMethod(method)
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				rr := core.NewRankReducer(0, p)
+				for _, s := range stream {
+					rr.Feed(s)
+				}
+			}
+		})
 	}
 }

@@ -1,30 +1,18 @@
 // Command benchsnap measures a benchmark suite and writes the snapshot
-// to a committed JSON file, the repository's performance trajectory
-// record. The matcher suite covers scan and end-to-end reduction cost
-// per similarity method and match mode on the shared matchbench
-// workload; the codec suite compares the v1 and v2 trace containers —
-// bytes on disk per workload, encode/decode cost, block-parallel decode
-// and encode scaling per worker count, and the pipelined
-// reduce-to-writer path against the batch reduce-then-encode path per
-// GOMAXPROCS setting; the serve suite round-trips the tracereduced
-// service over the 20-workload catalog — cold reduce latency, cache-hit
-// replay speedup, and warm-catalog throughput with latency quantiles.
+// to a committed JSON file. The codec suite compares the v1 and v2 trace
+// containers — bytes on disk per workload, encode/decode cost,
+// block-parallel decode and encode scaling per worker count, and the
+// pipelined reduce-to-writer path against the batch reduce-then-encode
+// path per GOMAXPROCS setting; the serve suite round-trips the
+// tracereduced service over the 20-workload catalog — cold reduce
+// latency, cache-hit replay speedup, and warm-catalog throughput with
+// latency quantiles.
 //
 // Usage:
 //
-//	benchsnap                      # writes BENCH_matcher.json
-//	benchsnap -suite codec         # writes BENCH_codec.json
+//	benchsnap                      # writes BENCH_codec.json
 //	benchsnap -suite serve         # writes BENCH_serve.json
 //	benchsnap -out /tmp/snap.json
-//	benchsnap -classes 512 -candidates 4096
-//
-// The workload (internal/matchbench) is one pattern class of `classes`
-// stored representatives sharing identical measurement norms, so the
-// exact scan's lower-bound pruning never fires: the snapshot captures
-// the honest worst case the approximate indexes exist for. Scan rows
-// measure Matcher.Scan against the warm representative set; reduce rows
-// measure reducing the whole stream (warmup + candidates). Speedups are
-// relative to exact mode per method.
 package main
 
 import (
@@ -32,69 +20,22 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"testing"
-
-	"repro/internal/core"
-	"repro/internal/matchbench"
-	"repro/internal/segment"
 )
 
-// Row is one method × mode measurement.
-type Row struct {
-	Method string `json:"method"`
-	Mode   string `json:"mode"`
-	// Index is the search structure in use: scan, vptree, or lsh.
-	Index string `json:"index"`
-	// ScanNsPerOp is Matcher.Scan cost against the warm class.
-	ScanNsPerOp float64 `json:"scan_ns_per_op"`
-	// ScanAllocsPerOp counts allocations per scan (candidate Prepare
-	// included).
-	ScanAllocsPerOp float64 `json:"scan_allocs_per_op"`
-	// ScanSpeedup is exact-mode scan ns/op divided by this row's; 1 for
-	// exact mode itself.
-	ScanSpeedup float64 `json:"scan_speedup"`
-	// ReduceNsPerSegment is the end-to-end stream reduction cost divided
-	// by the stream length.
-	ReduceNsPerSegment float64 `json:"reduce_ns_per_segment"`
-	// ReduceSpeedup is exact-mode reduce ns/segment divided by this
-	// row's.
-	ReduceSpeedup float64 `json:"reduce_speedup"`
-}
-
-// Snapshot is the committed benchmark record.
-type Snapshot struct {
-	Description string `json:"description"`
-	GoVersion   string `json:"go_version"`
-	GOOS        string `json:"goos"`
-	GOARCH      string `json:"goarch"`
-	// GOMAXPROCS records the measuring machine's parallelism: scan rows
-	// are single-threaded either way, but reduce rows and cross-machine
-	// comparisons need it to be interpretable.
-	GOMAXPROCS int   `json:"gomaxprocs"`
-	Classes    int   `json:"classes"`
-	Candidates int   `json:"candidates"`
-	Rows       []Row `json:"rows"`
-}
-
 func main() {
-	suite := flag.String("suite", "matcher", "benchmark suite: matcher, codec, or serve")
+	suite := flag.String("suite", "codec", "benchmark suite: codec or serve")
 	out := flag.String("out", "", "output snapshot file (default BENCH_<suite>.json)")
-	classes := flag.Int("classes", matchbench.DefaultClasses, "stored representatives in the benchmark class")
-	candidates := flag.Int("candidates", matchbench.DefaultCandidates, "candidate segments per measurement")
 	flag.Parse()
 
 	var snap any
 	var err error
 	switch *suite {
-	case "matcher":
-		snap, err = measure(*classes, *candidates)
 	case "codec":
 		snap, err = measureCodec()
 	case "serve":
 		snap, err = measureServe()
 	default:
-		fmt.Fprintf(os.Stderr, "benchsnap: unknown suite %q (want matcher, codec, or serve)\n", *suite)
+		fmt.Fprintf(os.Stderr, "benchsnap: unknown suite %q (want codec or serve)\n", *suite)
 		os.Exit(2)
 	}
 	if err != nil {
@@ -117,95 +58,5 @@ func main() {
 	fmt.Println("wrote", *out)
 }
 
-// warmMatcher builds a matcher with the benchmark class fully inserted.
-func warmMatcher(p core.Policy, mode core.MatchMode, reps []*segment.Segment) *core.Matcher {
-	m := core.NewMatcherMode(p, mode)
-	id := 0
-	for _, r := range reps {
-		cls, idx, cs := m.Scan(r)
-		if idx >= 0 {
-			m.Absorb(cls, idx, r)
-			continue
-		}
-		kept := r.Clone()
-		kept.Start = 0
-		m.Insert(cls, kept, id, cs)
-		id++
-	}
-	return m
-}
-
-func measure(classes, candidates int) (*Snapshot, error) {
-	reps := matchbench.Reps(classes)
-	cands := matchbench.Candidates(classes, candidates)
-	stream := matchbench.Stream(classes, candidates)
-	modes := []core.MatchMode{
-		core.MatchModeExact, core.MatchModeVPTree, core.MatchModeLSH, core.MatchModeAuto,
-	}
-	snap := &Snapshot{
-		Description: "matcher scan + stream reduction on the matchbench worst case: one pattern class, norm pruning defeated",
-		GoVersion:   runtime.Version(),
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Classes:     classes,
-		Candidates:  candidates,
-	}
-	for _, method := range core.MethodNames {
-		var exactScan, exactReduce float64
-		for _, mode := range modes {
-			p, err := core.DefaultMethod(method)
-			if err != nil {
-				return nil, err
-			}
-			m := warmMatcher(p, mode, reps)
-			scan := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					m.Scan(cands[i%len(cands)])
-				}
-			})
-			reduce := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					rp, err := core.DefaultMethod(method)
-					if err != nil {
-						b.Fatal(err)
-					}
-					rr := core.NewRankReducerMode(0, rp, mode)
-					for _, s := range stream {
-						rr.Feed(s)
-					}
-				}
-			})
-			row := Row{
-				Method:             method,
-				Mode:               mode.String(),
-				Index:              core.IndexKind(p, mode),
-				ScanNsPerOp:        float64(scan.NsPerOp()),
-				ScanAllocsPerOp:    float64(scan.AllocsPerOp()),
-				ReduceNsPerSegment: float64(reduce.NsPerOp()) / float64(len(stream)),
-			}
-			if mode == core.MatchModeExact {
-				exactScan, exactReduce = row.ScanNsPerOp, row.ReduceNsPerSegment
-				row.ScanSpeedup = 1
-				row.ReduceSpeedup = 1
-			} else {
-				if row.ScanNsPerOp > 0 {
-					row.ScanSpeedup = round2(exactScan / row.ScanNsPerOp)
-				}
-				if row.ReduceNsPerSegment > 0 {
-					row.ReduceSpeedup = round2(exactReduce / row.ReduceNsPerSegment)
-				}
-			}
-			row.ReduceNsPerSegment = round2(row.ReduceNsPerSegment)
-			snap.Rows = append(snap.Rows, row)
-			fmt.Printf("%-10s %-7s %-7s scan %10.0f ns/op (%.1f allocs, %.2fx)  reduce %8.0f ns/seg (%.2fx)\n",
-				method, mode, row.Index, row.ScanNsPerOp, row.ScanAllocsPerOp,
-				row.ScanSpeedup, row.ReduceNsPerSegment, row.ReduceSpeedup)
-		}
-	}
-	return snap, nil
-}
-
 // round2 keeps the committed JSON stable to read (two decimals).
-func round2(v float64) float64 { return float64(int64(v*100+0.5)) / 100 }
+func round2(v float64) float64 { return float64(int64(float64(v*100)+0.5)) / 100 }

@@ -17,14 +17,6 @@
 //	evalstudy -table 17           # one appendix table
 //	evalstudy -all                # everything (EXPERIMENTS.md input)
 //	evalstudy -all -workers 4     # bound the evaluation pool
-//	evalstudy -modes              # match-mode speed/score comparison
-//	evalstudy -summary -match lsh # any study under an approximate matcher
-//
-// -match re-runs the requested grids with the matcher's approximate
-// search modes (vptree, lsh, auto; see docs/APPROX_MATCHING.md) in
-// place of the exact first-match scan. -modes runs the comparative grid
-// under all four modes and prints the measured
-// speedup-versus-score-loss table.
 package main
 
 import (
@@ -69,8 +61,6 @@ func main() {
 	table := flag.Int("table", 0, "regenerate one appendix table (1-20)")
 	summary := flag.Bool("summary", false, "comparative study and method ranking")
 	all := flag.Bool("all", false, "regenerate every figure and table")
-	match := flag.String("match", "exact", "match mode for every cell: exact, vptree, lsh, or auto")
-	modes := flag.Bool("modes", false, "compare match modes: speedup vs score loss at default thresholds")
 	workers := flag.Int("workers", 0, "evaluation pool size (0 = all cores)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the study to `file`")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the study to `file`")
@@ -81,14 +71,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "evalstudy:", err)
 		os.Exit(1)
 	}
-	mode, err := core.ParseMatchMode(*match)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "evalstudy:", err)
-		os.Exit(2)
-	}
 	r := eval.NewRunner()
 	r.SetWorkers(*workers)
-	runErr := run(r, *fig, *table, *summary, *all, *modes, mode)
+	runErr := run(r, *fig, *table, *summary, *all)
 	if runErr != nil {
 		fmt.Fprintln(os.Stderr, "evalstudy:", runErr)
 	}
@@ -101,84 +86,56 @@ func main() {
 	}
 }
 
-func run(r *eval.Runner, fig, table int, summary, all, modes bool, mode core.MatchMode) error {
-	if mode != core.MatchModeExact {
-		fmt.Printf("(every reduction searched with the %s matcher)\n\n", mode)
-	}
+func run(r *eval.Runner, fig, table int, summary, all bool) error {
 	switch {
 	case all:
 		// Evaluate the entire study grid through one worker pool up
 		// front; every figure and table below renders from the runner's
 		// cell cache.
-		if _, err := r.RunGrid(eval.StudyCellsMode(mode)); err != nil {
+		if _, err := r.RunGrid(eval.StudyCells()); err != nil {
 			return err
 		}
-		if err := comparative(r, mode, true); err != nil {
+		if err := comparative(r, true); err != nil {
 			return err
 		}
 		for f := 9; f <= 19; f++ {
-			if err := sweepFigure(r, f, mode); err != nil {
+			if err := sweepFigure(r, f); err != nil {
 				return err
 			}
 			fmt.Println()
 		}
 		for tn := 1; tn <= len(tableWorkloads); tn++ {
-			if err := retentionTable(r, tn, mode); err != nil {
+			if err := retentionTable(r, tn); err != nil {
 				return err
 			}
 			fmt.Println()
 		}
-		fmt.Println()
-		return modeStudy(r)
-	case modes:
-		return modeStudy(r)
+		return nil
 	case summary:
-		return comparative(r, mode, false)
+		return comparative(r, false)
 	case fig >= 5 && fig <= 8:
-		return comparativeFigure(r, fig, mode)
+		return comparativeFigure(r, fig)
 	case fig >= 9 && fig <= 19:
-		return sweepFigure(r, fig, mode)
+		return sweepFigure(r, fig)
 	case table >= 1 && table <= len(tableWorkloads):
-		return retentionTable(r, table, mode)
+		return retentionTable(r, table)
 	default:
-		return fmt.Errorf("nothing to do: pass -summary, -all, -modes, -fig 5..19 or -table 1..%d", len(tableWorkloads))
+		return fmt.Errorf("nothing to do: pass -summary, -all, -fig 5..19 or -table 1..%d", len(tableWorkloads))
 	}
-}
-
-// modeStudy runs the comparative grid under every match mode and prints
-// the measured speedup-versus-score-loss table.
-func modeStudy(r *eval.Runner) error {
-	allModes := []core.MatchMode{
-		core.MatchModeExact, core.MatchModeVPTree, core.MatchModeLSH, core.MatchModeAuto,
-	}
-	results, err := r.RunGrid(eval.ModeCells(eval.AllNames(), core.MethodNames, allModes))
-	if err != nil {
-		return err
-	}
-	fmt.Print(eval.FormatMatchModes(eval.NewIndex(results), eval.AllNames(), core.MethodNames, allModes))
-	return nil
-}
-
-// withMode re-keys a cell list to evaluate under the study's mode.
-func withMode(cells []eval.Cell, mode core.MatchMode) []eval.Cell {
-	for i := range cells {
-		cells[i] = cells[i].WithMode(mode)
-	}
-	return cells
 }
 
 // defaultGrid runs the comparative grid (all workloads × methods at
-// default thresholds) once under the study's mode.
-func defaultGrid(r *eval.Runner, mode core.MatchMode) (*eval.Index, error) {
-	results, err := r.RunGrid(withMode(eval.GridDefault(eval.AllNames(), core.MethodNames), mode))
+// default thresholds) once.
+func defaultGrid(r *eval.Runner) (*eval.Index, error) {
+	results, err := r.RunGrid(eval.GridDefault(eval.AllNames(), core.MethodNames))
 	if err != nil {
 		return nil, err
 	}
-	return eval.NewIndexMode(results, mode), nil
+	return eval.NewIndex(results), nil
 }
 
-func comparative(r *eval.Runner, mode core.MatchMode, withFigures bool) error {
-	ix, err := defaultGrid(r, mode)
+func comparative(r *eval.Runner, withFigures bool) error {
+	ix, err := defaultGrid(r)
 	if err != nil {
 		return err
 	}
@@ -202,8 +159,8 @@ func comparative(r *eval.Runner, mode core.MatchMode, withFigures bool) error {
 	return nil
 }
 
-func comparativeFigure(r *eval.Runner, fig int, mode core.MatchMode) error {
-	ix, err := defaultGrid(r, mode)
+func comparativeFigure(r *eval.Runner, fig int) error {
+	ix, err := defaultGrid(r)
 	if err != nil {
 		return err
 	}
@@ -228,14 +185,14 @@ func comparativeFigure(r *eval.Runner, fig int, mode core.MatchMode) error {
 	return nil
 }
 
-func sweepFigure(r *eval.Runner, fig int, mode core.MatchMode) error {
+func sweepFigure(r *eval.Runner, fig int) error {
 	if method, ok := figureMethod[fig]; ok {
-		results, err := r.RunGrid(withMode(eval.GridSweep(eval.BenchmarkNames(), method), mode))
+		results, err := r.RunGrid(eval.GridSweep(eval.BenchmarkNames(), method))
 		if err != nil {
 			return err
 		}
 		fmt.Printf("Figure %d — ", fig)
-		fmt.Print(eval.FormatThresholdSweep(eval.NewIndexMode(results, mode), method, eval.BenchmarkNames()))
+		fmt.Print(eval.FormatThresholdSweep(eval.NewIndex(results), method, eval.BenchmarkNames()))
 		return nil
 	}
 	methods, ok := sweepFigureMethods[fig]
@@ -244,16 +201,16 @@ func sweepFigure(r *eval.Runner, fig int, mode core.MatchMode) error {
 	}
 	fmt.Printf("Figure %d — Sweep3D threshold sweeps\n", fig)
 	for _, method := range methods {
-		results, err := r.RunGrid(withMode(eval.GridSweep(eval.ApplicationNames(), method), mode))
+		results, err := r.RunGrid(eval.GridSweep(eval.ApplicationNames(), method))
 		if err != nil {
 			return err
 		}
-		fmt.Print(eval.FormatThresholdSweep(eval.NewIndexMode(results, mode), method, eval.ApplicationNames()))
+		fmt.Print(eval.FormatThresholdSweep(eval.NewIndex(results), method, eval.ApplicationNames()))
 	}
 	return nil
 }
 
-func retentionTable(r *eval.Runner, tn int, mode core.MatchMode) error {
+func retentionTable(r *eval.Runner, tn int) error {
 	workload := tableWorkloads[tn-1]
 	var cells []eval.Cell
 	for _, m := range core.MethodNames {
@@ -263,11 +220,11 @@ func retentionTable(r *eval.Runner, tn int, mode core.MatchMode) error {
 		}
 		cells = append(cells, eval.GridSweep([]string{workload}, m)...)
 	}
-	results, err := r.RunGrid(withMode(cells, mode))
+	results, err := r.RunGrid(cells)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("Table %d — ", tn)
-	fmt.Print(eval.FormatRetentionTable(eval.NewIndexMode(results, mode), workload, core.MethodNames))
+	fmt.Print(eval.FormatRetentionTable(eval.NewIndex(results), workload, core.MethodNames))
 	return nil
 }

@@ -6,18 +6,12 @@
 //
 //	tracereduce -in late_sender.trc -method avgWave -threshold 0.2 -out late_sender.trr
 //	tracereduce -in late_sender.trc -method iter_k -threshold 10 -verify
-//	tracereduce -in sweep.trc -method haarWave -match lsh -verify
 //	tracereduce -in sweep.trc -method haarWave -format v2 -out sweep.trr
 //	tracereduce -in sweep.trc -method haarWave -cpuprofile reduce.prof
 //
 // The input trace may be either container version (TRC1 or TRC2; v2
 // containers decode their blocks in parallel). -format selects the
 // version of the written reduced container: v1 (default) or v2.
-//
-// -match selects the matcher's search mode: exact (default, the paper's
-// first-match scan), vptree or lsh (sublinear approximate searches), or
-// auto (best supported index per method). See docs/APPROX_MATCHING.md
-// for when the approximate results are safe to trust.
 //
 // The trace is decoded, segmented, and reduced rank by rank on a worker
 // pool, so only a pool's worth of ranks is ever held in memory alongside
@@ -48,7 +42,6 @@ func main() {
 	out := flag.String("out", "", "output reduced-trace file (optional)")
 	method := flag.String("method", "avgWave", "similarity method")
 	threshold := flag.Float64("threshold", -1, "match threshold (default: the paper's per-method default)")
-	match := flag.String("match", "exact", "match mode: exact, vptree, lsh, or auto")
 	format := flag.String("format", "v1", "output container format: v1 or v2")
 	verify := flag.Bool("verify", false, "also reconstruct and score error/trend retention")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the reduction to `file`")
@@ -69,11 +62,6 @@ func main() {
 		}
 		*threshold = t
 	}
-	mode, err := tracered.ParseMatchMode(*match)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracereduce:", err)
-		os.Exit(2)
-	}
 	fv, err := tracered.ParseFormat(*format)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tracereduce:", err)
@@ -86,7 +74,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tracereduce:", err)
 		os.Exit(1)
 	}
-	runErr := run(*in, *out, *method, *threshold, mode, fv, *verify)
+	runErr := run(*in, *out, *method, *threshold, fv, *verify)
 	if runErr != nil {
 		fmt.Fprintln(os.Stderr, "tracereduce:", runErr)
 	}
@@ -99,7 +87,7 @@ func main() {
 	}
 }
 
-func run(in, out, method string, threshold float64, mode tracered.MatchMode, fv tracered.Format, verify bool) error {
+func run(in, out, method string, threshold float64, fv tracered.Format, verify bool) error {
 	m, err := tracered.NewMethod(method, threshold)
 	if err != nil {
 		return err
@@ -122,13 +110,9 @@ func run(in, out, method string, threshold float64, mode tracered.MatchMode, fv 
 		return err
 	}
 	fullBytes := st.Size()
-	modeNote := ""
-	if mode != tracered.MatchModeExact {
-		modeNote = fmt.Sprintf(" [%s match]", mode)
-	}
 	summary := func(name string, redBytes int64, degree float64, stored int) {
-		fmt.Printf("%s + %s(t=%g)%s: %d -> %d bytes (%.2f%%), degree of matching %.3f, %d stored segments\n",
-			name, method, threshold, modeNote, fullBytes, redBytes,
+		fmt.Printf("%s + %s(t=%g): %d -> %d bytes (%.2f%%), degree of matching %.3f, %d stored segments\n",
+			name, method, threshold, fullBytes, redBytes,
 			100*float64(redBytes)/float64(fullBytes), degree, stored)
 	}
 
@@ -142,7 +126,7 @@ func run(in, out, method string, threshold float64, mode tracered.MatchMode, fv 
 			f.Close()
 			return err
 		}
-		stats, err := tracered.ReduceStreamToWriterMode(dec, m, mode, g, fv)
+		stats, err := tracered.ReduceStreamToWriter(dec, m, g, fv)
 		f.Close()
 		if err != nil {
 			g.Close()
@@ -167,7 +151,7 @@ func run(in, out, method string, threshold float64, mode tracered.MatchMode, fv 
 			}
 		}
 	} else {
-		red, err = tracered.ReduceStreamMode(dec, m, mode)
+		red, err = tracered.ReduceStream(dec, m)
 		f.Close()
 		if err != nil {
 			return err

@@ -11,10 +11,10 @@
 //
 // Endpoints:
 //
-//	POST /v1/reduce?method=&threshold=&match=&format=   reduce an uploaded trace
-//	GET  /v1/analyze?sig=&method=&...                   diagnosis of a cached reduction
-//	GET  /metrics                                       Prometheus text metrics
-//	GET  /healthz                                       liveness (503 while draining)
+//	POST /v1/reduce?method=&threshold=&format=   reduce an uploaded trace
+//	GET  /v1/analyze?sig=&method=&...            diagnosis of a cached reduction
+//	GET  /metrics                                Prometheus text metrics
+//	GET  /healthz                                liveness (503 while draining)
 //
 // On SIGINT/SIGTERM the server drains: health flips to 503, new
 // sessions are refused, in-flight reductions finish, then the process

@@ -51,7 +51,7 @@ func euclidean(a, b []float64) float64 {
 	var sum float64
 	for i := range a {
 		d := a[i] - b[i]
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return math.Sqrt(sum)
 }
@@ -228,7 +228,7 @@ func ProfileError(t *trace.Trace, r *Reduced) float64 {
 				continue
 			}
 			d := (p.Values[j] - mp.Values[j]) / denom
-			sum += d * d
+			sum += float64(d * d)
 			count++
 		}
 	}

@@ -10,28 +10,28 @@ import (
 
 // Steady-state allocation gates for the matcher hot path. The slab
 // refactor's allocation discipline — candidate state prepared into the
-// matcher's reusable scratch, kernels and indexes reading slab rows in
-// place, pooled index scratch — is pinned here with testing.AllocsPerRun:
-// once a class is warm, Matcher.Scan and RankReducer.Feed on matching
-// candidates must not allocate at all, for every method under every
-// match mode. A regression to per-scan garbage shows up as a hard test
-// failure, not a quiet benchmark drift.
+// matcher's reusable scratch, kernels and the VP-tree reading slab rows
+// in place, a pooled traversal stack — is pinned here with
+// testing.AllocsPerRun: once a class is warm, Matcher.Scan and
+// RankReducer.Feed on matching candidates must not allocate at all, for
+// every method under every match mode. A regression to per-scan garbage
+// shows up as a hard test failure, not a quiet benchmark drift.
 
 const (
-	// allocClasses ≥ indexMinClassSize so the approximate modes actually
-	// exercise their index search paths, not just the exact fallback.
+	// allocClasses ≥ indexMinClassSize so MatchModeVPTree actually
+	// exercises its tree search, not just the exact fallback.
 	allocClasses = 2 * indexMinClassSize
 	allocCands   = 128
 )
 
-var allocModes = []MatchMode{MatchModeExact, MatchModeVPTree, MatchModeLSH, MatchModeAuto}
+var allocModes = []MatchMode{MatchModeExact, MatchModeVPTree, MatchModeAuto}
 
 // warmAllocMatcher builds a matcher over the shared matchbench class,
 // inserts every representative, and runs one full warm pass over the
 // exact candidate sequence the gate will replay, so every lazily grown
 // buffer (prepared-vector scratch, wavelet transform scratch, VP-tree
-// traversal stack, LSH candidate/dedup arrays) reaches steady-state
-// capacity before allocations are counted.
+// traversal stack) reaches steady-state capacity before allocations are
+// counted.
 func warmAllocMatcher(t *testing.T, method string, mode MatchMode) (*Matcher, []*segment.Segment) {
 	t.Helper()
 	p, err := DefaultMethod(method)
@@ -59,7 +59,7 @@ func warmAllocMatcher(t *testing.T, method string, mode MatchMode) (*Matcher, []
 }
 
 // TestScanSteadyStateAllocFree: a warm Matcher.Scan allocates nothing,
-// for all nine methods under all four match modes.
+// for all nine methods under every match mode.
 func TestScanSteadyStateAllocFree(t *testing.T) {
 	for _, method := range MethodNames {
 		for _, mode := range allocModes {

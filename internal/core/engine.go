@@ -181,11 +181,5 @@ func collect(name string, p Policy, next func() (*trace.RankTrace, error), opts 
 // so an unsynchronized decoder is fine. Policies must be safe for
 // concurrent use on distinct ranks' segments, as with Reduce.
 func ReduceStream(name string, p Policy, next func() (*trace.RankTrace, error)) (*Reduced, error) {
-	return ReduceStreamMode(name, p, MatchModeExact, next)
-}
-
-// ReduceStreamMode is ReduceStream under an explicit MatchMode (see
-// MatchMode for the per-mode guarantees).
-func ReduceStreamMode(name string, p Policy, mode MatchMode, next func() (*trace.RankTrace, error)) (*Reduced, error) {
-	return collect(name, p, next, StreamOptions{Mode: mode}, 0)
+	return collect(name, p, next, StreamOptions{}, 0)
 }

@@ -9,8 +9,8 @@ import "math"
 // scan order (or -1).
 //
 // Decision identity with the pre-slab per-representative loops is a hard
-// requirement (it is what keeps exact-mode output byte-identical), so
-// the kernels respect two rules:
+// requirement (it is what keeps the output bytes unchanged), so the
+// kernels respect these rules:
 //
 //   - Sum-accumulating distances (L1, L2, general Lm, and the wavelets'
 //     Euclidean) are order-sensitive under floating point, so the 4-wide
@@ -31,6 +31,11 @@ import "math"
 //     final sums stay bit-identical. The general-Lm kernel takes no
 //     early exit: math.Pow is not guaranteed monotone, so no partial
 //     predicate is provably conservative there.
+//   - Every product is rounded before it is added: an explicit
+//     float64(x*y) conversion, across which the Go spec forbids fusing.
+//     arm64, ppc64le, s390x and riscv64 would otherwise compile x*y+z
+//     to one fused multiply-add, whose single rounding can flip a
+//     decision that amd64 makes; CI fails on any fused instruction.
 //
 // Comparison-only tests (relDiff, absDiff) are order-insensitive, so
 // those kernels may unroll within a row as well.
@@ -75,10 +80,10 @@ func (c *Class) scanL2(t float64, cs *RepState) int {
 				d1 := r1[j] - x
 				d2 := r2[j] - x
 				d3 := r3[j] - x
-				s0 += d0 * d0
-				s1 += d1 * d1
-				s2 += d2 * d2
-				s3 += d3 * d3
+				s0 += float64(d0 * d0)
+				s1 += float64(d1 * d1)
+				s2 += float64(d2 * d2)
+				s3 += float64(d3 * d3)
 			}
 			if j < w &&
 				(p0 || math.Sqrt(s0) > b0) && (p1 || math.Sqrt(s1) > b1) &&
@@ -116,7 +121,7 @@ func (c *Class) scanL2(t float64, cs *RepState) int {
 			}
 			for ; j < end; j++ {
 				d := row[j] - v[j]
-				s += d * d
+				s += float64(d * d)
 			}
 			if j < w && math.Sqrt(s) > b {
 				dead = true
@@ -137,7 +142,7 @@ func (c *Class) l2Row(t float64, cs *RepState, i int) (bound float64, prune bool
 	if rm := c.maxAbs[i]; rm > maxVal {
 		maxVal = rm
 	}
-	bound = t * maxVal
+	bound = float64(t * maxVal)
 	return bound, pruned(math.Abs(c.norm[i]-cs.Norm), bound)
 }
 
@@ -226,13 +231,13 @@ func (c *Class) scanL1(t float64, cs *RepState) int {
 // scanLinf is the Chebyshev (m = 0) kernel: the distance is the largest
 // per-coordinate difference, an exact max that tolerates any evaluation
 // order, and the norm column holds each row's max-abs. The max update
-// uses the builtin max — branchless on amd64, where minkowskiDist's
-// `d > m` comparison mispredicts its way through random data — which
-// agrees with the comparison on every finite input and differs only on
-// NaN coordinates, unreachable from the engine's integer-time
-// measurements. The checkpoint skips a group once every unpruned row's
-// running max is already past its bound — the max only grows, so the
-// skip is decision-neutral.
+// uses the builtin max — branchless on amd64, where a `d > m`
+// comparison mispredicts its way through random data — which agrees
+// with the comparison on every finite input and differs only on NaN
+// coordinates, unreachable from the engine's integer-time measurements.
+// The checkpoint skips a group once every unpruned row's running max is
+// already past its bound — the max only grows, so the skip is
+// decision-neutral.
 func (c *Class) scanLinf(t float64, cs *RepState) int {
 	v := cs.Vec
 	w := c.width
@@ -314,8 +319,8 @@ func (c *Class) scanLinf(t float64, cs *RepState) int {
 	return -1
 }
 
-// scanLm is the general order-m kernel (m >= 3), matching minkowskiDist's
-// Pow accumulation term for term.
+// scanLm is the general order-m kernel (m >= 3): each row accumulates
+// |d|^m with math.Pow in coordinate order, then takes the m-th root.
 func (c *Class) scanLm(m int, t float64, cs *RepState) int {
 	v := cs.Vec
 	w := c.width

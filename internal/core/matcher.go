@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/segment"
 )
 
@@ -14,11 +16,11 @@ import (
 // data is a growable row-major matrix holding each representative's
 // prepared vector (padded to the class row width), and norm/maxAbs are
 // the parallel pruning columns. The scan kernels (kernels.go) and the
-// approximate indexes read rows straight out of the slab — no
-// per-representative slice allocations, no pointer chasing. Counting
-// policies (iter_k, iter_avg, sample_n) prepare empty vectors and their
-// classes carry no rows. Comparable segments have equal measurement
-// counts, so every member of a class produces the same vector width.
+// VP-tree read rows straight out of the slab — no per-representative
+// slice allocations, no pointer chasing. Counting policies (iter_k, iter_avg, sample_n)
+// prepare empty vectors and their classes carry no rows. Comparable
+// segments have equal measurement counts, so every member of a class
+// produces the same vector width.
 //
 // A Class is built incrementally by a Matcher: the first kept segment of
 // the group becomes its prototype, and every later member was verified
@@ -34,15 +36,15 @@ type Class struct {
 	// The state slab: row i of the width-wide row-major data matrix is
 	// representative i's prepared vector; norm[i]/maxAbs[i] are its
 	// pruning scalars. Grown by append, so rows may relocate — readers
-	// (kernels, indexes) fetch rows at use time via Row, never hold them.
+	// (kernels, the VP-tree) fetch rows at use time via Row, never hold
+	// them.
 	width  int
 	data   []float64
 	norm   []float64
 	maxAbs []float64
-	// index is the class's sublinear search structure under an
-	// approximate MatchMode, nil in exact mode and for policies with no
-	// index for the active mode (which keep the linear scan).
-	index IndexedClass
+	// index is the class's VP-tree under MatchModeVPTree, nil under the
+	// exact scan and for policies with no tree (see vpIndexer).
+	index *vpTree
 }
 
 // Len returns the number of representatives in the class.
@@ -97,22 +99,17 @@ func (c *Class) setRow(i int, cs *RepState) {
 // once per comparison), and keeps each representative's prepared state
 // in its class's contiguous slab — transformed wavelet vectors,
 // Minkowski norms, max-abs values — computed once at storage time rather
-// than on every scan.
-//
-// Under an approximate MatchMode the matcher additionally attaches a
-// sublinear IndexedClass (VP-tree or LSH buckets) to every class whose
-// policy supports the mode, and Scan searches the index instead of
-// running the policy's linear Match. The indexes reference slab rows in
-// place rather than owning vector copies.
+// than on every scan. Every scan is the paper's first-match linear scan
+// over the class, run by the policy's fused slab kernel — except under
+// MatchModeVPTree, where classes of policies with a metric acceptance
+// ball search a VP-tree over the slab rows instead.
 //
 // A Matcher indexes one rank's representatives and is not safe for
 // concurrent use; the engine runs one per RankReducer.
 type Matcher struct {
 	policy Policy
-	mode   MatchMode
-	// indexer is the policy's ApproxIndexer when the mode is approximate
-	// and the policy supports indexing at all; nil otherwise.
-	indexer ApproxIndexer
+	// indexer builds each new class's VP-tree; nil under the exact scan.
+	indexer vpIndexer
 	// buckets maps a signature to its comparability classes in creation
 	// order. Almost every bucket holds exactly one class; extras appear
 	// only on signature collisions between non-comparable segments.
@@ -123,45 +120,71 @@ type Matcher struct {
 	scratch RepState
 }
 
-// indexMinClassSize is the class size below which approximate modes
-// keep the exact linear scan and the class's index stays empty. Small
-// classes dominate the study workloads, and for them the index's fixed
-// costs — LSH's per-class hyperplane set above all — exceed the scan
-// they replace; the sublinear structures only pay once a class is big
-// enough for asymptotics to matter. Crossing the threshold bulk-indexes
-// the representatives accumulated so far (IndexedClass.Rebuild).
-//
-// Correctness is unaffected: the exact scan is decision-identical to
-// the VP-tree by the tree's guarantee, and strictly stronger than LSH
-// (which may only miss), so gating can only improve approximate-mode
-// results.
+// NewMatcher returns an empty matcher for policy p.
+func NewMatcher(p Policy) *Matcher {
+	return &Matcher{policy: p, buckets: map[segment.Signature][]*Class{}}
+}
+
+// MatchMode selects how Matcher.Scan searches a comparability class.
+// MatchModeExact, the zero value, is the paper's first-match linear scan
+// that every result is defined against. MatchModeVPTree searches a
+// vantage-point tree instead (vptree.go): it finds a match exactly when
+// the scan does, so stored representatives and counters are unchanged,
+// but the execution may reference a different matching representative.
+// Only this package's *Mode entry points select it; the tracered API,
+// the tools and the service always run the exact scan.
+type MatchMode uint8
+
+const (
+	// MatchModeExact is the paper's first-match linear scan (default).
+	MatchModeExact MatchMode = iota
+	// MatchModeAuto selects the exact scan.
+	//
+	// Deprecated: use MatchModeExact. perfbench is the last caller.
+	MatchModeAuto
+	// MatchModeVPTree searches a VP-tree per class where the policy has
+	// one (vpIndexer) and keeps the exact scan elsewhere.
+	MatchModeVPTree
+)
+
+// String returns the mode's name: "exact", "auto" or "vptree".
+func (m MatchMode) String() string {
+	switch m {
+	case MatchModeExact:
+		return "exact"
+	case MatchModeAuto:
+		return "auto"
+	case MatchModeVPTree:
+		return "vptree"
+	}
+	return fmt.Sprintf("MatchMode(%d)", uint8(m))
+}
+
+// indexMinClassSize is the class size below which MatchModeVPTree keeps
+// the exact scan and the class's tree stays empty: small classes
+// dominate the study workloads, and for them tree descent costs more
+// than the scan it replaces. Crossing the threshold bulk-indexes the
+// representatives kept so far. Decisions are unaffected either way, by
+// the tree's guarantee.
 const indexMinClassSize = 32
 
-// NewMatcher returns an empty exact-mode matcher for policy p.
-func NewMatcher(p Policy) *Matcher { return NewMatcherMode(p, MatchModeExact) }
-
 // NewMatcherMode returns an empty matcher for policy p searching classes
-// under the given MatchMode. Modes the policy has no index for degrade
-// to the exact scan per class, so any mode is valid for any policy.
+// under mode. A policy with no VP-tree keeps the exact scan, so any mode
+// is valid for any policy.
 func NewMatcherMode(p Policy, mode MatchMode) *Matcher {
-	m := &Matcher{policy: p, mode: mode, buckets: map[segment.Signature][]*Class{}}
-	if mode != MatchModeExact {
-		if ix, ok := p.(ApproxIndexer); ok {
-			m.indexer = ix
-		}
+	m := NewMatcher(p)
+	if mode == MatchModeVPTree {
+		m.indexer, _ = p.(vpIndexer)
 	}
 	return m
 }
 
-// Mode returns the matcher's match mode.
-func (m *Matcher) Mode() MatchMode { return m.mode }
-
-// Scan locates cand's comparability class and searches it — through the
-// class's sublinear index in approximate modes, through the policy's
-// fused slab kernel otherwise — for a matching representative. cls is
+// Scan locates cand's comparability class and searches it — with the
+// policy's fused slab kernel for the first match, or through the class's
+// VP-tree under MatchModeVPTree — for a matching representative. cls is
 // nil when cand has no comparable predecessor (a new pattern class); idx
-// is -1 when the class exists but no stored representative matches. cs
-// is the candidate's prepared state (a view of the matcher's reusable
+// is -1 when the class exists but no stored representative matches.
+// cs is the candidate's prepared state (a view of the matcher's reusable
 // scratch, valid until the next Scan), computed once per scanned segment
 // and reusable by Insert when the candidate is kept; the empty-bucket
 // short-circuit returns before any Prepare work, so candidates of a new
@@ -177,7 +200,7 @@ func (m *Matcher) Scan(cand *segment.Segment) (cls *Class, idx int, cs *RepState
 			cs = &m.scratch
 			m.policy.Prepare(cand, cs)
 			if c.index != nil && c.Len() >= indexMinClassSize {
-				return c, c.index.Search(cand, cs), cs
+				return c, c.index.search(cs.Vec, cs.MaxAbs), cs
 			}
 			return c, m.policy.Match(c, cand, cs), cs
 		}
@@ -200,7 +223,7 @@ func (m *Matcher) Insert(cls *Class, rep *segment.Segment, id int, cs *RepState)
 	if cls == nil {
 		cls = &Class{proto: rep}
 		if m.indexer != nil {
-			cls.index = m.indexer.NewClassIndex(m.mode, cls)
+			cls.index = m.indexer.newClassTree(cls)
 		}
 		sig := rep.Sig()
 		m.buckets[sig] = append(m.buckets[sig], cls)
@@ -209,11 +232,11 @@ func (m *Matcher) Insert(cls *Class, rep *segment.Segment, id int, cs *RepState)
 	if cls.index != nil {
 		switch n := cls.Len(); {
 		case n < indexMinClassSize:
-			// Small class: the exact scan serves it, the index stays empty.
+			// Small class: the exact scan serves it, the tree stays empty.
 		case n == indexMinClassSize:
-			cls.index.Rebuild() // bulk-index the accumulated representatives
+			cls.index.reindex() // bulk-index the accumulated representatives
 		default:
-			cls.index.Add(n - 1)
+			cls.index.add(n - 1)
 		}
 	}
 }
@@ -227,7 +250,7 @@ func (m *Matcher) Absorb(cls *Class, i int, cand *segment.Segment) {
 		m.policy.Prepare(cls.segs[i], &m.scratch)
 		cls.setRow(i, &m.scratch)
 		if cls.index != nil && cls.Len() >= indexMinClassSize {
-			cls.index.Rebuild()
+			cls.index.reindex()
 		}
 	}
 }

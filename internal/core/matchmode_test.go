@@ -4,68 +4,8 @@ import (
 	"testing"
 )
 
-func TestParseMatchModeRoundTrip(t *testing.T) {
-	for i, name := range MatchModeNames {
-		m, err := ParseMatchMode(name)
-		if err != nil {
-			t.Fatalf("ParseMatchMode(%q): %v", name, err)
-		}
-		if m != MatchMode(i) || m.String() != name {
-			t.Fatalf("ParseMatchMode(%q) = %v (String %q)", name, m, m.String())
-		}
-	}
-	if _, err := ParseMatchMode("bogus"); err == nil {
-		t.Fatal("ParseMatchMode(bogus) did not fail")
-	}
-	if s := MatchMode(200).String(); s != "MatchMode(200)" {
-		t.Fatalf("out-of-range String = %q", s)
-	}
-}
-
-// TestIndexKind pins which search structure each method gets per mode —
-// the dispatch table README and the benchmarks rely on.
-func TestIndexKind(t *testing.T) {
-	euclidean := NewEuclidean(0.2)
-	cheb := NewChebyshev(0.2)
-	wave := NewAvgWave(0.2)
-	abs := NewAbsDiff(1000)
-	rel := NewRelDiff(0.2)
-	iterAvgP := NewIterAvg()
-	cases := []struct {
-		p    Policy
-		mode MatchMode
-		want string
-	}{
-		{euclidean, MatchModeExact, "scan"},
-		{euclidean, MatchModeVPTree, "vptree"},
-		{euclidean, MatchModeLSH, "scan"},
-		{euclidean, MatchModeAuto, "vptree"},
-		// Chebyshev and absDiff build a VP-tree only on explicit request:
-		// auto keeps the exact scan, which BENCH_matcher.json shows is
-		// faster for both (concentrated max-distances / early-exit test).
-		{cheb, MatchModeVPTree, "vptree"},
-		{cheb, MatchModeAuto, "scan"},
-		{abs, MatchModeVPTree, "vptree"},
-		{abs, MatchModeLSH, "scan"},
-		{abs, MatchModeAuto, "scan"},
-		{wave, MatchModeExact, "scan"},
-		{wave, MatchModeVPTree, "vptree"},
-		{wave, MatchModeLSH, "lsh"},
-		{wave, MatchModeAuto, "lsh"},
-		{rel, MatchModeVPTree, "scan"},
-		{rel, MatchModeLSH, "scan"},
-		{rel, MatchModeAuto, "scan"},
-		{iterAvgP, MatchModeAuto, "scan"},
-	}
-	for _, tc := range cases {
-		if got := IndexKind(tc.p, tc.mode); got != tc.want {
-			t.Errorf("IndexKind(%s, %s) = %q, want %q", tc.p.Name(), tc.mode, got, tc.want)
-		}
-	}
-}
-
-// modeMethods are the pairwise methods with at least one supported
-// approximate index, with representative thresholds.
+// modeMethods are the pairwise methods with a VP-tree (vpIndexer), with
+// representative thresholds.
 var modeMethods = []struct {
 	name string
 	mk   func() Policy
@@ -128,51 +68,9 @@ func TestVPTreeModeMatchesExactDecisions(t *testing.T) {
 	}
 }
 
-// TestLSHModeOnlyWeakens holds MatchModeLSH to its guarantee: hashing
-// can miss matches but never invent them, so the reduction stores at
-// least as many representatives and matches at most as many segments as
-// exact mode — and on realistic streams recall stays high.
-func TestLSHModeOnlyWeakens(t *testing.T) {
-	for _, name := range []string{"avgWave", "haarWave"} {
-		name := name
-		mk := func() Policy {
-			if name == "avgWave" {
-				return NewAvgWave(0.2)
-			}
-			return NewHaarWave(0.2)
-		}
-		t.Run(name, func(t *testing.T) {
-			exRed, exOut := runMode(mk, MatchModeExact, 3000)
-			lsRed, lsOut := runMode(mk, MatchModeLSH, 3000)
-			if lsRed.TotalSegments() != exRed.TotalSegments() {
-				t.Fatalf("total %d, exact %d", lsRed.TotalSegments(), exRed.TotalSegments())
-			}
-			if lsRed.PossibleMatches() != exRed.PossibleMatches() {
-				t.Fatalf("possible %d, exact %d (class structure must not change)",
-					lsRed.PossibleMatches(), exRed.PossibleMatches())
-			}
-			if lsRed.Matches() > exRed.Matches() {
-				t.Fatalf("matches %d exceeds exact %d", lsRed.Matches(), exRed.Matches())
-			}
-			if len(lsOut.Stored) < len(exOut.Stored) {
-				t.Fatalf("stored %d below exact %d", len(lsOut.Stored), len(exOut.Stored))
-			}
-			if len(lsOut.Execs) != len(exOut.Execs) {
-				t.Fatalf("execs %d, exact %d", len(lsOut.Execs), len(exOut.Execs))
-			}
-			if exRed.Matches() > 0 {
-				recall := float64(lsRed.Matches()) / float64(exRed.Matches())
-				if recall < 0.85 {
-					t.Fatalf("stream recall %.3f, want >= 0.85", recall)
-				}
-				t.Logf("stream recall: %.3f (%d/%d matches)", recall, lsRed.Matches(), exRed.Matches())
-			}
-		})
-	}
-}
-
 // TestUnsupportedModeFallsBackExact requires policies with no index for
-// a mode to produce byte-identical output to exact mode under it.
+// a mode — and every policy under the deprecated MatchModeAuto — to
+// produce byte-identical output to exact mode under it.
 func TestUnsupportedModeFallsBackExact(t *testing.T) {
 	cases := []struct {
 		name string
@@ -182,9 +80,7 @@ func TestUnsupportedModeFallsBackExact(t *testing.T) {
 		{"relDiff/vptree", func() Policy { return NewRelDiff(0.2) }, MatchModeVPTree},
 		{"relDiff/auto", func() Policy { return NewRelDiff(0.2) }, MatchModeAuto},
 		{"iter_k/auto", func() Policy { p, _ := NewIterK(10); return p }, MatchModeAuto},
-		{"iter_avg/lsh", func() Policy { return NewIterAvg() }, MatchModeLSH},
 		{"sample_n/vptree", func() Policy { p, _ := NewSampleN(3); return p }, MatchModeVPTree},
-		{"euclidean/lsh", func() Policy { return NewEuclidean(0.2) }, MatchModeLSH},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -198,34 +94,6 @@ func TestUnsupportedModeFallsBackExact(t *testing.T) {
 			for i := range exOut.Execs {
 				if out.Execs[i] != exOut.Execs[i] {
 					t.Fatalf("exec %d: %+v vs exact %+v", i, out.Execs[i], exOut.Execs[i])
-				}
-			}
-		})
-	}
-}
-
-// TestAutoModePicksDocumentedIndex: auto must behave exactly like vptree
-// for the metric family and exactly like lsh for the wavelets.
-func TestAutoModePicksDocumentedIndex(t *testing.T) {
-	type pick struct {
-		name string
-		mk   func() Policy
-		same MatchMode
-	}
-	for _, tc := range []pick{
-		{"euclidean", func() Policy { return NewEuclidean(0.2) }, MatchModeVPTree},
-		{"avgWave", func() Policy { return NewAvgWave(0.2) }, MatchModeLSH},
-	} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			_, want := runMode(tc.mk, tc.same, 2000)
-			_, got := runMode(tc.mk, MatchModeAuto, 2000)
-			if len(got.Stored) != len(want.Stored) || len(got.Execs) != len(want.Execs) {
-				t.Fatalf("auto shape differs from %v", tc.same)
-			}
-			for i := range want.Execs {
-				if got.Execs[i] != want.Execs[i] {
-					t.Fatalf("exec %d: auto %+v vs %v %+v", i, got.Execs[i], tc.same, want.Execs[i])
 				}
 			}
 		})

@@ -16,7 +16,7 @@ import (
 // by the worker that finished reducing that rank, while other workers
 // are still pulling ranks from the source; only the final container
 // assembly (header + spooled blocks + footer) is serial. The output is
-// byte-identical to encoding the batch ReduceStreamMode result.
+// byte-identical to encoding the batch ReduceStream result.
 //
 // Byte identity hinges on the name table: the batch encoders assign ids
 // in first-use order scanning ranks 0,1,2,…, so the ids a rank's block
@@ -98,20 +98,18 @@ func (c *passthroughCounter) Write(p []byte) (int, error) {
 // byte-identical to EncodeReduced/EncodeReducedV2 of the batch
 // ReduceStream result, with the exact first-match scan.
 func ReduceStreamToWriter(name string, p Policy, next func() (*trace.RankTrace, error), w io.Writer, version int) (*StreamStats, error) {
-	return ReduceStreamToWriterMode(name, p, MatchModeExact, next, w, version)
-}
-
-// ReduceStreamToWriterMode is ReduceStreamToWriter under an explicit
-// MatchMode (see MatchMode for the per-mode guarantees).
-func ReduceStreamToWriterMode(name string, p Policy, mode MatchMode, next func() (*trace.RankTrace, error), w io.Writer, version int) (*StreamStats, error) {
-	return ReduceStreamToWriterOpts(name, p, next, w, version, StreamOptions{Mode: mode})
+	return ReduceStreamToWriterOpts(name, p, next, w, version, StreamOptions{})
 }
 
 // StreamOptions configure the rank-parallel engine behind the streaming
-// entry points. The zero value is the exact-scan default on a
-// GOMAXPROCS pool.
+// entry points. The zero value runs on a GOMAXPROCS pool.
 type StreamOptions struct {
-	// Mode selects the matcher's search mode (see MatchMode).
+	// Mode selects the matcher's search mode (see MatchMode); the zero
+	// value is the exact scan. Only ReduceMode sets MatchModeVPTree:
+	// tracered.ReduceStreamToWriterOpts ignores the field, so every
+	// reduction outside this package runs the exact scan.
+	//
+	// Deprecated: perfbench is the last caller that sets it.
 	Mode MatchMode
 	// Workers bounds the reduce/encode pool; non-positive means
 	// GOMAXPROCS. Output bytes are identical at every setting.
@@ -129,8 +127,8 @@ type StreamOptions struct {
 	Recycle func(*trace.RankTrace)
 }
 
-// ReduceStreamToWriterOpts is ReduceStreamToWriterMode with an explicit
-// worker count and cancellation context.
+// ReduceStreamToWriterOpts is ReduceStreamToWriter with an explicit
+// worker count, cancellation context, and rank recycler.
 func ReduceStreamToWriterOpts(name string, p Policy, next func() (*trace.RankTrace, error), w io.Writer, version int, opts StreamOptions) (*StreamStats, error) {
 	if version != 1 && version != 2 {
 		return nil, fmt.Errorf("core: unknown reduced container version %d", version)

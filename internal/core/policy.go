@@ -79,9 +79,11 @@ type Policy interface {
 const pruneMargin = 1e-9
 
 // pruned reports whether lower bound lb provably exceeds the acceptance
-// bound, with pruneMargin's slack.
+// bound, with pruneMargin's slack. The float64 conversion rounds the
+// product before the addition, so no architecture fuses them into a
+// multiply-add (see kernels.go).
 func pruned(lb, bound float64) bool {
-	return lb > bound+pruneMargin*(bound+lb)
+	return lb > bound+float64(pruneMargin*(bound+lb))
 }
 
 // maxAbsOf returns the largest absolute value in v.
@@ -163,24 +165,16 @@ func (p *absDiffPolicy) Match(cls *Class, cand *segment.Segment, cs *RepState) i
 
 func (p *absDiffPolicy) Absorb(*segment.Segment, *segment.Segment) bool { return false }
 
-// NewClassIndex builds absDiff's VP-tree: the per-measurement absolute
+// newClassTree builds absDiff's VP-tree: the per-measurement absolute
 // test is exactly a Chebyshev-distance ball of fixed radius threshold,
-// so the metric query needs no per-pair radius at all. The tree is
-// opt-in only (not auto): the exact per-measurement test bails at the
-// first out-of-threshold component, so a linear scan is cheaper than
-// tree descent on this policy (BENCH_matcher.json records the gap).
-func (p *absDiffPolicy) NewClassIndex(mode MatchMode, cls *Class) IndexedClass {
-	if mode != MatchModeVPTree {
-		return nil
-	}
+// so the metric query needs no per-pair radius at all.
+func (p *absDiffPolicy) newClassTree(cls *Class) *vpTree {
 	t := p.threshold
-	return &vpIndex{
-		tree: newVPTree(
-			cls,
-			func(a, b []float64) float64 { return minkowskiDist(0, a, b) },
-			func(_, _ float64) float64 { return t },
-		),
-	}
+	return newVPTree(
+		cls,
+		func(a, b []float64) float64 { return minkowskiDist(0, a, b) },
+		func(_, _ float64) float64 { return t },
+	)
 }
 
 // minkowskiPolicy computes the order-m Minkowski distance between the
@@ -214,32 +208,23 @@ func (p *minkowskiPolicy) Match(cls *Class, cand *segment.Segment, cs *RepState)
 
 func (p *minkowskiPolicy) Absorb(*segment.Segment, *segment.Segment) bool { return false }
 
-// NewClassIndex builds the Minkowski family's VP-tree over the slab's
+// newClassTree builds the Minkowski family's VP-tree over the slab's
 // measurement rows. Every order-m distance (m >= 1, plus the Chebyshev
 // limit) satisfies the triangle inequality, and the pairwise acceptance
 // radius t × max(maxAbs) is handled by the tree's subtree-maximum
-// pruning. Chebyshev (m = 0) gets the tree only on explicit request, not
-// auto: max-of-differences distances concentrate in a narrow band (one
-// large component dominates regardless of the rest), so
-// |d(cand, vp) − mu| rarely exceeds the acceptance radius and the tree
-// descends nearly everywhere while paying node overhead the plain scan
-// doesn't (BENCH_matcher.json records the gap).
-func (p *minkowskiPolicy) NewClassIndex(mode MatchMode, cls *Class) IndexedClass {
-	if mode != MatchModeVPTree && !(mode == MatchModeAuto && p.m != 0) {
-		return nil
-	}
+// pruning.
+func (p *minkowskiPolicy) newClassTree(cls *Class) *vpTree {
 	m := p.m
-	return &vpIndex{
-		tree: newVPTree(
-			cls,
-			func(a, b []float64) float64 { return minkowskiDist(m, a, b) },
-			pairMaxBound(p.threshold),
-		),
-	}
+	return newVPTree(
+		cls,
+		func(a, b []float64) float64 { return minkowskiDist(m, a, b) },
+		pairMaxBound(p.threshold),
+	)
 }
 
-// minkowskiDist accumulates the order-m distance exactly as the
-// pre-matcher engine did, so cached-state matching stays bit-identical.
+// minkowskiDist accumulates the order-m distance between two vectors in
+// coordinate order, the VP-tree's metric for the Minkowski family and
+// absDiff.
 func minkowskiDist(m int, va, vb []float64) float64 {
 	var dist float64
 	for i := range va {
@@ -252,7 +237,7 @@ func minkowskiDist(m int, va, vb []float64) float64 {
 		case 1:
 			dist += d
 		case 2:
-			dist += d * d
+			dist += float64(d * d)
 		default:
 			dist += math.Pow(d, float64(m))
 		}
@@ -281,7 +266,7 @@ func minkowskiNorm(m int, v []float64) float64 {
 		}
 	case 2:
 		for _, x := range v {
-			n += x * x
+			n += float64(x * x)
 		}
 		n = math.Sqrt(n)
 	default:
@@ -312,10 +297,7 @@ func (p *wavePolicy) Prepare(seg *segment.Segment, cs *RepState) {
 	// allocation. The padded length depends only on the segment's own
 	// event count, and Comparable segments have equal event counts, so
 	// every in-class comparison sees equal-length transforms — the same
-	// lengths the pre-matcher engine used. The width is NOT rounded to
-	// the kernel unroll (pad4): the LSH index seeds its hyperplanes from
-	// the vector dimension, so the transform width must stay exactly
-	// what the pre-slab engine produced.
+	// lengths the pre-matcher engine used.
 	n := wavelet.NextPow2(seg.NumMeasurements() + 1)
 	v := seg.StampVector(cs.Vec[:0])
 	for len(v) < n {
@@ -331,7 +313,7 @@ func (p *wavePolicy) Prepare(seg *segment.Segment, cs *RepState) {
 	}
 	var sum float64
 	for _, x := range v {
-		sum += x * x
+		sum += float64(x * x)
 	}
 	cs.Vec = v
 	cs.Norm = math.Sqrt(sum)
@@ -346,21 +328,11 @@ func (p *wavePolicy) Match(cls *Class, cand *segment.Segment, cs *RepState) int 
 
 func (p *wavePolicy) Absorb(*segment.Segment, *segment.Segment) bool { return false }
 
-// NewClassIndex builds the wavelet policies' index: random-hyperplane
-// LSH buckets over the slab's transform rows under MatchModeLSH (and
-// auto, where hashing beats tree descent because a scan then costs no
-// distance computations at all on clean misses), or a VP-tree under
-// MatchModeVPTree — Euclidean distance between transforms is a metric,
-// so the tree search loses no matches.
-func (p *wavePolicy) NewClassIndex(mode MatchMode, cls *Class) IndexedClass {
-	bound := pairMaxBound(p.threshold)
-	switch mode {
-	case MatchModeVPTree:
-		return &vpIndex{tree: newVPTree(cls, wavelet.Euclidean, bound)}
-	case MatchModeLSH, MatchModeAuto:
-		return &lshIndex{cls: cls, dist: wavelet.Euclidean, bound: bound}
-	}
-	return nil
+// newClassTree builds the wavelet policies' VP-tree over the slab's
+// transform rows: Euclidean distance between transforms is a metric, so
+// the tree search loses no matches.
+func (p *wavePolicy) newClassTree(cls *Class) *vpTree {
+	return newVPTree(cls, wavelet.Euclidean, pairMaxBound(p.threshold))
 }
 
 // NewRelDiff returns the relative-difference policy with the given

@@ -37,9 +37,7 @@ func NewRankReducer(rank int, p Policy) *RankReducer {
 }
 
 // NewRankReducerMode returns a reducer for one rank's segment stream
-// using policy p under the given MatchMode; approximate modes search
-// each pattern class through a sublinear index where the policy
-// supports one (see MatchMode).
+// using policy p under the given MatchMode.
 func NewRankReducerMode(rank int, p Policy, mode MatchMode) *RankReducer {
 	return &RankReducer{
 		m:   NewMatcherMode(p, mode),

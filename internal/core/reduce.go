@@ -85,9 +85,8 @@ func Reduce(t *trace.Trace, p Policy) (*Reduced, error) {
 }
 
 // ReduceMode is Reduce under an explicit MatchMode: MatchModeExact is
-// Reduce itself, the approximate modes search each pattern class
-// through a sublinear index where the policy supports one (see
-// MatchMode for the per-mode guarantees).
+// Reduce itself, MatchModeVPTree searches each pattern class through a
+// VP-tree where the policy has one (see MatchMode).
 func ReduceMode(t *trace.Trace, p Policy, mode MatchMode) (*Reduced, error) {
 	i := 0
 	next := func() (*trace.RankTrace, error) {
@@ -107,12 +106,6 @@ func ReduceMode(t *trace.Trace, p Policy, mode MatchMode) (*Reduced, error) {
 // as the baseline the parallel engine is benchmarked against; library
 // users should call Reduce.
 func ReduceSequential(t *trace.Trace, p Policy) (*Reduced, error) {
-	return ReduceSequentialMode(t, p, MatchModeExact)
-}
-
-// ReduceSequentialMode is ReduceSequential under an explicit MatchMode,
-// the single-threaded reference for ReduceMode.
-func ReduceSequentialMode(t *trace.Trace, p Policy, mode MatchMode) (*Reduced, error) {
 	perRank, err := segment.SplitTrace(t)
 	if err != nil {
 		return nil, err
@@ -123,7 +116,7 @@ func ReduceSequentialMode(t *trace.Trace, p Policy, mode MatchMode) (*Reduced, e
 		rr.Rank = rank
 		// One matcher per rank, mirroring the per-rank class index the
 		// incremental engine builds.
-		m := NewMatcherMode(p, mode)
+		m := NewMatcher(p)
 		for _, s := range segs {
 			red.TotalSegments++
 			cls, idx, cs := m.Scan(s)

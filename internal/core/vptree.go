@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"repro/internal/segment"
-)
+import "sort"
 
 // vpTree is a vantage-point metric tree over the representative rows of
 // one comparability class's slab, answering "is any stored vector within
@@ -88,13 +84,17 @@ func (t *vpTree) add(i int) {
 	}
 }
 
-// reset empties the tree (keeping its pooled buffers) so every indexed
-// item can be re-added after representative state changed in place.
-func (t *vpTree) reset() {
+// reindex rebuilds the tree over every representative of the class:
+// after a mutating Absorb changed slab rows in place, or when the class
+// first reaches indexMinClassSize.
+func (t *vpTree) reindex() {
 	t.n = 0
 	t.pending = t.pending[:0]
 	t.nodes = t.nodes[:0]
 	t.root = -1
+	for i, n := 0, t.cls.Len(); i < n; i++ {
+		t.add(i)
+	}
 }
 
 // rebuild reconstructs the tree over every item and empties the pending
@@ -208,24 +208,12 @@ func (t *vpTree) search(vec []float64, candMaxAbs float64) int {
 // size returns the number of indexed items.
 func (t *vpTree) size() int { return t.n }
 
-// vpIndex adapts a vpTree to the IndexedClass interface. The policies
-// all index the prepared slab rows (padded measurements for the
-// Minkowski family and absDiff, transforms for the wavelet methods), so
-// the candidate side is uniformly cs.Vec/cs.MaxAbs.
-type vpIndex struct {
-	tree *vpTree
-}
-
-func (x *vpIndex) Add(i int) { x.tree.add(i) }
-
-func (x *vpIndex) Search(cand *segment.Segment, cs *RepState) int {
-	return x.tree.search(cs.Vec, cs.MaxAbs)
-}
-
-func (x *vpIndex) Rebuild() {
-	t := x.tree
-	t.reset()
-	for i, n := 0, t.cls.Len(); i < n; i++ {
-		t.add(i)
-	}
+// vpIndexer is implemented by the policies whose acceptance test is a
+// ball under a metric — the Minkowski family, absDiff and the two
+// wavelet methods — so a VP-tree over the class's prepared slab rows
+// (padded measurements, or transforms for the wavelets) finds a match
+// exactly when the linear scan does. The candidate side is uniformly
+// cs.Vec/cs.MaxAbs.
+type vpIndexer interface {
+	newClassTree(cls *Class) *vpTree
 }

@@ -80,9 +80,9 @@ func significance(d *expert.Diagnosis, opts CompareOptions) float64 {
 func patternSimilarity(full, approx []float64) float64 {
 	var dot, nf, na float64
 	for i := range full {
-		dot += full[i] * approx[i]
-		nf += full[i] * full[i]
-		na += approx[i] * approx[i]
+		dot += float64(full[i] * approx[i])
+		nf += float64(full[i] * full[i])
+		na += float64(approx[i] * approx[i])
 	}
 	if nf == 0 || na == 0 {
 		// One vector is all-zero: identical iff both are.

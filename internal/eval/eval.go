@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/cube"
@@ -15,13 +14,11 @@ import (
 )
 
 // Result holds the four evaluation criteria for one
-// (workload, method, threshold, match-mode) cell.
+// (workload, method, threshold) cell.
 type Result struct {
 	Workload  string
 	Method    string
 	Threshold float64
-	// Mode is the match mode the reduction ran under (exact by default).
-	Mode core.MatchMode
 
 	// PctSize is the reduced file size as a percentage of the full file
 	// (criterion 1).
@@ -40,10 +37,6 @@ type Result struct {
 
 	// FullBytes and ReducedBytes are the raw encoded sizes.
 	FullBytes, ReducedBytes int64
-	// ReduceNanos is the wall-clock time of the reduction itself
-	// (core.ReduceMode), the numerator of the mode study's speedup
-	// column. Zero for results scored from a pre-computed reduction.
-	ReduceNanos int64
 	// StoredSegments and TotalSegments describe the reduction shape.
 	StoredSegments, TotalSegments int
 	// Diag is the reduction's diagnosis (for chart rendering), computed
@@ -57,25 +50,17 @@ type Result struct {
 // error, re-diagnose, and judge trend retention — all directly from the
 // reduced form, never reconstructing the approximate trace.
 func Evaluate(full *trace.Trace, fullDiag *expert.Diagnosis, method string, threshold float64) (*Result, error) {
-	return evaluateCell(full, fullDiag, method, threshold, core.MatchModeExact, trace.EncodedSize(full))
-}
-
-// EvaluateMode is Evaluate under an explicit core.MatchMode, timing the
-// reduction so mode studies can report speedup next to score loss.
-func EvaluateMode(full *trace.Trace, fullDiag *expert.Diagnosis, method string, threshold float64, mode core.MatchMode) (*Result, error) {
-	return evaluateCell(full, fullDiag, method, threshold, mode, trace.EncodedSize(full))
+	return evaluateCell(full, fullDiag, method, threshold, trace.EncodedSize(full))
 }
 
 // evaluateCell is the shared reduce-then-score pipeline behind Evaluate
 // and Runner.evaluate; the latter supplies a cached full-trace size.
-func evaluateCell(full *trace.Trace, fullDiag *expert.Diagnosis, method string, threshold float64, mode core.MatchMode, fullBytes int64) (*Result, error) {
+func evaluateCell(full *trace.Trace, fullDiag *expert.Diagnosis, method string, threshold float64, fullBytes int64) (*Result, error) {
 	p, err := core.NewMethod(method, threshold)
 	if err != nil {
 		return nil, err
 	}
-	begin := time.Now()
-	red, err := core.ReduceMode(full, p, mode)
-	elapsed := time.Since(begin)
+	red, err := core.Reduce(full, p)
 	if err != nil {
 		return nil, fmt.Errorf("eval: reducing %s with %s: %w", full.Name, method, err)
 	}
@@ -84,8 +69,6 @@ func evaluateCell(full *trace.Trace, fullDiag *expert.Diagnosis, method string, 
 		return nil, err
 	}
 	res.Threshold = threshold
-	res.Mode = mode
-	res.ReduceNanos = elapsed.Nanoseconds()
 	return res, nil
 }
 
@@ -268,20 +251,11 @@ func (r *Runner) Diagnosis(workload string) (*expert.Diagnosis, error) {
 	return d, nil
 }
 
-// Cell identifies one evaluation in a grid. The zero Mode is
-// MatchModeExact, so pre-mode cell literals and map keys keep their
-// meaning.
+// Cell identifies one evaluation in a grid.
 type Cell struct {
 	Workload  string
 	Method    string
 	Threshold float64
-	Mode      core.MatchMode
-}
-
-// WithMode returns the cell re-keyed to evaluate under mode.
-func (c Cell) WithMode(mode core.MatchMode) Cell {
-	c.Mode = mode
-	return c
 }
 
 // DefaultCell returns the cell for a method at its paper-default
@@ -319,7 +293,7 @@ func (r *Runner) evaluate(c Cell) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return evaluateCell(full, fullDiag, c.Method, c.Threshold, c.Mode, fullBytes)
+	return evaluateCell(full, fullDiag, c.Method, c.Threshold, fullBytes)
 }
 
 // RunGrid evaluates the given cells on a bounded worker pool (SetWorkers,

@@ -34,68 +34,22 @@ func StudyCells() []Cell {
 	return uniq
 }
 
-// StudyCellsMode returns StudyCells re-keyed to evaluate under mode: the
-// full study grid with every reduction searched through the mode's
-// index. Exact mode returns StudyCells itself.
-func StudyCellsMode(mode core.MatchMode) []Cell {
-	cells := StudyCells()
-	if mode == core.MatchModeExact {
-		return cells
-	}
-	for i := range cells {
-		cells[i].Mode = mode
-	}
-	return cells
-}
-
-// ModeCells builds the match-mode study grid: every workload × method at
-// default thresholds, repeated under each of the given modes. It is the
-// cell set behind FormatMatchModes — the measured
-// speedup-versus-score-loss comparison.
-func ModeCells(workloads, methods []string, modes []core.MatchMode) []Cell {
-	var cells []Cell
-	for _, mode := range modes {
-		for _, c := range GridDefault(workloads, methods) {
-			cells = append(cells, c.WithMode(mode))
-		}
-	}
-	return cells
-}
-
 // Index organizes grid results for table rendering.
 type Index struct {
 	m map[Cell]*Result
-	// mode is the index's default match mode: exact-mode lookups (what
-	// every figure formatter issues) are served under it, so a study run
-	// entirely under an approximate mode renders through the unchanged
-	// formatters.
-	mode core.MatchMode
 }
 
 // NewIndex indexes results by their cell.
 func NewIndex(results []*Result) *Index {
-	return NewIndexMode(results, core.MatchModeExact)
-}
-
-// NewIndexMode indexes results by their cell and serves exact-mode
-// lookups under the given default mode (see Index.mode).
-func NewIndexMode(results []*Result, mode core.MatchMode) *Index {
-	ix := &Index{m: map[Cell]*Result{}, mode: mode}
+	ix := &Index{m: map[Cell]*Result{}}
 	for _, r := range results {
-		ix.m[Cell{Workload: r.Workload, Method: r.Method, Threshold: r.Threshold, Mode: r.Mode}] = r
+		ix.m[Cell{Workload: r.Workload, Method: r.Method, Threshold: r.Threshold}] = r
 	}
 	return ix
 }
 
-// Get returns the result for a cell, or nil. A cell with the zero
-// (exact) mode is looked up under the index's default mode; cells with
-// an explicit approximate mode are looked up as given.
-func (ix *Index) Get(c Cell) *Result {
-	if c.Mode == core.MatchModeExact {
-		c.Mode = ix.mode
-	}
-	return ix.m[c]
-}
+// Get returns the result for a cell, or nil.
+func (ix *Index) Get(c Cell) *Result { return ix.m[c] }
 
 // fmtThreshold prints thresholds compactly (10^k for the absDiff sweep,
 // integers for iter_k).
@@ -261,59 +215,6 @@ func FormatThresholdSweep(ix *Index, method string, workloads []string) string {
 			fmt.Fprintf(&b, " %8d", r.ApproxDist)
 		}
 		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// FormatMatchModes renders the match-mode study: per method and mode,
-// the search structure in use, total reduction wall-clock over the
-// workloads with the speedup against exact mode, and the score columns
-// that reveal what approximation costs — mean degree of matching, mean
-// reduced-size percentage, and how many workloads retain correct
-// performance trends. Methods whose index equals the exact scan under a
-// mode ("scan") are expected to show ~1× speedup and zero score delta.
-func FormatMatchModes(ix *Index, workloads, methods []string, modes []core.MatchMode) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Match-mode study at default thresholds over %d workloads\n", len(workloads))
-	fmt.Fprintf(&b, "%-11s %-7s %-7s %10s %8s %8s %8s %10s\n",
-		"method", "mode", "index", "reduce-ms", "speedup", "degree", "%size", "retained")
-	for _, m := range methods {
-		p, err := core.NewMethod(m, core.DefaultThresholds[m])
-		if err != nil {
-			continue
-		}
-		var exactNanos int64
-		for _, mode := range modes {
-			var nanos int64
-			var degree, pct float64
-			retained, n := 0, 0
-			for _, w := range workloads {
-				r := ix.Get(DefaultCell(w, m).WithMode(mode))
-				if r == nil {
-					continue
-				}
-				n++
-				nanos += r.ReduceNanos
-				degree += r.Degree
-				pct += r.PctSize
-				if r.Retained {
-					retained++
-				}
-			}
-			if n == 0 {
-				continue
-			}
-			if mode == core.MatchModeExact {
-				exactNanos = nanos
-			}
-			speedup := "-"
-			if mode != core.MatchModeExact && nanos > 0 && exactNanos > 0 {
-				speedup = fmt.Sprintf("%.2fx", float64(exactNanos)/float64(nanos))
-			}
-			fmt.Fprintf(&b, "%-11s %-7s %-7s %10.1f %8s %8.3f %8.2f %7d/%d\n",
-				m, mode.String(), core.IndexKind(p, mode),
-				float64(nanos)/1e6, speedup, degree/float64(n), pct/float64(n), retained, n)
-		}
 	}
 	return b.String()
 }

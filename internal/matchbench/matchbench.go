@@ -1,7 +1,6 @@
 // Package matchbench generates the deterministic segment workload the
-// matcher benchmarks (cmd/benchsnap and the repository-level Benchmark
-// functions) share, shaped to expose the asymptotic difference between
-// the exact first-match scan and the sublinear indexes:
+// matcher benchmarks and allocation gates share, shaped to be the exact
+// first-match scan's worst case:
 //
 //   - All segments belong to one pattern class (same context, same event
 //     shapes), so every candidate is compared against every stored
@@ -10,8 +9,7 @@
 //     multiset. All measurement vectors therefore share the same
 //     Minkowski norms and max-abs values, so the exact scan's
 //     lower-bound pruning never fires and each comparison pays a full
-//     distance computation — the honest worst case the indexes are
-//     built for.
+//     distance computation.
 //   - Distinct centers sit far apart (random permutations of values
 //     spaced DefaultGap apart), while candidates jitter only a few time
 //     units around their center, so each candidate matches its own

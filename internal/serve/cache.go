@@ -17,7 +17,6 @@ type CacheKey struct {
 	Sig       trace.Signature
 	Method    string
 	Threshold float64
-	Mode      core.MatchMode
 	Format    int
 }
 

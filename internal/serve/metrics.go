@@ -99,7 +99,7 @@ func (h *Histogram) quantileLocked(q float64) float64 {
 	if h.samples == 0 {
 		return math.NaN()
 	}
-	rank := q * float64(h.samples)
+	rank := float64(q * float64(h.samples))
 	var seen int64
 	for i, c := range h.counts {
 		if float64(seen+c) >= rank && c > 0 {
@@ -112,7 +112,7 @@ func (h *Histogram) quantileLocked(q float64) float64 {
 				hi = h.bounds[i]
 			}
 			frac := (rank - float64(seen)) / float64(c)
-			return lo + (hi-lo)*frac
+			return lo + float64((hi-lo)*frac)
 		}
 		seen += c
 	}

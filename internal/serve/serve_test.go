@@ -57,7 +57,7 @@ func encodeTrace(t *testing.T, tr *trace.Trace, version int) []byte {
 
 // cliReduce produces the bytes the tracereduce CLI would write for the
 // same trace and parameters — the parity reference for served output.
-func cliReduce(t *testing.T, upload []byte, method string, threshold float64, mode core.MatchMode, format int) []byte {
+func cliReduce(t *testing.T, upload []byte, method string, threshold float64, format int) []byte {
 	t.Helper()
 	dec, err := trace.NewDecoder(bytes.NewReader(upload))
 	if err != nil {
@@ -69,8 +69,8 @@ func cliReduce(t *testing.T, upload []byte, method string, threshold float64, mo
 		t.Fatalf("NewMethod: %v", err)
 	}
 	var out bytes.Buffer
-	if _, err := core.ReduceStreamToWriterMode(dec.Name(), m, mode, dec.NextRank, &out, format); err != nil {
-		t.Fatalf("ReduceStreamToWriterMode: %v", err)
+	if _, err := core.ReduceStreamToWriter(dec.Name(), m, dec.NextRank, &out, format); err != nil {
+		t.Fatalf("ReduceStreamToWriter: %v", err)
 	}
 	return out.Bytes()
 }
@@ -96,8 +96,10 @@ func readBody(t *testing.T, resp *http.Response) []byte {
 
 // TestReduceParity pins the acceptance criterion: served bytes are
 // identical to the CLI pipeline's output over a grid sample — both
-// upload container versions × methods × match modes × output formats —
-// including on cache hits.
+// upload container versions × methods × output formats — including on
+// cache hits. Every cell also sends the retired match parameter, which
+// the service ignores like any unknown parameter: each value yields the
+// exact scan's bytes.
 func TestReduceParity(t *testing.T) {
 	tr := workloadTrace(t)
 	srv := NewServer(Config{DegradeAt: 2}) // never degrade in the parity grid
@@ -106,24 +108,24 @@ func TestReduceParity(t *testing.T) {
 
 	type cell struct {
 		method string
-		mode   core.MatchMode
+		match  string
 		format int
 	}
 	grid := []cell{
-		{"avgWave", core.MatchModeExact, 1},
-		{"avgWave", core.MatchModeExact, 2},
-		{"euclidean", core.MatchModeAuto, 2},
-		{"iter_k", core.MatchModeExact, 1},
-		{"relDiff", core.MatchModeLSH, 2},
+		{"avgWave", "exact", 1},
+		{"avgWave", "exact", 2},
+		{"euclidean", "auto", 2},
+		{"iter_k", "exact", 1},
+		{"relDiff", "lsh", 2},
 	}
 	for _, uploadVersion := range []int{1, 2} {
 		upload := encodeTrace(t, tr, uploadVersion)
 		for _, c := range grid {
-			name := fmt.Sprintf("up_v%d/%s/%s/v%d", uploadVersion, c.method, c.mode, c.format)
+			name := fmt.Sprintf("up_v%d/%s/%s/v%d", uploadVersion, c.method, c.match, c.format)
 			t.Run(name, func(t *testing.T) {
 				threshold := core.DefaultThresholds[c.method]
-				want := cliReduce(t, upload, c.method, threshold, c.mode, c.format)
-				q := fmt.Sprintf("method=%s&match=%s&format=v%d", c.method, c.mode, c.format)
+				want := cliReduce(t, upload, c.method, threshold, c.format)
+				q := fmt.Sprintf("method=%s&match=%s&format=v%d", c.method, c.match, c.format)
 				resp := postReduce(t, ts.URL, upload, q)
 				got := readBody(t, resp)
 				if resp.StatusCode != http.StatusOK {
@@ -219,7 +221,7 @@ func TestConcurrentUploadStress(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	want := cliReduce(t, upload, "avgWave", core.DefaultThresholds["avgWave"], core.MatchModeExact, 2)
+	want := cliReduce(t, upload, "avgWave", core.DefaultThresholds["avgWave"], 2)
 
 	const N = 16
 	type outcome struct {
@@ -278,8 +280,8 @@ func TestConcurrentUploadStress(t *testing.T) {
 
 // TestDegradedUnderLoad pins the degradation contract: at or above the
 // DegradeAt load fraction a session is served with the next-coarser
-// threshold and auto matching, reports both in headers, and the bytes
-// still match the CLI for those effective parameters.
+// threshold, reports it in headers, and the bytes still match the CLI
+// for that effective threshold.
 func TestDegradedUnderLoad(t *testing.T) {
 	tr := workloadTrace(t)
 	upload := encodeTrace(t, tr, 1)
@@ -295,8 +297,8 @@ func TestDegradedUnderLoad(t *testing.T) {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
 	deg := resp.Header.Get("X-Tracered-Degraded")
-	if !strings.Contains(deg, "threshold") || !strings.Contains(deg, "match") {
-		t.Fatalf("X-Tracered-Degraded = %q, want threshold and match", deg)
+	if deg != "threshold" {
+		t.Fatalf("X-Tracered-Degraded = %q, want threshold", deg)
 	}
 	def := core.DefaultThresholds["avgWave"]
 	var coarser float64
@@ -309,10 +311,7 @@ func TestDegradedUnderLoad(t *testing.T) {
 	if got := resp.Header.Get("X-Tracered-Threshold"); got != fmt.Sprintf("%g", coarser) {
 		t.Errorf("X-Tracered-Threshold = %s, want %g", got, coarser)
 	}
-	if got := resp.Header.Get("X-Tracered-Match"); got != "auto" {
-		t.Errorf("X-Tracered-Match = %s, want auto", got)
-	}
-	want := cliReduce(t, upload, "avgWave", coarser, core.MatchModeAuto, 2)
+	want := cliReduce(t, upload, "avgWave", coarser, 2)
 	if !bytes.Equal(body, want) {
 		t.Fatalf("degraded bytes differ from CLI at the degraded parameters")
 	}
@@ -529,7 +528,7 @@ func TestBadRequests(t *testing.T) {
 	srv := NewServer(Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	for _, q := range []string{"method=nope", "threshold=x", "match=nope", "format=v3"} {
+	for _, q := range []string{"method=nope", "threshold=x", "format=v3"} {
 		resp := postReduce(t, ts.URL, []byte("TRC1junk"), q)
 		readBody(t, resp)
 		if resp.StatusCode != http.StatusBadRequest {

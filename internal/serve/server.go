@@ -39,8 +39,8 @@ type Config struct {
 	// negative disables caching.
 	CacheBytes int64
 	// DegradeAt is the inflight/MaxSessions load fraction at which new
-	// sessions are served with coarsened parameters (next-coarser
-	// threshold, auto match mode). Default 0.75; >= 1 never degrades.
+	// sessions are served with the next-coarser threshold. Default
+	// 0.75; >= 1 never degrades.
 	DegradeAt float64
 	// RetryAfter is the Retry-After hint on 429 responses. Default 1s.
 	RetryAfter time.Duration
@@ -128,7 +128,6 @@ func (s *Server) Handler() http.Handler {
 type reduceParams struct {
 	method    string
 	threshold float64
-	mode      core.MatchMode
 	format    int
 }
 
@@ -158,13 +157,6 @@ func parseReduceParams(r *http.Request) (reduceParams, error) {
 	if _, err := core.NewMethod(p.method, p.threshold); err != nil {
 		return p, err
 	}
-	if m := q.Get("match"); m != "" {
-		mode, err := core.ParseMatchMode(m)
-		if err != nil {
-			return p, err
-		}
-		p.mode = mode
-	}
 	switch f := q.Get("format"); f {
 	case "", "v1", "1":
 		p.format = 1
@@ -177,23 +169,16 @@ func parseReduceParams(r *http.Request) (reduceParams, error) {
 }
 
 // degrade coarsens p under load: the threshold steps to the next
-// coarser value in the method's sweep (when one exists) and exact
-// matching falls back to the auto index. It returns the adjustments
-// actually applied, for the response header.
-func degrade(p reduceParams) (reduceParams, []string) {
-	var applied []string
+// coarser value in the method's sweep. It reports false when the sweep
+// has no coarser value (or the method has no sweep).
+func degrade(p reduceParams) (reduceParams, bool) {
 	for _, t := range core.ThresholdSweep(p.method) {
 		if t > p.threshold {
 			p.threshold = t
-			applied = append(applied, "threshold")
-			break
+			return p, true
 		}
 	}
-	if p.mode == core.MatchModeExact {
-		p.mode = core.MatchModeAuto
-		applied = append(applied, "match")
-	}
-	return p, applied
+	return p, false
 }
 
 // httpError reports a request failure, counting it.
@@ -233,13 +218,13 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Graceful degradation: once the session pool is mostly full, new
-	// sessions get coarser parameters — cheaper to compute and smaller
+	// sessions get a coarser threshold — cheaper to compute and smaller
 	// to ship — and the response says so, so clients can re-request at
 	// full fidelity later.
-	var degraded []string
+	degraded := false
 	if float64(inflight) >= s.cfg.DegradeAt*float64(s.cfg.MaxSessions) {
 		params, degraded = degrade(params)
-		if len(degraded) > 0 {
+		if degraded {
 			s.metrics.SessionsDegraded.Inc()
 		}
 	}
@@ -264,7 +249,7 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	key := CacheKey{Sig: sig, Method: params.method, Threshold: params.threshold, Mode: params.mode, Format: params.format}
+	key := CacheKey{Sig: sig, Method: params.method, Threshold: params.threshold, Format: params.format}
 	if ent, ok := s.cache.Get(key); ok {
 		s.metrics.CacheHits.Inc()
 		s.writeReduced(w, params, sig, degraded, ent, true, begin)
@@ -302,10 +287,9 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 		"subsystem", "serve-session",
 		"workload", dec.Name(),
 		"method", params.method,
-		"mode", params.mode.String(),
 	), func(ctx context.Context) {
 		stats, err = core.ReduceStreamToWriterOpts(dec.Name(), m, dec.NextRank, &out, params.format,
-			core.StreamOptions{Mode: params.mode, Workers: granted, Ctx: ctx, Recycle: dec.Recycle})
+			core.StreamOptions{Workers: granted, Ctx: ctx, Recycle: dec.Recycle})
 	})
 	dec.Close()
 	s.fleet.Release(granted)
@@ -362,14 +346,13 @@ func (s *Server) failDecode(w http.ResponseWriter, r *http.Request, err error) {
 // headers; cached replies replay the exact bytes and stats of the run
 // that populated the entry.
 func (s *Server) writeReduced(w http.ResponseWriter, p reduceParams, sig trace.Signature,
-	degraded []string, ent *CacheEntry, hit bool, begin time.Time) {
+	degraded bool, ent *CacheEntry, hit bool, begin time.Time) {
 	h := w.Header()
 	h.Set("Content-Type", "application/octet-stream")
 	h.Set("Content-Length", strconv.Itoa(len(ent.Body)))
 	h.Set("X-Tracered-Signature", sig.String())
 	h.Set("X-Tracered-Method", p.method)
 	h.Set("X-Tracered-Threshold", strconv.FormatFloat(p.threshold, 'g', -1, 64))
-	h.Set("X-Tracered-Match", p.mode.String())
 	h.Set("X-Tracered-Format", "v"+strconv.Itoa(p.format))
 	h.Set("X-Tracered-Stored-Segments", strconv.Itoa(ent.Stats.StoredSegments))
 	h.Set("X-Tracered-Degree", strconv.FormatFloat(ent.Stats.DegreeOfMatching(), 'g', -1, 64))
@@ -378,20 +361,12 @@ func (s *Server) writeReduced(w http.ResponseWriter, p reduceParams, sig trace.S
 	} else {
 		h.Set("X-Tracered-Cache", "miss")
 	}
-	if len(degraded) > 0 {
-		h.Set("X-Tracered-Degraded", joinComma(degraded))
+	if degraded {
+		h.Set("X-Tracered-Degraded", "threshold")
 	}
 	n, _ := w.Write(ent.Body)
 	s.metrics.BytesOut.Add(int64(n))
 	s.metrics.ReduceSeconds.Observe(time.Since(begin).Seconds())
-}
-
-func joinComma(parts []string) string {
-	out := parts[0]
-	for _, p := range parts[1:] {
-		out += "," + p
-	}
-	return out
 }
 
 // analyzeResponse is the JSON shape of /v1/analyze: the EXPERT-style
@@ -437,7 +412,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	key := CacheKey{Sig: sig, Method: params.method, Threshold: params.threshold, Mode: params.mode, Format: params.format}
+	key := CacheKey{Sig: sig, Method: params.method, Threshold: params.threshold, Format: params.format}
 	ent, ok := s.cache.Get(key)
 	if !ok {
 		s.httpError(w, http.StatusNotFound, errors.New("no cached reduction for that signature and parameters"))

@@ -159,19 +159,13 @@ type ReduceStreamStats = core.StreamStats
 // peak memory is a pool's worth of ranks plus the compact encoded
 // blocks. When it returns an error it has closed d.
 func ReduceStreamToWriter(d *TraceDecoder, m Method, w io.Writer, f Format) (*ReduceStreamStats, error) {
-	return ReduceStreamToWriterMode(d, m, MatchModeExact, w, f)
+	return ReduceStreamToWriterOpts(d, m, w, f, StreamOptions{})
 }
 
-// ReduceStreamToWriterMode is ReduceStreamToWriter under an explicit
-// MatchMode.
-func ReduceStreamToWriterMode(d *TraceDecoder, m Method, mode MatchMode, w io.Writer, f Format) (*ReduceStreamStats, error) {
-	return ReduceStreamToWriterOpts(d, m, w, f, StreamOptions{Mode: mode})
-}
-
-// StreamOptions configure the pipelined reduce-to-writer path: match
-// mode, worker-pool bound (0 means GOMAXPROCS; the bytes written are
-// identical at every setting), and a cancellation context. The zero
-// value is the exact-scan default.
+// StreamOptions configure the pipelined reduce-to-writer path: the
+// worker-pool bound (0 means GOMAXPROCS; the bytes written are identical
+// at every setting), a cancellation context, and a rank recycler. Mode
+// is ignored.
 type StreamOptions = core.StreamOptions
 
 // ReduceStreamToWriterOpts is ReduceStreamToWriter with explicit
@@ -191,6 +185,7 @@ func ReduceStreamToWriterOpts(d *TraceDecoder, m Method, w io.Writer, f Format, 
 	if opts.Recycle == nil {
 		opts.Recycle = d.Recycle
 	}
+	opts.Mode = core.MatchModeExact
 	st, err := core.ReduceStreamToWriterOpts(d.Name(), m, d.NextRank, w, int(f), opts)
 	return st, closeOnError(d, err)
 }

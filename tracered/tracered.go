@@ -68,28 +68,18 @@ var MethodNames = core.MethodNames
 // the paper's threshold study.
 var DefaultThresholds = core.DefaultThresholds
 
-// MatchMode selects how reduction searches a pattern class for a
-// matching representative: MatchModeExact is the paper's first-match
-// linear scan; MatchModeVPTree and MatchModeLSH are the sublinear
-// approximate searches; MatchModeAuto picks the best supported index
-// per method. See the core package's MatchMode documentation for the
-// per-mode guarantees.
+// MatchMode is the type of StreamOptions.Mode. Every reduction runs the
+// paper's exact first-match scan, so no value changes an output byte.
+//
+// Deprecated: perfbench is the last caller.
 type MatchMode = core.MatchMode
 
-// Match-mode constants, re-exported for the *Mode entry points.
 const (
-	MatchModeExact  = core.MatchModeExact
-	MatchModeVPTree = core.MatchModeVPTree
-	MatchModeLSH    = core.MatchModeLSH
-	MatchModeAuto   = core.MatchModeAuto
+	// Deprecated: selects the exact scan. perfbench is the last caller.
+	MatchModeExact = core.MatchModeExact
+	// Deprecated: selects the exact scan. perfbench is the last caller.
+	MatchModeAuto = core.MatchModeAuto
 )
-
-// MatchModeNames lists the accepted match-mode spellings in display
-// order: exact, vptree, lsh, auto.
-var MatchModeNames = core.MatchModeNames
-
-// ParseMatchMode parses a match-mode name (a -match flag value).
-func ParseMatchMode(s string) (MatchMode, error) { return core.ParseMatchMode(s) }
 
 // NewMethod constructs a similarity method by name and threshold.
 func NewMethod(name string, threshold float64) (Method, error) {
@@ -105,22 +95,9 @@ func DefaultMethod(name string) (Method, error) { return core.DefaultMethod(name
 // deterministic and byte-identical to ReduceSequential.
 func Reduce(t *Trace, m Method) (*Reduced, error) { return core.Reduce(t, m) }
 
-// ReduceMode is Reduce under an explicit MatchMode: exact mode is
-// Reduce itself; the approximate modes search each pattern class
-// through a sublinear index where the method supports one and fall
-// back to the exact scan where it does not.
-func ReduceMode(t *Trace, m Method, mode MatchMode) (*Reduced, error) {
-	return core.ReduceMode(t, m, mode)
-}
-
 // ReduceSequential is the retained single-threaded reference reduction;
 // prefer Reduce.
 func ReduceSequential(t *Trace, m Method) (*Reduced, error) { return core.ReduceSequential(t, m) }
-
-// ReduceSequentialMode is ReduceSequential under an explicit MatchMode.
-func ReduceSequentialMode(t *Trace, m Method, mode MatchMode) (*Reduced, error) {
-	return core.ReduceSequentialMode(t, m, mode)
-}
 
 // Streaming API: the incremental building blocks the batch entry points
 // are made of, for callers that reduce traces too large to materialize.
@@ -140,11 +117,6 @@ type (
 // Feed segments (or FeedEvents raw events) as they arrive, then Finish.
 func NewRankReducer(rank int, m Method) *RankReducer { return core.NewRankReducer(rank, m) }
 
-// NewRankReducerMode is NewRankReducer under an explicit MatchMode.
-func NewRankReducerMode(rank int, m Method, mode MatchMode) *RankReducer {
-	return core.NewRankReducerMode(rank, m, mode)
-}
-
 // NewSegmentSplitter returns an incremental splitter for one rank's
 // events: Feed events in trace order; completed segments come back as
 // their closing markers arrive.
@@ -159,12 +131,7 @@ func NewTraceDecoder(r io.Reader) (*TraceDecoder, error) { return trace.NewDecod
 // is byte-identical to Reduce over the fully decoded trace. When it
 // returns an error it has closed d.
 func ReduceStream(d *TraceDecoder, m Method) (*Reduced, error) {
-	return ReduceStreamMode(d, m, MatchModeExact)
-}
-
-// ReduceStreamMode is ReduceStream under an explicit MatchMode.
-func ReduceStreamMode(d *TraceDecoder, m Method, mode MatchMode) (*Reduced, error) {
-	red, err := core.ReduceStreamMode(d.Name(), m, mode, d.NextRank)
+	red, err := core.ReduceStream(d.Name(), m, d.NextRank)
 	return red, closeOnError(d, err)
 }
 
