@@ -1,10 +1,9 @@
 // Codec benchmarks: the two container versions head to head on a
 // mid-size workload — encode and decode (v2 both sequential and
-// block-parallel per worker count), the committed size ratio, and the
-// pipelined reduce-to-writer path against the batch reduce-then-encode
-// path. cmd/benchsnap -suite codec runs the fuller sweep and commits it
-// as BENCH_codec.json; these benchmarks are the `go test -bench` view
-// of the same comparison.
+// block-parallel per worker count), the size ratio, and the pipelined
+// reduce-to-writer path against the batch reduce-then-encode path. The
+// container sizes of all 20 catalog traces are deterministic, so they
+// are pinned by TestGoldenCatalogContainers rather than measured here.
 package repro
 
 import (

@@ -7,6 +7,7 @@ package e2e
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -51,6 +52,18 @@ func run(t *testing.T, bin string, args ...string) string {
 		t.Fatalf("%s %s: %v\n%s", filepath.Base(bin), strings.Join(args, " "), err, out)
 	}
 	return string(out)
+}
+
+// runFails executes one tool, requires a non-zero exit, and returns the
+// exit code and combined output.
+func runFails(t *testing.T, bin string, args ...string) (int, string) {
+	t.Helper()
+	out, err := exec.Command(bin, args...).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) {
+		t.Fatalf("%s %s: want a non-zero exit, got %v\n%s", filepath.Base(bin), strings.Join(args, " "), err, out)
+	}
+	return exit.ExitCode(), string(out)
 }
 
 func TestCLIRoundTrip(t *testing.T) {
@@ -200,4 +213,40 @@ func TestCLIRoundTripV2(t *testing.T) {
 	if !bytes.Equal(wantEnc.Bytes(), gotEnc.Bytes()) {
 		t.Error("reduction written through the v2 pipeline differs from reducing the v1-decoded trace")
 	}
+}
+
+// TestCLIFailures pins tracereduce's failure behaviour: an explicit
+// negative -threshold is an error, not a request for the default, and a
+// reduction that fails leaves no -out file behind.
+func TestCLIFailures(t *testing.T) {
+	dir := t.TempDir()
+	tools := buildTools(t, dir)
+	trc := filepath.Join(dir, "late_sender.trc")
+	run(t, tools["tracegen"], "-workload", "late_sender", "-o", trc)
+
+	t.Run("negative_threshold", func(t *testing.T) {
+		code, out := runFails(t, tools["tracereduce"], "-in", trc, "-method", "relDiff", "-threshold", "-0.5")
+		if code != 1 || !strings.Contains(out, "negative") {
+			t.Errorf("exit %d, want 1 with the negative threshold named:\n%s", code, out)
+		}
+	})
+
+	t.Run("truncated_input_with_out", func(t *testing.T) {
+		full, err := os.ReadFile(trc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := filepath.Join(dir, "cut.trc")
+		if err := os.WriteFile(cut, full[:len(full)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		trr := filepath.Join(dir, "cut.trr")
+		code, out := runFails(t, tools["tracereduce"], "-in", cut, "-out", trr)
+		if code != 1 || !strings.Contains(out, "unexpected EOF") {
+			t.Errorf("exit %d, want 1 with the truncation named:\n%s", code, out)
+		}
+		if _, err := os.Stat(trr); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("failed run left %s behind (stat: %v)", trr, err)
+		}
+	})
 }

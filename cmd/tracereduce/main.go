@@ -29,6 +29,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -41,7 +42,7 @@ func main() {
 	in := flag.String("in", "", "input trace file (from tracegen)")
 	out := flag.String("out", "", "output reduced-trace file (optional)")
 	method := flag.String("method", "avgWave", "similarity method")
-	threshold := flag.Float64("threshold", -1, "match threshold (default: the paper's per-method default)")
+	threshold := flag.Float64("threshold", 0, "match threshold, finite and >= 0 (default: the paper's per-method default)")
 	format := flag.String("format", "v1", "output container format: v1 or v2")
 	verify := flag.Bool("verify", false, "also reconstruct and score error/trend retention")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the reduction to `file`")
@@ -54,7 +55,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tracereduce: -in is required")
 		os.Exit(2)
 	}
-	if *threshold < 0 {
+	// Only an absent -threshold takes the default; an explicit value,
+	// negative ones included, goes to NewMethod's check.
+	thresholdSet := false
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "threshold" {
+			thresholdSet = true
+		}
+	})
+	if !thresholdSet {
 		t, ok := tracered.DefaultThresholds[*method]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "tracereduce: unknown method %q\n", *method)
@@ -128,12 +137,13 @@ func run(in, out, method string, threshold float64, fv tracered.Format, verify b
 		}
 		stats, err := tracered.ReduceStreamToWriter(dec, m, g, fv)
 		f.Close()
-		if err != nil {
-			g.Close()
-			return err
+		if cerr := g.Close(); err == nil && cerr != nil {
+			err = fmt.Errorf("closing: %w", cerr)
 		}
-		if err := g.Close(); err != nil {
-			return fmt.Errorf("closing: %w", err)
+		if err != nil {
+			// The pipeline writes only once the input is exhausted, so a
+			// failed run would leave an empty or partial container behind.
+			return errors.Join(err, os.Remove(out))
 		}
 		summary(stats.Name, stats.BytesWritten, stats.DegreeOfMatching(), stats.StoredSegments)
 		fmt.Println("wrote", out)

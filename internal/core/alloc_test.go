@@ -10,28 +10,25 @@ import (
 
 // Steady-state allocation gates for the matcher hot path. The slab
 // refactor's allocation discipline — candidate state prepared into the
-// matcher's reusable scratch, kernels and the VP-tree reading slab rows
-// in place, a pooled traversal stack — is pinned here with
-// testing.AllocsPerRun: once a class is warm, Matcher.Scan and
-// RankReducer.Feed on matching candidates must not allocate at all, for
-// every method under every match mode. A regression to per-scan garbage
-// shows up as a hard test failure, not a quiet benchmark drift.
+// matcher's reusable scratch, kernels reading slab rows in place — is
+// pinned here with testing.AllocsPerRun: once a class is warm,
+// Matcher.Scan and RankReducer.Feed on matching candidates must not
+// allocate at all, for every method under both deprecated match modes.
+// A regression to per-scan garbage shows up as a hard test failure, not
+// a quiet benchmark drift.
 
 const (
-	// allocClasses ≥ indexMinClassSize so MatchModeVPTree actually
-	// exercises its tree search, not just the exact fallback.
-	allocClasses = 2 * indexMinClassSize
+	allocClasses = 64
 	allocCands   = 128
 )
 
-var allocModes = []MatchMode{MatchModeExact, MatchModeVPTree, MatchModeAuto}
+var allocModes = []MatchMode{MatchModeExact, MatchModeAuto}
 
 // warmAllocMatcher builds a matcher over the shared matchbench class,
 // inserts every representative, and runs one full warm pass over the
 // exact candidate sequence the gate will replay, so every lazily grown
-// buffer (prepared-vector scratch, wavelet transform scratch, VP-tree
-// traversal stack) reaches steady-state capacity before allocations are
-// counted.
+// buffer (prepared-vector scratch, wavelet transform scratch) reaches
+// steady-state capacity before allocations are counted.
 func warmAllocMatcher(t *testing.T, method string, mode MatchMode) (*Matcher, []*segment.Segment) {
 	t.Helper()
 	p, err := DefaultMethod(method)
@@ -90,7 +87,7 @@ func TestFeedSteadyStateAllocFree(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				r := NewRankReducerMode(0, p, mode)
+				r := &RankReducer{m: NewMatcherMode(p, mode)}
 				for _, s := range matchbench.Stream(allocClasses, allocCands) {
 					r.Feed(s)
 				}

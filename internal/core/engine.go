@@ -111,7 +111,7 @@ func reduceRanks(name string, p Policy, next func() (*trace.RankTrace, error), o
 					fail(i, err)
 					return
 				}
-				r := NewRankReducerMode(i, p, opts.Mode)
+				r := NewRankReducer(i, p)
 				if err := r.FeedEvents(rt.Rank, rt.Events); err != nil {
 					fail(i, fmt.Errorf("trace %q: %w", name, err))
 					return

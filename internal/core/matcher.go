@@ -15,12 +15,12 @@ import (
 // The prepared state lives in a contiguous structure-of-arrays slab:
 // data is a growable row-major matrix holding each representative's
 // prepared vector (padded to the class row width), and norm/maxAbs are
-// the parallel pruning columns. The scan kernels (kernels.go) and the
-// VP-tree read rows straight out of the slab — no per-representative
-// slice allocations, no pointer chasing. Counting policies (iter_k, iter_avg, sample_n)
-// prepare empty vectors and their classes carry no rows. Comparable
-// segments have equal measurement counts, so every member of a class
-// produces the same vector width.
+// the parallel pruning columns. The scan kernels (kernels.go) read rows
+// straight out of the slab — no per-representative slice allocations, no
+// pointer chasing. Counting policies (iter_k, iter_avg, sample_n) prepare
+// empty vectors and their classes carry no rows. Comparable segments have
+// equal measurement counts, so every member of a class produces the same
+// vector width.
 //
 // A Class is built incrementally by a Matcher: the first kept segment of
 // the group becomes its prototype, and every later member was verified
@@ -36,15 +36,11 @@ type Class struct {
 	// The state slab: row i of the width-wide row-major data matrix is
 	// representative i's prepared vector; norm[i]/maxAbs[i] are its
 	// pruning scalars. Grown by append, so rows may relocate — readers
-	// (kernels, the VP-tree) fetch rows at use time via Row, never hold
-	// them.
+	// (the kernels) fetch rows at use time via Row, never hold them.
 	width  int
 	data   []float64
 	norm   []float64
 	maxAbs []float64
-	// index is the class's VP-tree under MatchModeVPTree, nil under the
-	// exact scan and for policies with no tree (see vpIndexer).
-	index *vpTree
 }
 
 // Len returns the number of representatives in the class.
@@ -100,16 +96,12 @@ func (c *Class) setRow(i int, cs *RepState) {
 // in its class's contiguous slab — transformed wavelet vectors,
 // Minkowski norms, max-abs values — computed once at storage time rather
 // than on every scan. Every scan is the paper's first-match linear scan
-// over the class, run by the policy's fused slab kernel — except under
-// MatchModeVPTree, where classes of policies with a metric acceptance
-// ball search a VP-tree over the slab rows instead.
+// over the class, run by the policy's fused slab kernel.
 //
 // A Matcher indexes one rank's representatives and is not safe for
 // concurrent use; the engine runs one per RankReducer.
 type Matcher struct {
 	policy Policy
-	// indexer builds each new class's VP-tree; nil under the exact scan.
-	indexer vpIndexer
 	// buckets maps a signature to its comparability classes in creation
 	// order. Almost every bucket holds exactly one class; extras appear
 	// only on signature collisions between non-comparable segments.
@@ -125,63 +117,42 @@ func NewMatcher(p Policy) *Matcher {
 	return &Matcher{policy: p, buckets: map[segment.Signature][]*Class{}}
 }
 
-// MatchMode selects how Matcher.Scan searches a comparability class.
-// MatchModeExact, the zero value, is the paper's first-match linear scan
-// that every result is defined against. MatchModeVPTree searches a
-// vantage-point tree instead (vptree.go): it finds a match exactly when
-// the scan does, so stored representatives and counters are unchanged,
-// but the execution may reference a different matching representative.
-// Only this package's *Mode entry points select it; the tracered API,
-// the tools and the service always run the exact scan.
+// MatchMode is the type of StreamOptions.Mode. Every scan is the
+// paper's first-match linear scan, so no value changes an output byte;
+// the values survive only for the names they print.
+//
+// Deprecated: perfbench is the last caller.
 type MatchMode uint8
 
 const (
-	// MatchModeExact is the paper's first-match linear scan (default).
+	// MatchModeExact is the paper's first-match linear scan.
+	//
+	// Deprecated: every scan is exact. perfbench is the last caller.
 	MatchModeExact MatchMode = iota
 	// MatchModeAuto selects the exact scan.
 	//
-	// Deprecated: use MatchModeExact. perfbench is the last caller.
+	// Deprecated: every scan is exact. perfbench is the last caller.
 	MatchModeAuto
-	// MatchModeVPTree searches a VP-tree per class where the policy has
-	// one (vpIndexer) and keeps the exact scan elsewhere.
-	MatchModeVPTree
 )
 
-// String returns the mode's name: "exact", "auto" or "vptree".
+// String returns the mode's name: "exact" or "auto".
 func (m MatchMode) String() string {
 	switch m {
 	case MatchModeExact:
 		return "exact"
 	case MatchModeAuto:
 		return "auto"
-	case MatchModeVPTree:
-		return "vptree"
 	}
 	return fmt.Sprintf("MatchMode(%d)", uint8(m))
 }
 
-// indexMinClassSize is the class size below which MatchModeVPTree keeps
-// the exact scan and the class's tree stays empty: small classes
-// dominate the study workloads, and for them tree descent costs more
-// than the scan it replaces. Crossing the threshold bulk-indexes the
-// representatives kept so far. Decisions are unaffected either way, by
-// the tree's guarantee.
-const indexMinClassSize = 32
+// NewMatcherMode returns NewMatcher(p); the mode is ignored.
+//
+// Deprecated: use NewMatcher. perfbench is the last caller.
+func NewMatcherMode(p Policy, _ MatchMode) *Matcher { return NewMatcher(p) }
 
-// NewMatcherMode returns an empty matcher for policy p searching classes
-// under mode. A policy with no VP-tree keeps the exact scan, so any mode
-// is valid for any policy.
-func NewMatcherMode(p Policy, mode MatchMode) *Matcher {
-	m := NewMatcher(p)
-	if mode == MatchModeVPTree {
-		m.indexer, _ = p.(vpIndexer)
-	}
-	return m
-}
-
-// Scan locates cand's comparability class and searches it — with the
-// policy's fused slab kernel for the first match, or through the class's
-// VP-tree under MatchModeVPTree — for a matching representative. cls is
+// Scan locates cand's comparability class and searches it with the
+// policy's fused slab kernel for the first matching representative. cls is
 // nil when cand has no comparable predecessor (a new pattern class); idx
 // is -1 when the class exists but no stored representative matches.
 // cs is the candidate's prepared state (a view of the matcher's reusable
@@ -199,9 +170,6 @@ func (m *Matcher) Scan(cand *segment.Segment) (cls *Class, idx int, cs *RepState
 		if c.proto.Comparable(cand) {
 			cs = &m.scratch
 			m.policy.Prepare(cand, cs)
-			if c.index != nil && c.Len() >= indexMinClassSize {
-				return c, c.index.search(cs.Vec, cs.MaxAbs), cs
-			}
 			return c, m.policy.Match(c, cand, cs), cs
 		}
 	}
@@ -222,23 +190,10 @@ func (m *Matcher) Insert(cls *Class, rep *segment.Segment, id int, cs *RepState)
 	}
 	if cls == nil {
 		cls = &Class{proto: rep}
-		if m.indexer != nil {
-			cls.index = m.indexer.newClassTree(cls)
-		}
 		sig := rep.Sig()
 		m.buckets[sig] = append(m.buckets[sig], cls)
 	}
 	cls.add(rep, id, cs)
-	if cls.index != nil {
-		switch n := cls.Len(); {
-		case n < indexMinClassSize:
-			// Small class: the exact scan serves it, the tree stays empty.
-		case n == indexMinClassSize:
-			cls.index.reindex() // bulk-index the accumulated representatives
-		default:
-			cls.index.add(n - 1)
-		}
-	}
 }
 
 // Absorb folds cand into the class's i-th representative via the policy
@@ -249,8 +204,5 @@ func (m *Matcher) Absorb(cls *Class, i int, cand *segment.Segment) {
 	if m.policy.Absorb(cls.segs[i], cand) {
 		m.policy.Prepare(cls.segs[i], &m.scratch)
 		cls.setRow(i, &m.scratch)
-		if cls.index != nil && cls.Len() >= indexMinClassSize {
-			cls.index.reindex()
-		}
 	}
 }

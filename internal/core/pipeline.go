@@ -104,10 +104,7 @@ func ReduceStreamToWriter(name string, p Policy, next func() (*trace.RankTrace, 
 // StreamOptions configure the rank-parallel engine behind the streaming
 // entry points. The zero value runs on a GOMAXPROCS pool.
 type StreamOptions struct {
-	// Mode selects the matcher's search mode (see MatchMode); the zero
-	// value is the exact scan. Only ReduceMode sets MatchModeVPTree:
-	// tracered.ReduceStreamToWriterOpts ignores the field, so every
-	// reduction outside this package runs the exact scan.
+	// Mode is ignored: every reduction runs the exact first-match scan.
 	//
 	// Deprecated: perfbench is the last caller that sets it.
 	Mode MatchMode

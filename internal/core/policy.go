@@ -120,18 +120,6 @@ func prepareMeas(seg *segment.Segment, cs *RepState) {
 	cs.Norm = 0
 }
 
-// pairMaxBound returns the acceptance-radius function dist ≤ t ×
-// max(candMaxAbs, repMaxAbs) shared by the Minkowski and wavelet match
-// rules (paper Eq. 1).
-func pairMaxBound(t float64) func(candMaxAbs, repMaxAbs float64) float64 {
-	return func(candMaxAbs, repMaxAbs float64) float64 {
-		if repMaxAbs > candMaxAbs {
-			candMaxAbs = repMaxAbs
-		}
-		return t * candMaxAbs
-	}
-}
-
 // relDiff compares each paired measurement in isolation:
 // |a−b| / max(a, b) must not exceed the threshold (paper §3.2.1; the
 // worked example gives |17−40|/40 = 0.58). Two zero measurements are
@@ -165,18 +153,6 @@ func (p *absDiffPolicy) Match(cls *Class, cand *segment.Segment, cs *RepState) i
 
 func (p *absDiffPolicy) Absorb(*segment.Segment, *segment.Segment) bool { return false }
 
-// newClassTree builds absDiff's VP-tree: the per-measurement absolute
-// test is exactly a Chebyshev-distance ball of fixed radius threshold,
-// so the metric query needs no per-pair radius at all.
-func (p *absDiffPolicy) newClassTree(cls *Class) *vpTree {
-	t := p.threshold
-	return newVPTree(
-		cls,
-		func(a, b []float64) float64 { return minkowskiDist(0, a, b) },
-		func(_, _ float64) float64 { return t },
-	)
-}
-
 // minkowskiPolicy computes the order-m Minkowski distance between the
 // measurement vectors and accepts when it is at most threshold × the
 // largest measurement in the pair of vectors (paper Eq. 1 and the worked
@@ -207,51 +183,6 @@ func (p *minkowskiPolicy) Match(cls *Class, cand *segment.Segment, cs *RepState)
 }
 
 func (p *minkowskiPolicy) Absorb(*segment.Segment, *segment.Segment) bool { return false }
-
-// newClassTree builds the Minkowski family's VP-tree over the slab's
-// measurement rows. Every order-m distance (m >= 1, plus the Chebyshev
-// limit) satisfies the triangle inequality, and the pairwise acceptance
-// radius t × max(maxAbs) is handled by the tree's subtree-maximum
-// pruning.
-func (p *minkowskiPolicy) newClassTree(cls *Class) *vpTree {
-	m := p.m
-	return newVPTree(
-		cls,
-		func(a, b []float64) float64 { return minkowskiDist(m, a, b) },
-		pairMaxBound(p.threshold),
-	)
-}
-
-// minkowskiDist accumulates the order-m distance between two vectors in
-// coordinate order, the VP-tree's metric for the Minkowski family and
-// absDiff.
-func minkowskiDist(m int, va, vb []float64) float64 {
-	var dist float64
-	for i := range va {
-		d := math.Abs(va[i] - vb[i])
-		switch m {
-		case 0: // Chebyshev
-			if d > dist {
-				dist = d
-			}
-		case 1:
-			dist += d
-		case 2:
-			dist += float64(d * d)
-		default:
-			dist += math.Pow(d, float64(m))
-		}
-	}
-	switch m {
-	case 0, 1:
-		// done
-	case 2:
-		dist = math.Sqrt(dist)
-	default:
-		dist = math.Pow(dist, 1/float64(m))
-	}
-	return dist
-}
 
 // minkowskiNorm returns the order-m Minkowski norm of v (m = 0 is the
 // Chebyshev/sup norm).
@@ -327,13 +258,6 @@ func (p *wavePolicy) Match(cls *Class, cand *segment.Segment, cs *RepState) int 
 }
 
 func (p *wavePolicy) Absorb(*segment.Segment, *segment.Segment) bool { return false }
-
-// newClassTree builds the wavelet policies' VP-tree over the slab's
-// transform rows: Euclidean distance between transforms is a metric, so
-// the tree search loses no matches.
-func (p *wavePolicy) newClassTree(cls *Class) *vpTree {
-	return newVPTree(cls, wavelet.Euclidean, pairMaxBound(p.threshold))
-}
 
 // NewRelDiff returns the relative-difference policy with the given
 // per-measurement threshold.

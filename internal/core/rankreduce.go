@@ -33,14 +33,8 @@ type RankReducer struct {
 // NewRankReducer returns a reducer for one rank's segment stream using
 // policy p with the exact first-match scan.
 func NewRankReducer(rank int, p Policy) *RankReducer {
-	return NewRankReducerMode(rank, p, MatchModeExact)
-}
-
-// NewRankReducerMode returns a reducer for one rank's segment stream
-// using policy p under the given MatchMode.
-func NewRankReducerMode(rank int, p Policy, mode MatchMode) *RankReducer {
 	return &RankReducer{
-		m:   NewMatcherMode(p, mode),
+		m:   NewMatcher(p),
 		out: RankReduced{Rank: rank},
 	}
 }

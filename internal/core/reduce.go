@@ -81,13 +81,6 @@ func (r *Reduced) StoredSegments() int {
 // safe for concurrent use on distinct ranks' segments; every built-in
 // policy is stateless and qualifies.
 func Reduce(t *trace.Trace, p Policy) (*Reduced, error) {
-	return ReduceMode(t, p, MatchModeExact)
-}
-
-// ReduceMode is Reduce under an explicit MatchMode: MatchModeExact is
-// Reduce itself, MatchModeVPTree searches each pattern class through a
-// VP-tree where the policy has one (see MatchMode).
-func ReduceMode(t *trace.Trace, p Policy, mode MatchMode) (*Reduced, error) {
 	i := 0
 	next := func() (*trace.RankTrace, error) {
 		if i == len(t.Ranks) {
@@ -97,7 +90,7 @@ func ReduceMode(t *trace.Trace, p Policy, mode MatchMode) (*Reduced, error) {
 		return &t.Ranks[i-1], nil
 	}
 	workers := max(1, min(runtime.GOMAXPROCS(0), len(t.Ranks)))
-	return collect(t.Name, p, next, StreamOptions{Mode: mode, Workers: workers}, len(t.Ranks))
+	return collect(t.Name, p, next, StreamOptions{Workers: workers}, len(t.Ranks))
 }
 
 // ReduceSequential is the retained single-threaded reference

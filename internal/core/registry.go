@@ -49,11 +49,14 @@ func ThresholdSweep(method string) []float64 {
 }
 
 // NewMethod constructs the named similarity policy with the given
-// threshold (ignored for iter_avg; truncated to int for iter_k). A NaN
-// or infinite threshold is rejected for every method.
+// threshold (ignored for iter_avg; truncated to int for iter_k). A NaN,
+// infinite or negative threshold is rejected for every method.
 func NewMethod(name string, threshold float64) (Policy, error) {
 	if math.IsNaN(threshold) || math.IsInf(threshold, 0) {
 		return nil, fmt.Errorf("core: %s threshold %v is not finite", name, threshold)
+	}
+	if threshold < 0 {
+		return nil, fmt.Errorf("core: %s threshold %v is negative", name, threshold)
 	}
 	switch name {
 	case "relDiff":

@@ -15,11 +15,11 @@ func TestNewMethodAllNames(t *testing.T) {
 		if p.Name() != name {
 			t.Errorf("NewMethod(%q).Name() = %q", name, p.Name())
 		}
-		// A non-finite threshold is rejected by every method, iter_avg
-		// (which ignores its threshold) included.
-		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		// A non-finite or negative threshold is rejected by every method,
+		// iter_avg (which ignores its threshold) included.
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.5, -1} {
 			if _, err := NewMethod(name, bad); err == nil {
-				t.Errorf("NewMethod(%q, %v) accepted a non-finite threshold", name, bad)
+				t.Errorf("NewMethod(%q, %v) accepted a threshold that is not finite and >= 0", name, bad)
 			}
 		}
 	}

@@ -540,11 +540,11 @@ func TestBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("junk upload: status %d, want 400", resp.StatusCode)
 	}
-	// Non-finite thresholds, on a valid upload so only the threshold can
-	// be at fault. A NaN cache key never equals itself: had such a
-	// request been served, its entry could never be hit or evicted.
+	// Non-finite and negative thresholds, on a valid upload so only the
+	// threshold can be at fault. A NaN cache key never equals itself: had
+	// such a request been served, its entry could never be hit or evicted.
 	upload := encodeTrace(t, workloadTrace(t), 1)
-	for _, q := range []string{"threshold=NaN", "threshold=Inf", "threshold=%2BInf"} {
+	for _, q := range []string{"threshold=NaN", "threshold=Inf", "threshold=%2BInf", "threshold=-1"} {
 		resp := postReduce(t, ts.URL, upload, "method=avgWave&"+q)
 		readBody(t, resp)
 		if resp.StatusCode != http.StatusBadRequest {

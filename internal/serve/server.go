@@ -146,14 +146,14 @@ func parseReduceParams(r *http.Request) (reduceParams, error) {
 	p.threshold = def
 	if t := q.Get("threshold"); t != "" {
 		v, err := strconv.ParseFloat(t, 64)
-		if err != nil || v < 0 {
+		if err != nil {
 			return p, fmt.Errorf("bad threshold %q", t)
 		}
 		p.threshold = v
 	}
 	// The policy constructor is the one threshold check the CLI, the
-	// library and the service share; it rejects NaN and infinities,
-	// whose cache keys would never match.
+	// library and the service share. It rejects negative thresholds, and
+	// NaN and infinities, whose cache keys would never match.
 	if _, err := core.NewMethod(p.method, p.threshold); err != nil {
 		return p, err
 	}

@@ -185,7 +185,6 @@ func ReduceStreamToWriterOpts(d *TraceDecoder, m Method, w io.Writer, f Format, 
 	if opts.Recycle == nil {
 		opts.Recycle = d.Recycle
 	}
-	opts.Mode = core.MatchModeExact
 	st, err := core.ReduceStreamToWriterOpts(d.Name(), m, d.NextRank, w, int(f), opts)
 	return st, closeOnError(d, err)
 }
