@@ -10,7 +10,9 @@
 // BenchmarkAnalyzeReduced / BenchmarkAnalyzeReconstructRef isolate the
 // diagnosis kernel, where the representative-scaling speedup is largest;
 // BenchmarkAnalyze times the same engine on the full traces.
-// The parity tests guarantee all paths produce identical results.
+// BenchmarkApproxDistCatalog times the approximation distance alone over
+// every cell of the study. The parity tests guarantee all paths produce
+// identical results.
 package repro
 
 import (
@@ -76,6 +78,50 @@ func BenchmarkScoreReduced(b *testing.B) { benchScore(b, eval.EvaluateReducedSiz
 // BenchmarkScoreReconstructRef exercises the retained reconstruct-based
 // reference path the parity tests compare against.
 func BenchmarkScoreReconstructRef(b *testing.B) { benchScore(b, eval.EvaluateReducedReconstructSized) }
+
+// BenchmarkApproxDistCatalog scores the approximation distance of the
+// study's 180 cells — the 20 catalog traces, each reduced by the nine
+// methods at their default thresholds — once per iteration, on one
+// goroutine as the study's scorer runs, and reports the cost per
+// compared stamp.
+func BenchmarkApproxDistCatalog(b *testing.B) {
+	type cell struct {
+		full *trace.Trace
+		red  *core.Reduced
+	}
+	var cells []cell
+	stamps := 0
+	for _, name := range eval.AllNames() {
+		full := reduceBenchTrace(b, name)
+		for r := range full.Ranks {
+			for _, e := range full.Ranks[r].Events {
+				if !e.Kind.IsMarker() {
+					stamps += 2 * len(core.MethodNames)
+				}
+			}
+		}
+		for _, method := range core.MethodNames {
+			p, err := core.DefaultMethod(method)
+			if err != nil {
+				b.Fatal(err)
+			}
+			red, err := core.Reduce(full, p)
+			if err != nil {
+				b.Fatalf("reducing %s with %s: %v", name, method, err)
+			}
+			cells = append(cells, cell{full, red})
+		}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, c := range cells {
+			if _, err := core.ApproximationDistanceReduced(c.full, c.red, 0.9); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*stamps), "ns/stamp")
+}
 
 // benchAnalyze times one diagnosis kernel over the benchmark workloads.
 func benchAnalyze(b *testing.B, analyze func(*core.Reduced) (*expert.Diagnosis, error)) {

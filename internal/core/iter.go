@@ -60,15 +60,17 @@ func (iterAvg) Match(cls *Class, _ *segment.Segment, _ *RepState) int {
 // (w·avg + new) / (w+1). Integer division keeps timestamps in time units;
 // the sub-microsecond truncation is far below every threshold studied.
 // It reports the mutation so the matcher refreshes any cached state.
+// matched is a stored clone, so its stamps are relative; cand may be a
+// view and is read through Stamps.
 func (iterAvg) Absorb(matched, cand *segment.Segment) bool {
 	w := int64(matched.Weight)
 	avg := func(old, new int64) int64 { return (old*w + new) / (w + 1) }
 	matched.End = avg(matched.End, cand.End)
 	for i := range matched.Events {
-		matched.Events[i].Enter = avg(matched.Events[i].Enter, cand.Events[i].Enter)
-		matched.Events[i].Exit = avg(matched.Events[i].Exit, cand.Events[i].Exit)
+		enter, exit := cand.Stamps(i)
+		matched.Events[i].Enter = avg(matched.Events[i].Enter, enter)
+		matched.Events[i].Exit = avg(matched.Events[i].Exit, exit)
 	}
 	matched.Weight++
-	matched.ResetMeas() // the averaged stamps invalidate the cached vector
 	return true
 }

@@ -23,7 +23,7 @@ import (
 // refMatch is the old stateless pairwise predicate table: name → match
 // function over (threshold, stored, cand).
 func refMatch(name string, threshold float64, a, b *segment.Segment) bool {
-	va, vb := a.Meas(), b.Meas()
+	va, vb := a.Measurements(nil), b.Measurements(nil)
 	switch name {
 	case "relDiff":
 		return refRelDiff(threshold, va, vb)
@@ -120,7 +120,7 @@ func refMinkowski(t float64, m int, va, vb []float64) bool {
 // refWave is the pre-matcher waveMatch: both transforms recomputed per
 // comparison, padded to the larger of the two power-of-two lengths.
 func refWave(t float64, haar bool, a, b *segment.Segment) bool {
-	ma, mb := a.Meas(), b.Meas()
+	ma, mb := a.Measurements(nil), b.Measurements(nil)
 	n := wavelet.NextPow2(len(ma) + 1)
 	if m := wavelet.NextPow2(len(mb) + 1); m > n {
 		n = m

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"repro/internal/trace"
 )
@@ -15,7 +16,7 @@ import (
 // difference 90% of time stamps had"). Marker stamps are excluded; they
 // are bookkeeping, not measurements.
 func ApproximationDistance(full, approx *trace.Trace, quantile float64) (trace.Time, error) {
-	if quantile <= 0 || quantile > 1 {
+	if !(quantile > 0 && quantile <= 1) {
 		return 0, fmt.Errorf("core: quantile must be in (0,1], got %g", quantile)
 	}
 	if len(full.Ranks) != len(approx.Ranks) {
@@ -47,9 +48,10 @@ func ApproximationDistance(full, approx *trace.Trace, quantile float64) (trace.T
 // lockstep with the full trace instead of materializing a
 // reconstruction (or even the stamp vectors). The result is identical to
 // ApproximationDistance(full, red.Reconstruct(), quantile); that path
-// remains as the parity reference.
+// remains as the parity reference. The stamp errors go into a pooled
+// buffer, so a warm call allocates nothing.
 func ApproximationDistanceReduced(full *trace.Trace, red *Reduced, quantile float64) (trace.Time, error) {
-	if quantile <= 0 || quantile > 1 {
+	if !(quantile > 0 && quantile <= 1) {
 		return 0, fmt.Errorf("core: quantile must be in (0,1], got %g", quantile)
 	}
 	if len(full.Ranks) != len(red.Ranks) {
@@ -66,7 +68,8 @@ func ApproximationDistanceReduced(full *trace.Trace, red *Reduced, quantile floa
 			total += 2 * len(rr.Stored[ex.ID].Events)
 		}
 	}
-	diffs := make([]trace.Time, 0, total)
+	buf := stampErrs.Get().(*[]trace.Time)
+	diffs := slices.Grow((*buf)[:0], total)
 	for r := range full.Ranks {
 		events := full.Ranks[r].Events
 		rr := &red.Ranks[r]
@@ -98,8 +101,14 @@ func ApproximationDistanceReduced(full *trace.Trace, red *Reduced, quantile floa
 			}
 		}
 	}
-	return quantileAbsDiff(diffs, quantile), nil
+	d := quantileAbsDiff(diffs, quantile)
+	*buf = diffs[:0]
+	stampErrs.Put(buf)
+	return d, nil
 }
+
+// stampErrs recycles ApproximationDistanceReduced's stamp-error buffers.
+var stampErrs = sync.Pool{New: func() any { return new([]trace.Time) }}
 
 // stampCountMismatch builds the timestamp-count error for rank r in the
 // same shape the reconstruct-based path reports.
@@ -120,20 +129,56 @@ func stampCountMismatch(full *trace.Trace, red *Reduced, r int) error {
 
 // quantileAbsDiff returns the value the given quantile of the collected
 // absolute differences stays within (0 for no stamps): the element a
-// full sort would leave at that rank, found by selection. It reorders
-// diffs.
+// full sort would leave at that rank. One counting pass over a
+// log-linear histogram (histBucket) finds the bucket that holds the
+// rank; a bucket one value wide answers at once, and a wider one is
+// searched by selectNth over its members alone. It reorders diffs.
 func quantileAbsDiff(diffs []trace.Time, quantile float64) trace.Time {
 	if len(diffs) == 0 {
 		return 0
 	}
-	idx := int(quantile*float64(len(diffs))) - 1
-	if idx < 0 {
-		idx = 0
+	k := min(max(int(quantile*float64(len(diffs)))-1, 0), len(diffs)-1)
+	var counts [histBuckets]int
+	for _, v := range diffs {
+		if v < 0 {
+			// Only |math.MinInt64| overflows to a negative error, and
+			// it has no bucket: select over the whole input.
+			return selectNth(diffs, k)
+		}
+		counts[histBucket(v)]++
 	}
-	if idx >= len(diffs) {
-		idx = len(diffs) - 1
+	b, below := 0, 0
+	for below+counts[b] <= k {
+		below += counts[b]
+		b++
 	}
-	return selectNth(diffs, idx)
+	if b < 128 {
+		return trace.Time(b)
+	}
+	m := 0
+	for i, v := range diffs {
+		if histBucket(v) == b {
+			diffs[m], diffs[i] = v, diffs[m]
+			m++
+		}
+	}
+	return selectNth(diffs[:m], k-below)
+}
+
+// histBuckets is the size of quantileAbsDiff's histogram: 128 buckets
+// one value wide, then 64 for each power of two from 2^7 to 2^62.
+const histBuckets = 64 * 58
+
+// histBucket returns the histogram bucket of v >= 0. Values below 128
+// get a bucket each; each power of two [2^e, 2^(e+1)) above splits into
+// 64 buckets of width 2^(e-6). Buckets ascend with v, so the element of
+// rank k lies in the bucket where the running count passes k.
+func histBucket(v trace.Time) int {
+	if v < 128 {
+		return int(v)
+	}
+	e := bits.Len64(uint64(v)) - 7
+	return e<<6 + int(v>>e)
 }
 
 // selectNth returns the element slices.Sort would leave at a[k],

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -82,11 +83,17 @@ func TestApproximationDistanceNegativeDeltas(t *testing.T) {
 
 func TestApproximationDistanceErrors(t *testing.T) {
 	full, approx := pairTraces([]trace.Time{0})
-	if _, err := ApproximationDistance(full, approx, 0); err == nil {
-		t.Error("quantile 0 must be rejected")
+	red, err := Reduce(full, NewAbsDiff(1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ApproximationDistance(full, approx, 1.5); err == nil {
-		t.Error("quantile > 1 must be rejected")
+	for _, q := range []float64{0, 1.5, math.NaN()} {
+		if _, err := ApproximationDistance(full, approx, q); err == nil {
+			t.Errorf("ApproximationDistance: quantile %g must be rejected", q)
+		}
+		if _, err := ApproximationDistanceReduced(full, red, q); err == nil {
+			t.Errorf("ApproximationDistanceReduced: quantile %g must be rejected", q)
+		}
 	}
 	other := trace.New("other", 2)
 	if _, err := ApproximationDistance(full, other, 0.9); err == nil {
@@ -149,10 +156,14 @@ func medianOf3Killer(t *testing.T, n, k int) ([]trace.Time, int) {
 }
 
 // TestQuantileAbsDiffMatchesSort holds the selection to the full sort it
-// replaced, on random values with and without heavy duplication,
-// all-equal, sorted and reverse-sorted slices of every length up to
-// about 1000, and on inputs that defeat the median-of-three pivot so the
-// sort fallback runs.
+// replaced, on slices of every length up to about 1000: random values
+// with and without heavy duplication, all-equal, sorted and
+// reverse-sorted slices, and the shapes the histogram treats specially —
+// every value in one wide bucket, only one-value buckets, values at
+// powers of two and up to math.MaxInt64, and the negative error an
+// overflowed |math.MinInt64| leaves. It also puts the rank on the first
+// and on the last member of a wide bucket, and runs inputs that defeat
+// the median-of-three pivot through selectNth so its sort fallback runs.
 func TestQuantileAbsDiffMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	shapes := []struct {
@@ -164,6 +175,21 @@ func TestQuantileAbsDiffMatchesSort(t *testing.T) {
 		{"all equal", func(i, n int) trace.Time { return 7 }},
 		{"sorted", func(i, n int) trace.Time { return trace.Time(i) }},
 		{"reverse sorted", func(i, n int) trace.Time { return trace.Time(n - i) }},
+		{"one wide bucket", func(i, n int) trace.Time { return 1<<20 + rng.Int63n(1<<14) }},
+		{"one-value buckets", func(i, n int) trace.Time { return rng.Int63n(128) }},
+		{"powers of two", func(i, n int) trace.Time { return 1<<rng.Intn(63) + rng.Int63n(3) - 1 }},
+		{"up to MaxInt64", func(i, n int) trace.Time {
+			if i%2 == 0 {
+				return math.MaxInt64 - rng.Int63n(3)
+			}
+			return rng.Int63()
+		}},
+		{"negative", func(i, n int) trace.Time {
+			if i == n/2 {
+				return math.MinInt64
+			}
+			return rng.Int63n(1 << 40)
+		}},
 	}
 	quantiles := []float64{1e-9, 0.5, 0.9, 1.0}
 	check := func(name string, in []trace.Time, q float64) {
@@ -184,6 +210,23 @@ func TestQuantileAbsDiffMatchesSort(t *testing.T) {
 			}
 		}
 	}
+	// Below the bucket: one-value buckets; above it: larger values.
+	const below, members, above = 37, 50, 13
+	var in []trace.Time
+	for i := 0; i < below+members+above; i++ {
+		switch {
+		case i < below:
+			in = append(in, rng.Int63n(128))
+		case i < below+members:
+			in = append(in, 1<<20+rng.Int63n(1<<14))
+		default:
+			in = append(in, 1<<30+rng.Int63n(1<<20))
+		}
+	}
+	rng.Shuffle(len(in), func(i, j int) { in[i], in[j] = in[j], in[i] })
+	for _, k := range []int{below, below + members - 1} {
+		check("bucket edge", in, (float64(k)+1.5)/float64(len(in)))
+	}
 	const n = 1000
 	for _, q := range quantiles[1:] {
 		k := int(q*n) - 1
@@ -192,6 +235,10 @@ func TestQuantileAbsDiffMatchesSort(t *testing.T) {
 			t.Fatalf("q=%g: killer input takes %d rounds, within the %d-round budget", q, rounds, budget)
 		}
 		check("median-of-three killer", in, q)
+		want := sortQuantile(slices.Clone(in), q)
+		if got := selectNth(slices.Clone(in), k); got != want {
+			t.Errorf("selectNth on the killer, k=%d: got %d, want %d", k, got, want)
+		}
 	}
 }
 

@@ -47,6 +47,12 @@ func (cs *RepState) reset() {
 // every class passed to Match holds only segments Comparable with cand
 // (same context, same events, same message parameters), so policies only
 // judge the timing measurements.
+//
+// A candidate may be a view of the decoded rank whose event stamps are
+// absolute (see segment.Segment), so policies read candidate timing
+// through the accessors — Measurements, StampVector and Stamps — never
+// through Events' stamps directly. Stored representatives are clones
+// with relative stamps.
 type Policy interface {
 	// Name returns the method's canonical name (e.g. "relDiff").
 	Name() string
@@ -107,9 +113,8 @@ func pad4(n int) int { return (n + 3) &^ 3 }
 
 // prepareMeas fills cs with the measurement-space state shared by the
 // pairwise and Minkowski policies: the candidate's measurement vector
-// zero-padded to the kernel width, plus its max-abs. It never touches
-// the segment's cached Meas (which allocates); the vector is built into
-// cs.Vec's storage so steady-state Prepare is allocation-free.
+// zero-padded to the kernel width, plus its max-abs. The vector is built
+// into cs.Vec's storage so steady-state Prepare is allocation-free.
 func prepareMeas(seg *segment.Segment, cs *RepState) {
 	v := seg.Measurements(cs.Vec[:0])
 	for n := pad4(len(v)); len(v) < n; {
@@ -222,13 +227,13 @@ type wavePolicy struct {
 func (p *wavePolicy) Name() string { return p.name }
 
 func (p *wavePolicy) Prepare(seg *segment.Segment, cs *RepState) {
-	// The stamp vector [0, enters/exits..., end] is laid out directly
-	// from the segment's events into cs.Vec and zero-padded to the next
-	// power of two before transforming in place — no StampVector or Meas
-	// allocation. The padded length depends only on the segment's own
-	// event count, and Comparable segments have equal event counts, so
-	// every in-class comparison sees equal-length transforms — the same
-	// lengths the pre-matcher engine used.
+	// The stamp vector [0, enters/exits..., end] is appended into cs.Vec
+	// and zero-padded to the next power of two before transforming in
+	// place, so a warm Prepare allocates nothing. The padded length
+	// depends only on the segment's own event count, and Comparable
+	// segments have equal event counts, so every in-class comparison
+	// sees equal-length transforms — the same lengths the pre-matcher
+	// engine used.
 	n := wavelet.NextPow2(seg.NumMeasurements() + 1)
 	v := seg.StampVector(cs.Vec[:0])
 	for len(v) < n {

@@ -26,6 +26,9 @@ import (
 type RankReducer struct {
 	m   *Matcher
 	out RankReduced
+	// view is the candidate header FeedEvents points at each segment of
+	// the rank in turn.
+	view segment.Segment
 
 	total, matches, possible int
 }
@@ -41,9 +44,9 @@ func NewRankReducer(rank int, p Policy) *RankReducer {
 
 // Feed consumes the rank's next segment: it is either logged as an
 // execution of a matching stored representative of its pattern class or
-// kept (normalized to start 0) as a new representative. Feed takes
-// ownership of s for matching but stores only a clone, so callers may
-// reuse or discard the segment afterwards.
+// kept (normalized to start 0) as a new representative. Feed reads s
+// but stores only a clone, so s may be a view, and callers may reuse or
+// discard the segment afterwards.
 func (r *RankReducer) Feed(s *segment.Segment) {
 	r.total++
 	rr := &r.out
@@ -66,12 +69,12 @@ func (r *RankReducer) Feed(s *segment.Segment) {
 	r.m.Insert(cls, kept, id, cs)
 }
 
-// FeedEvents splits one rank's raw event stream incrementally and feeds
-// every completed segment, fusing segment.Splitter with the reducer so a
-// decoded rank trace never holds its segment list in memory. Because the
-// reducer clones what it keeps, each delivered segment's event storage
-// is recycled into the splitter, and the execution log is pre-grown to
-// the stream's segment count.
+// FeedEvents reduces one rank's raw event stream in a single walk: each
+// segment reaches Feed as a view of events (segment.EachView) through
+// one reusable header, so no segment is allocated and only kept
+// representatives are copied. No view outlives the call, so the caller
+// may recycle events as soon as it returns. The execution log is
+// pre-grown to the stream's segment count.
 func (r *RankReducer) FeedEvents(rank int, events []trace.Event) error {
 	nseg := 0
 	for i := range events {
@@ -80,18 +83,9 @@ func (r *RankReducer) FeedEvents(rank int, events []trace.Event) error {
 		}
 	}
 	r.out.Execs = slices.Grow(r.out.Execs, nseg)
-	sp := segment.NewSplitter(rank)
-	for _, e := range events {
-		s, err := sp.Feed(e)
-		if err != nil {
-			return err
-		}
-		if s != nil {
-			r.Feed(s)
-			sp.Recycle(s)
-		}
-	}
-	return sp.Finish()
+	err := segment.EachView(rank, events, &r.view, r.Feed)
+	r.view = segment.Segment{}
+	return err
 }
 
 // Finish returns the rank's reduction. The reducer must not be fed

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/matchbench"
 	"repro/internal/segment"
 	"repro/internal/trace"
 )
@@ -95,6 +97,49 @@ func TestRankReducerCountersAndFinish(t *testing.T) {
 	}
 	if rr.Stored[0].Start != 0 {
 		t.Errorf("stored representative not normalized: start %d", rr.Stored[0].Start)
+	}
+}
+
+// TestFeedEventsRetainsNoView: FeedEvents keeps nothing that aliases
+// the rank it reduced. After it returns, every event of the rank is
+// overwritten, names and stamps; Finish must still equal the reduction
+// of an untouched copy, also after a second rank's worth of segments
+// has been matched against the stored representatives and class
+// prototypes.
+func TestFeedEventsRetainsNoView(t *testing.T) {
+	inputs := map[string][]trace.Event{
+		"matchbench": markedEvents(matchbench.Stream(16, 64)),
+		"loop":       buildMultiRankTrace("loop", 1, 40, rand.New(rand.NewSource(5))).Ranks[0].Events,
+	}
+	for _, method := range MethodNames {
+		for name, input := range inputs {
+			p, err := DefaultMethod(method)
+			if err != nil {
+				t.Fatal(err)
+			}
+			events := slices.Clone(input)
+			r, ref := NewRankReducer(0, p), NewRankReducer(0, p)
+			if err := r.FeedEvents(0, events); err != nil {
+				t.Fatal(err)
+			}
+			for i := range events {
+				events[i] = trace.Event{Name: "overwritten", Kind: events[i].Kind, Enter: -1 << 40, Exit: 1 << 40}
+			}
+			if err := ref.FeedEvents(0, slices.Clone(input)); err != nil {
+				t.Fatal(err)
+			}
+			// A second pass matches against what the first one kept.
+			for _, rd := range []*RankReducer{r, ref} {
+				if err := rd.FeedEvents(0, slices.Clone(input)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			reduced := func(rd *RankReducer) *Reduced {
+				return &Reduced{Name: name, Method: method, Ranks: []RankReduced{rd.Finish()},
+					TotalSegments: rd.TotalSegments(), Matches: rd.Matches(), PossibleMatches: rd.PossibleMatches()}
+			}
+			assertSameReduced(t, method+"/"+name, reduced(r), reduced(ref))
+		}
 	}
 }
 

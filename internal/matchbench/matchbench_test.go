@@ -50,7 +50,7 @@ func TestDeterministic(t *testing.T) {
 		t.Fatalf("stream lengths %d, %d", len(a), len(b))
 	}
 	for i := range a {
-		am, bm := a[i].Meas(), b[i].Meas()
+		am, bm := a[i].Measurements(nil), b[i].Measurements(nil)
 		for j := range am {
 			if am[j] != bm[j] {
 				t.Fatalf("segment %d measurement %d differs: %g vs %g", i, j, am[j], bm[j])

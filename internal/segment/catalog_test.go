@@ -2,23 +2,28 @@ package segment_test
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/segment"
+	"repro/internal/trace"
 )
 
 var (
-	catalogOnce sync.Once
-	catalogSegs []*segment.Segment
-	catalogErr  error
+	catalogOnce   sync.Once
+	catalogTraces []*trace.Trace
+	catalogSegs   []*segment.Segment
+	catalogErr    error
 )
 
-// catalogSegments splits the study's 20 catalog traces, once per test
-// binary, and returns every segment of every rank.
-func catalogSegments(tb testing.TB) []*segment.Segment {
+// loadCatalog generates and splits the study's 20 catalog traces, once
+// per test binary.
+func loadCatalog(tb testing.TB) {
 	tb.Helper()
 	catalogOnce.Do(func() {
 		r := eval.NewRunner()
@@ -28,6 +33,7 @@ func catalogSegments(tb testing.TB) []*segment.Segment {
 				catalogErr = err
 				return
 			}
+			catalogTraces = append(catalogTraces, t)
 			ranks, err := segment.SplitTrace(t)
 			if err != nil {
 				catalogErr = err
@@ -41,7 +47,67 @@ func catalogSegments(tb testing.TB) []*segment.Segment {
 	if catalogErr != nil {
 		tb.Fatal(catalogErr)
 	}
+}
+
+// catalogSegments returns every segment of every rank of the catalog.
+func catalogSegments(tb testing.TB) []*segment.Segment {
+	loadCatalog(tb)
 	return catalogSegs
+}
+
+// TestViewParity holds the view EachView gives of every catalog segment
+// to the segment's Split copy: the two are Comparable both ways and give
+// the same signature, measurements, stamp vector and clone, and iter_avg
+// folds either into the same representative.
+func TestViewParity(t *testing.T) {
+	loadCatalog(t)
+	avg := core.NewIterAvg()
+	views := 0
+	for _, tr := range catalogTraces {
+		for r := range tr.Ranks {
+			rt := &tr.Ranks[r]
+			copies, err := segment.Split(rt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var v segment.Segment
+			i := 0
+			err = segment.EachView(rt.Rank, rt.Events, &v, func(v *segment.Segment) {
+				c := copies[i]
+				i++
+				where := fmt.Sprintf("%s rank %d segment %d", tr.Name, rt.Rank, i-1)
+				if !v.Comparable(c) || !c.Comparable(v) {
+					t.Fatalf("%s: view and copy not comparable", where)
+				}
+				if v.Sig() != c.Sig() {
+					t.Fatalf("%s: signature %x, copy's %x", where, v.Sig(), c.Sig())
+				}
+				if !slices.Equal(v.Measurements(nil), c.Measurements(nil)) {
+					t.Fatalf("%s: measurements differ", where)
+				}
+				if !slices.Equal(v.StampVector(nil), c.StampVector(nil)) {
+					t.Fatalf("%s: stamp vectors differ", where)
+				}
+				if !reflect.DeepEqual(v.Clone(), c.Clone()) {
+					t.Fatalf("%s: clones differ", where)
+				}
+				fromView, fromCopy := c.Clone(), c.Clone()
+				avg.Absorb(fromView, v)
+				avg.Absorb(fromCopy, c)
+				if !reflect.DeepEqual(fromView, fromCopy) {
+					t.Fatalf("%s: iter_avg folds the view into a different representative", where)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i != len(copies) {
+				t.Fatalf("%s rank %d: %d views, %d copies", tr.Name, rt.Rank, i, len(copies))
+			}
+			views += i
+		}
+	}
+	t.Logf("%d views", views)
 }
 
 // shapeKey spells out everything Comparable compares, so two segments

@@ -13,6 +13,16 @@ import (
 
 // Segment is one contiguous marked region of a single rank's trace with
 // event timestamps normalized relative to the segment start.
+//
+// A view exists only during an EachView callback: core.RankReducer's
+// FeedEvents reduces a decoded rank through views, and Split clones
+// each one. A view's Events alias the rank and keep their absolute
+// stamps, and an unexported base equal to Start is subtracted on every
+// read. Read a segment's timing through
+// Measurements, StampVector and Stamps, which subtract the base; Clone
+// copies and rebases. Every Segment a caller receives — from Split,
+// SplitTrace, Splitter.Feed, a reduction's stored representatives or a
+// decoded container — has base 0 and Events relative to Start.
 type Segment struct {
 	// Context is the hierarchical code location ("init", "main.1",
 	// "main.2.1", "final").
@@ -23,14 +33,15 @@ type Segment struct {
 	Start trace.Time
 	// End is the segment duration (end marker time relative to Start).
 	End trace.Time
-	// Events holds the segment's events with Enter/Exit relative to Start.
+	// Events holds the segment's events with Enter/Exit relative to Start
+	// (absolute in a view).
 	Events []trace.Event
 	// Weight counts how many raw segments this one represents; iter_avg
 	// folds matches into a running average and increments Weight.
 	Weight int
 
-	sig  Signature // cached; computed on first use
-	meas []float64 // cached Measurements; computed on first use of Meas
+	sig  Signature  // cached; computed on first use
+	base trace.Time // subtracted from every event stamp; Start in a view, else 0
 }
 
 // Signature identifies the pattern class of a segment: context plus the
@@ -134,68 +145,58 @@ func (s *Segment) Comparable(o *Segment) bool {
 // (49, 1, 17, 18, 48)) — and returns the extended slice.
 func (s *Segment) Measurements(dst []float64) []float64 {
 	dst = append(dst, float64(s.End))
-	for _, e := range s.Events {
-		dst = append(dst, float64(e.Enter), float64(e.Exit))
+	for i := range s.Events {
+		e := &s.Events[i]
+		dst = append(dst, float64(e.Enter-s.base), float64(e.Exit-s.base))
 	}
 	return dst
 }
-
-// Meas returns the segment's measurement vector (see Measurements),
-// computing and caching it on first call. Stored representatives are
-// compared against every later instance of their pattern class, so the
-// cache turns the per-comparison vector build into a one-time cost. The
-// caller must not modify the returned slice; after mutating measurement
-// fields (End, event stamps) call ResetMeas.
-func (s *Segment) Meas() []float64 {
-	if s.meas == nil {
-		s.meas = s.Measurements(make([]float64, 0, s.NumMeasurements()))
-	}
-	return s.meas
-}
-
-// ResetMeas clears the cached measurement vector; call it after mutating
-// a segment's timing fields (iter_avg's Absorb does).
-func (s *Segment) ResetMeas() { s.meas = nil }
 
 // StampVector appends the wavelet input vector: the relative start (always
 // 0), every event enter/exit stamp, and the segment end (paper §3.2.1),
 // returning the extended slice.
 func (s *Segment) StampVector(dst []float64) []float64 {
 	dst = append(dst, 0)
-	for _, e := range s.Events {
-		dst = append(dst, float64(e.Enter), float64(e.Exit))
+	for i := range s.Events {
+		e := &s.Events[i]
+		dst = append(dst, float64(e.Enter-s.base), float64(e.Exit-s.base))
 	}
 	return append(dst, float64(s.End))
+}
+
+// Stamps returns event i's enter and exit stamps relative to Start.
+func (s *Segment) Stamps(i int) (enter, exit trace.Time) {
+	e := &s.Events[i]
+	return e.Enter - s.base, e.Exit - s.base
 }
 
 // NumMeasurements returns len(Measurements): 2*len(Events)+1.
 func (s *Segment) NumMeasurements() int { return 2*len(s.Events) + 1 }
 
-// Clone returns a deep copy of the segment.
+// Clone returns a deep copy of the segment with base 0: a view's copy
+// has its stamps rebased relative to Start.
 func (s *Segment) Clone() *Segment {
 	c := *s
 	c.Events = append([]trace.Event(nil), s.Events...)
+	if s.base != 0 {
+		for i := range c.Events {
+			c.Events[i].Enter -= s.base
+			c.Events[i].Exit -= s.base
+		}
+		c.base = 0
+	}
 	return &c
 }
 
 // Split cuts one rank's event stream into segments. Marker events delimit
 // segments; event times inside each segment are rebased relative to the
 // begin-marker time. The input trace must satisfy trace.Validate's marker
-// discipline (alternating, non-nested, matching contexts). Split is the
-// batch form of Splitter.
+// discipline (alternating, non-nested, matching contexts). Split clones
+// every view EachView yields.
 func Split(rt *trace.RankTrace) ([]*Segment, error) {
-	sp := NewSplitter(rt.Rank)
 	var segs []*Segment
-	for _, e := range rt.Events {
-		s, err := sp.Feed(e)
-		if err != nil {
-			return nil, err
-		}
-		if s != nil {
-			segs = append(segs, s)
-		}
-	}
-	if err := sp.Finish(); err != nil {
+	var v Segment
+	if err := EachView(rt.Rank, rt.Events, &v, func(v *Segment) { segs = append(segs, v.Clone()) }); err != nil {
 		return nil, err
 	}
 	return segs, nil

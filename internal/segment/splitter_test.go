@@ -127,6 +127,11 @@ func TestSplitterErrors(t *testing.T) {
 		}
 		if err == nil {
 			t.Errorf("%s: no error", tc.name)
+			continue
+		}
+		// Split walks views under the same marker check.
+		if _, want := Split(&trace.RankTrace{Events: tc.events}); want == nil || err.Error() != want.Error() {
+			t.Errorf("%s: Splitter says %q, Split says %v", tc.name, err, want)
 		}
 	}
 	// Unclosed segment surfaces at Finish, not Feed.
@@ -136,29 +141,5 @@ func TestSplitterErrors(t *testing.T) {
 	}
 	if err := sp.Finish(); err == nil {
 		t.Error("Finish with open segment: no error")
-	}
-}
-
-func TestSegmentMeasCache(t *testing.T) {
-	s := &Segment{End: 49, Events: []trace.Event{{Name: "w", Kind: trace.KindCompute, Enter: 1, Exit: 17}}}
-	want := s.Measurements(nil)
-	got := s.Meas()
-	if len(got) != len(want) {
-		t.Fatalf("Meas len %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Meas[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	// Cached: same backing array on second call.
-	if again := s.Meas(); &again[0] != &got[0] {
-		t.Error("Meas recomputed instead of returning the cache")
-	}
-	// Mutation + ResetMeas recomputes.
-	s.Events[0].Exit = 18
-	s.ResetMeas()
-	if got = s.Meas(); got[2] != 18 {
-		t.Errorf("after ResetMeas, Meas[2] = %v, want 18", got[2])
 	}
 }
