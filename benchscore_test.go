@@ -4,9 +4,11 @@
 //
 //	go test -bench 'Score|Analyze' -benchtime 5x
 //
-// BenchmarkScoreReduced times the full four-criteria scorer
-// (eval.EvaluateReduced); BenchmarkScoreReconstructRef times the
-// reference that materializes Reconstruct() and re-walks every event.
+// BenchmarkScoreCatalog times the public scorer over the study's 180
+// cells, full-trace size included; BenchmarkScoreReduced times the
+// four-criteria scorer on the largest workloads with the full size
+// cached; BenchmarkScoreReconstructRef times the reference that
+// materializes Reconstruct() and re-walks every event.
 // BenchmarkAnalyzeReduced / BenchmarkAnalyzeReconstructRef isolate the
 // diagnosis kernel, where the representative-scaling speedup is largest;
 // BenchmarkAnalyze times the same engine on the full traces.
@@ -16,12 +18,14 @@
 package repro
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/expert"
 	"repro/internal/trace"
+	"repro/tracered"
 )
 
 // scoreBenchSetup reduces one benchmark workload with the avgWave method
@@ -72,8 +76,62 @@ func benchScore(b *testing.B, score func(*trace.Trace, *expert.Diagnosis, *core.
 
 // BenchmarkScoreReduced exercises the production scorer: approximation
 // distance and diagnosis computed directly from representatives and
-// execution records, no reconstruction.
+// execution records, no reconstruction. It passes the full trace's size
+// cached, as the study's Runner does, so it leaves out the full-trace
+// walk that tracered.ScoreReduced, Score and Evaluate pay on every call;
+// BenchmarkScoreCatalog includes it.
 func BenchmarkScoreReduced(b *testing.B) { benchScore(b, eval.EvaluateReducedSized) }
+
+// BenchmarkScoreCatalog scores the study's 180 cells — the 20 catalog
+// traces, each reduced by the nine methods at their default thresholds —
+// once per iteration through the public tracered.ScoreReduced, the call
+// perfbench's catalog_study times, full-trace size included. As there,
+// the full traces are decoded from TRC2. It reports the cost per scored
+// full-trace event.
+func BenchmarkScoreCatalog(b *testing.B) {
+	type cell struct {
+		full *tracered.Trace
+		diag *tracered.Diagnosis
+		red  *tracered.Reduced
+	}
+	var cells []cell
+	events := 0
+	for _, name := range eval.AllNames() {
+		var enc bytes.Buffer
+		if err := tracered.WriteTraceFormat(&enc, reduceBenchTrace(b, name), tracered.FormatV2); err != nil {
+			b.Fatal(err)
+		}
+		full, err := tracered.ReadTrace(&enc)
+		if err != nil {
+			b.Fatalf("decoding %s: %v", name, err)
+		}
+		diag, err := tracered.Analyze(full)
+		if err != nil {
+			b.Fatalf("diagnosing %s: %v", name, err)
+		}
+		for _, method := range tracered.MethodNames {
+			m, err := tracered.DefaultMethod(method)
+			if err != nil {
+				b.Fatal(err)
+			}
+			red, err := tracered.Reduce(full, m)
+			if err != nil {
+				b.Fatalf("reducing %s with %s: %v", name, method, err)
+			}
+			cells = append(cells, cell{full, diag, red})
+			events += full.NumEvents()
+		}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, c := range cells {
+			if _, err := tracered.ScoreReduced(c.full, c.diag, c.red); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
+}
 
 // BenchmarkScoreReconstructRef exercises the retained reconstruct-based
 // reference path the parity tests compare against.

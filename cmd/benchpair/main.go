@@ -42,6 +42,8 @@ import (
 	"strconv"
 	"strings"
 	"text/tabwriter"
+
+	"repro/internal/quartile"
 )
 
 // spec is the part of BENCHMARK.json benchpair reads.
@@ -99,21 +101,10 @@ func parseResult(stdout []byte) (result, error) {
 // summary is the median and quartiles of one side's runs.
 type summary struct{ q1, median, q3 float64 }
 
-// summarize returns the quartiles of xs, interpolating linearly between
-// the closest ranks.
+// summarize returns the quartiles of xs.
 func summarize(xs []float64) summary {
-	s := slices.Sorted(slices.Values(xs))
-	at := func(p float64) float64 {
-		// float64() rounds each product, so no architecture fuses it
-		// into a multiply-add.
-		pos := float64(p * float64(len(s)-1))
-		i := int(pos)
-		if i+1 >= len(s) {
-			return s[len(s)-1]
-		}
-		return s[i] + float64((pos-float64(i))*(s[i+1]-s[i]))
-	}
-	return summary{at(0.25), at(0.5), at(0.75)}
+	q1, median, q3 := quartile.Of(xs)
+	return summary{q1, median, q3}
 }
 
 // relative returns (x-ref)/|ref|, infinite when ref is 0 and x is not.

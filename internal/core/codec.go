@@ -34,13 +34,24 @@ const reducedMagic = "TRR1"
 // ExecRecordSize is the encoded size of one segment-execution record.
 const ExecRecordSize = 4 + 8
 
-// EncodedReducedSize returns the byte size EncodeReduced would write.
+// EncodedReducedSize returns the byte size EncodeReduced would write,
+// computed by walking r instead of encoding it: the header with each
+// distinct name once, then 12 header bytes per rank, 20 per stored
+// segment, EventRecordSize per stored event and ExecRecordSize per exec.
 func EncodedReducedSize(r *Reduced) int64 {
-	var c trace.CountingWriter
-	if err := EncodeReduced(&c, r); err != nil {
-		panic("core: EncodedReducedSize: " + err.Error())
+	size := int64(len(reducedMagic)) + 4 + int64(len(r.Name)) + 4 + int64(len(r.Method)) + 4
+	for _, name := range reducedNameTable(r).Names() {
+		size += 4 + int64(len(name))
 	}
-	return c.N
+	size += 4 // rank count
+	for i := range r.Ranks {
+		rr := &r.Ranks[i]
+		size += 12 + int64(len(rr.Execs))*ExecRecordSize
+		for _, s := range rr.Stored {
+			size += 20 + int64(len(s.Events))*trace.EventRecordSize
+		}
+	}
+	return size
 }
 
 // EncodeReduced writes r to w in the reduced binary format.

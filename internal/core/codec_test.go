@@ -55,21 +55,6 @@ func TestReducedCodecRoundtrip(t *testing.T) {
 	}
 }
 
-func TestEncodedReducedSizeMatches(t *testing.T) {
-	tr := buildLoopTrace("loop", []trace.Time{10, 11, 12, 13})
-	red, err := Reduce(tr, NewAbsDiff(100))
-	if err != nil {
-		t.Fatalf("Reduce: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := EncodeReduced(&buf, red); err != nil {
-		t.Fatalf("EncodeReduced: %v", err)
-	}
-	if got := EncodedReducedSize(red); got != int64(buf.Len()) {
-		t.Errorf("EncodedReducedSize = %d, wrote %d", got, buf.Len())
-	}
-}
-
 // TestReductionActuallyShrinks: a highly repetitive trace must encode
 // much smaller reduced than full — the paper's entire premise.
 func TestReductionActuallyShrinks(t *testing.T) {

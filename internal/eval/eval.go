@@ -48,14 +48,16 @@ type Result struct {
 // Evaluate runs the complete pipeline for one cell: reduce the full trace
 // with the policy, measure sizes and matching, then score timestamp
 // error, re-diagnose, and judge trend retention — all directly from the
-// reduced form, never reconstructing the approximate trace.
+// reduced form, never reconstructing the approximate trace. It scores as
+// EvaluateReduced does, criteria running concurrently.
 func Evaluate(full *trace.Trace, fullDiag *expert.Diagnosis, method string, threshold float64) (*Result, error) {
-	return evaluateCell(full, fullDiag, method, threshold, trace.EncodedSize(full))
+	return evaluateCell(full, fullDiag, method, threshold, nil)
 }
 
 // evaluateCell is the shared reduce-then-score pipeline behind Evaluate
-// and Runner.evaluate; the latter supplies a cached full-trace size.
-func evaluateCell(full *trace.Trace, fullDiag *expert.Diagnosis, method string, threshold float64, fullBytes int64) (*Result, error) {
+// and Runner.evaluate; the latter supplies a cached full-trace size, and
+// a nil fullBytes has the scorer size the full trace.
+func evaluateCell(full *trace.Trace, fullDiag *expert.Diagnosis, method string, threshold float64, fullBytes *int64) (*Result, error) {
 	p, err := core.NewMethod(method, threshold)
 	if err != nil {
 		return nil, err
@@ -64,7 +66,7 @@ func evaluateCell(full *trace.Trace, fullDiag *expert.Diagnosis, method string, 
 	if err != nil {
 		return nil, fmt.Errorf("eval: reducing %s with %s: %w", full.Name, method, err)
 	}
-	res, err := EvaluateReducedSized(full, fullDiag, red, fullBytes)
+	res, err := scoreReduced(full, fullDiag, red, fullBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -76,26 +78,62 @@ func evaluateCell(full *trace.Trace, fullDiag *expert.Diagnosis, method string, 
 // trace and its diagnosis, using the direct-from-reduced engine
 // (expert.AnalyzeReduced, core.ApproximationDistanceReduced): scoring
 // cost is proportional to representatives + execution records +
-// communication events, not the full event count. Result.Threshold is
-// left zero; Evaluate fills it for threshold-study cells.
+// communication events, not the full event count. The criteria run
+// concurrently, the full trace's size among them, so full, fullDiag and
+// red must not be mutated during the call. Result.Threshold is left
+// zero; Evaluate fills it for threshold-study cells.
 func EvaluateReduced(full *trace.Trace, fullDiag *expert.Diagnosis, red *core.Reduced) (*Result, error) {
-	return EvaluateReducedSized(full, fullDiag, red, trace.EncodedSize(full))
+	return scoreReduced(full, fullDiag, red, nil)
 }
 
 // EvaluateReducedSized is EvaluateReduced with the full trace's encoded
 // byte size supplied by the caller; Runner caches it per workload so
-// study grids don't re-encode the same full trace for every cell.
+// study grids don't re-size the same full trace for every cell.
 func EvaluateReducedSized(full *trace.Trace, fullDiag *expert.Diagnosis, red *core.Reduced, fullBytes int64) (*Result, error) {
-	method := red.Method
-	dist, err := core.ApproximationDistanceReduced(full, red, 0.9)
-	if err != nil {
-		return nil, fmt.Errorf("eval: approximation distance %s/%s: %w", full.Name, method, err)
+	return scoreReduced(full, fullDiag, red, &fullBytes)
+}
+
+// scoreReduced is the scorer behind EvaluateReduced and
+// EvaluateReducedSized. Its criteria are independent, so they run at
+// once: the approximation distance on a second goroutine, the full
+// trace's size on a third when fullBytes is nil, and the reduced form's
+// diagnosis, its comparison and the reduced size on the caller's. Both
+// goroutines are joined before it returns. A failed distance is
+// reported ahead of a failed diagnosis, whichever fails first.
+func scoreReduced(full *trace.Trace, fullDiag *expert.Diagnosis, red *core.Reduced, fullBytes *int64) (*Result, error) {
+	var wg sync.WaitGroup
+	var dist trace.Time
+	var distErr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		dist, distErr = core.ApproximationDistanceReduced(full, red, 0.9)
+	}()
+	var sized int64
+	if fullBytes == nil {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sized = trace.EncodedSize(full)
+		}()
+		fullBytes = &sized
 	}
 	diag, err := expert.AnalyzeReduced(red)
-	if err != nil {
-		return nil, fmt.Errorf("eval: analyzing reduced %s/%s: %w", full.Name, method, err)
+	var verdict cube.Verdict
+	var reducedBytes int64
+	if err == nil {
+		verdict = cube.Compare(fullDiag, diag, cube.DefaultCompareOptions())
+		reducedBytes = core.EncodedReducedSize(red)
 	}
-	return finishResult(full, fullDiag, red, fullBytes, dist, diag), nil
+	wg.Wait()
+	if distErr != nil {
+		return nil, fmt.Errorf("eval: approximation distance %s/%s: %w", full.Name, red.Method, distErr)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("eval: analyzing reduced %s/%s: %w", full.Name, red.Method, err)
+	}
+	sizes := core.SizeReport{FullBytes: *fullBytes, ReducedBytes: reducedBytes}
+	return newResult(full, red, sizes, dist, diag, verdict), nil
 }
 
 // EvaluateReducedReconstruct is the retained reconstruct-based reference
@@ -124,15 +162,15 @@ func EvaluateReducedReconstructSized(full *trace.Trace, fullDiag *expert.Diagnos
 	if err != nil {
 		return nil, fmt.Errorf("eval: analyzing reconstructed %s/%s: %w", full.Name, method, err)
 	}
-	return finishResult(full, fullDiag, red, fullBytes, dist, diag), nil
-}
-
-// finishResult assembles the Result shared by the direct and
-// reconstruct-based scorers.
-func finishResult(full *trace.Trace, fullDiag *expert.Diagnosis, red *core.Reduced,
-	fullBytes int64, dist trace.Time, diag *expert.Diagnosis) *Result {
 	verdict := cube.Compare(fullDiag, diag, cube.DefaultCompareOptions())
 	sizes := core.SizeReport{FullBytes: fullBytes, ReducedBytes: core.EncodedReducedSize(red)}
+	return newResult(full, red, sizes, dist, diag, verdict), nil
+}
+
+// newResult assembles the Result shared by the direct and
+// reconstruct-based scorers from the criteria each computed.
+func newResult(full *trace.Trace, red *core.Reduced, sizes core.SizeReport,
+	dist trace.Time, diag *expert.Diagnosis, verdict cube.Verdict) *Result {
 	return &Result{
 		Workload:       full.Name,
 		Method:         red.Method,
@@ -293,7 +331,7 @@ func (r *Runner) evaluate(c Cell) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return evaluateCell(full, fullDiag, c.Method, c.Threshold, fullBytes)
+	return evaluateCell(full, fullDiag, c.Method, c.Threshold, &fullBytes)
 }
 
 // RunGrid evaluates the given cells on a bounded worker pool (SetWorkers,

@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"testing"
 
@@ -38,8 +39,10 @@ func catalogTraces(tb testing.TB) []*trace.Trace {
 
 // TestEncodedSizeMatchesEncode holds the size walk to the bytes Encode
 // writes, on the catalog and on the shapes the walk handles specially:
-// no ranks, a rank with no events, an empty-string name, and names
-// shared across ranks.
+// no ranks, a rank with no events, an empty-string name, names shared
+// across ranks, and the cases its name cache must not miscount —
+// distinct names in one cache slot, equal names at different addresses,
+// and "" alternating with a non-empty name.
 func TestEncodedSizeMatchesEncode(t *testing.T) {
 	ev := func(name string, kind trace.EventKind, enter, exit trace.Time) trace.Event {
 		return trace.Event{Name: name, Kind: kind, Enter: enter, Exit: exit, Peer: trace.NoPeer, Root: trace.NoPeer}
@@ -61,7 +64,24 @@ func TestEncodedSizeMatchesEncode(t *testing.T) {
 	for i := range shared.Ranks {
 		shared.Ranks[i].Events = []trace.Event{ev("do_work", trace.KindCompute, 0, 5), ev("do_work", trace.KindCompute, 5, 9)}
 	}
-	cases := []*trace.Trace{sendRecv, trace.New("no ranks", 0), idleRank, emptyName, shared}
+	// Equal length, first byte and last byte put names in one slot.
+	slotMates := trace.New("slot mates", 2)
+	for i, names := range [][]string{{"aXb", "aYb", "aXb", "aZb", "aYb"}, {"aZb", "aWb", "aXb"}} {
+		for j, name := range names {
+			slotMates.Ranks[i].Events = append(slotMates.Ranks[i].Events, ev(name, trace.KindCompute, trace.Time(j), trace.Time(j+1)))
+		}
+	}
+	cloned := trace.New("cloned", 2)
+	for i := range cloned.Ranks {
+		for j := 0; j < 4; j++ {
+			cloned.Ranks[i].Events = append(cloned.Ranks[i].Events, ev(strings.Clone("do_work"), trace.KindCompute, trace.Time(j), trace.Time(j+1)))
+		}
+	}
+	alternating := trace.New("alternating", 1)
+	for j, name := range []string{"", "x", "", "x", "", "y", ""} {
+		alternating.Ranks[0].Events = append(alternating.Ranks[0].Events, ev(name, trace.KindCompute, trace.Time(j), trace.Time(j+1)))
+	}
+	cases := []*trace.Trace{sendRecv, trace.New("no ranks", 0), idleRank, emptyName, shared, slotMates, cloned, alternating}
 	for _, tr := range append(cases, catalogTraces(t)...) {
 		var buf bytes.Buffer
 		if err := trace.Encode(&buf, tr); err != nil {
@@ -71,6 +91,38 @@ func TestEncodedSizeMatchesEncode(t *testing.T) {
 			t.Errorf("%q: EncodedSize = %d, Encode wrote %d", tr.Name, got, buf.Len())
 		}
 	}
+}
+
+// FuzzEncodedSize holds the size walk to the bytes Encode writes on
+// traces whose names come from a small alphabet: "" and names that share
+// EncodedSize's cache slots, some of them copied to a fresh address.
+// Each input byte is one event: bits 0–2 pick the name, bit 3 clones it,
+// and bits 4–5 pick the rank.
+func FuzzEncodedSize(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 0, 1, 0})
+	f.Add([]byte{1, 2, 1, 3, 2, 9, 10, 0x11, 0x22, 0x33})
+	f.Add([]byte{4, 5, 6, 7, 0x14, 0x25, 0x3e, 0x0f, 0x07})
+	alphabet := []string{"", "a", "aXb", "aYb", "aZb", "ab", "MPI_Send", "MPI_Bend"}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr := trace.New("fuzz", 4)
+		for j, b := range data {
+			name := alphabet[b&7]
+			if b&8 != 0 {
+				name = strings.Clone(name)
+			}
+			rt := &tr.Ranks[(b>>4)&3]
+			rt.Events = append(rt.Events, trace.Event{Name: name, Kind: trace.KindCompute,
+				Enter: trace.Time(j), Exit: trace.Time(j + 1), Peer: trace.NoPeer, Root: trace.NoPeer})
+		}
+		var buf bytes.Buffer
+		if err := trace.Encode(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		if got := trace.EncodedSize(tr); got != int64(buf.Len()) {
+			t.Errorf("EncodedSize = %d, Encode wrote %d", got, buf.Len())
+		}
+	})
 }
 
 // BenchmarkEncodedSize sizes all 20 catalog traces per iteration: the

@@ -30,13 +30,6 @@ const traceMagic = "TRC1"
 // EventRecordSize is the fixed encoded size of one event record in bytes.
 const EventRecordSize = 4 + 1 + 8 + 8 + 4 + 4 + 8 + 4
 
-// CountingWriter discards writes while tallying the byte count; the size
-// metrics encode into one instead of allocating buffers.
-type CountingWriter struct{ N int64 }
-
-// Write implements io.Writer.
-func (c *CountingWriter) Write(p []byte) (int, error) { c.N += int64(len(p)); return len(p), nil }
-
 // EncodedSize returns the number of bytes Encode would write for t,
 // computed from the distinct names and the event counts instead of by
 // encoding: magic, workload name, name count, each distinct name once,
@@ -44,23 +37,40 @@ func (c *CountingWriter) Write(p []byte) (int, error) { c.N += int64(len(p)); re
 func EncodedSize(t *Trace) int64 {
 	size := int64(len(traceMagic)) + 4 + int64(len(t.Name)) + 4 + 4
 	seen := map[string]struct{}{}
-	var last string
+	// counted is a direct-mapped cache in front of seen: slot
+	// nameSlot(s) holds the last name counted or found there, and bit k of
+	// filled marks slot k as holding one. A hit still compares the
+	// strings, so a collision costs one map lookup and never the count.
+	var counted [32]string
+	var filled uint32
 	for i := range t.Ranks {
 		events := t.Ranks[i].Events
 		size += 8 + int64(len(events))*EventRecordSize
 		for j := range events {
-			// Only a name that differs from the previous event's needs
-			// the map; the first event always does.
-			if name := events[j].Name; len(seen) == 0 || name != last {
-				last = name
-				if _, ok := seen[name]; !ok {
-					seen[name] = struct{}{}
-					size += 4 + int64(len(name))
-				}
+			name := events[j].Name
+			k := nameSlot(name)
+			if filled&(1<<k) != 0 && counted[k] == name {
+				continue
+			}
+			counted[k] = name
+			filled |= 1 << k
+			if _, ok := seen[name]; !ok {
+				seen[name] = struct{}{}
+				size += 4 + int64(len(name))
 			}
 		}
 	}
 	return size
+}
+
+// nameSlot keys a name into EncodedSize's 32-slot cache by its length,
+// first byte and last byte.
+func nameSlot(s string) uint {
+	k := uint(len(s))
+	if len(s) > 0 {
+		k += uint(s[0])*3 + uint(s[len(s)-1])*5
+	}
+	return k % 32
 }
 
 // NameTable assigns dense IDs to event name strings during encoding.

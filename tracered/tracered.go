@@ -189,6 +189,8 @@ func Chart(d *Diagnosis, minFrac float64) string { return cube.Chart(d, minFrac)
 // Score scores an already-computed reduction against its full trace,
 // returning all four study criteria. The reduction is scored directly
 // from its reduced form — the approximate trace is never reconstructed.
+// The criteria run concurrently, so full and red must not be mutated
+// during the call.
 func Score(full *Trace, red *Reduced) (*EvalResult, error) {
 	fullDiag, err := expert.Analyze(full)
 	if err != nil {
@@ -199,14 +201,16 @@ func Score(full *Trace, red *Reduced) (*EvalResult, error) {
 
 // ScoreReduced is Score with the full trace's diagnosis supplied by the
 // caller, so scoring many reductions of the same workload analyzes the
-// full trace once.
+// full trace once. The criteria run concurrently, so full, fullDiag and
+// red must not be mutated during the call.
 func ScoreReduced(full *Trace, fullDiag *Diagnosis, red *Reduced) (*EvalResult, error) {
 	return eval.EvaluateReduced(full, fullDiag, red)
 }
 
 // Evaluate runs the full pipeline — reduce, measure, re-diagnose
 // directly from the reduced form, compare — for a method name and
-// threshold.
+// threshold. It scores as ScoreReduced does, so full must not be mutated
+// during the call.
 func Evaluate(full *Trace, method string, threshold float64) (*EvalResult, error) {
 	fullDiag, err := expert.Analyze(full)
 	if err != nil {
