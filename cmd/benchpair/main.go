@@ -22,6 +22,11 @@
 //     every 10 pairs, ties counting for neither side, and the medians
 //     differ by more than the parent's interquartile range.
 //
+// With -claim, the report ends with the claimed metric's row for
+// docs/TRAJECTORY.md, which names the parent by its abbreviated commit:
+//
+//	| `79c0b21` | serve_mixed | latency_p50_ms | 6.032 | 2.965 | -50.8% | 10 | 10/10 |
+//
 // A run that reads "correct": false or prints no result fails the
 // comparison, and so does a larger failed share of operations for the
 // change than for the parent. benchpair exits 1 on a regression, an
@@ -209,6 +214,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *pairs < 1 || len(sp.Command) == 0 {
 		return usage("want -pairs >= 1 and a command in BENCHMARK.json")
 	}
+	commit, err := gitOutput("rev-parse", "--short", *base)
+	if err != nil {
+		fmt.Fprintln(stderr, "benchpair:", err)
+		return 1
+	}
 	parent, err := extract(*base)
 	if err != nil {
 		fmt.Fprintln(stderr, "benchpair:", err)
@@ -254,6 +264,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		*workload, len(runs[0]), *pairs, *seed, *seed+int64(*pairs)-1, sp.RunSeconds)
 	fmt.Fprintln(tw, "metric\tparent median [q1, q3]\tchange median [q1, q3]\tchange\tw/l/t\tverdict")
 	regressed, claimMet := false, *claim == ""
+	row := ""
 	for _, m := range sp.EndToEnd {
 		b, okb := values(runs[0], m.Name)
 		c, okc := values(runs[1], m.Name)
@@ -271,6 +282,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			notes = append(notes, "unresolved (parent IQR wider than the bound)")
 		}
 		if m.Name == *claim {
+			row = trajectoryRow(commit, *workload, m.Name, v)
 			if v.gain {
 				notes = append(notes, "claimed gain met")
 				claimMet = true
@@ -290,6 +302,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if fc > fb {
 		fmt.Fprintln(stdout, "FAILED: the change fails a larger share of operations")
 		failed = true
+	}
+	if row != "" {
+		fmt.Fprintln(stdout, row)
 	}
 	if failed || regressed || !claimMet {
 		return 1
@@ -315,6 +330,15 @@ func fmtSummary(s summary) string {
 	return fmt.Sprintf("%.4g [%.4g, %.4g]", s.median, s.q1, s.q3)
 }
 
+// trajectoryRow is the docs/TRAJECTORY.md row of one metric's verdict:
+// the parent's commit, the workload and metric, both medians, the
+// change of the median, the number of pairs and the change's wins.
+func trajectoryRow(commit, workload, metric string, v verdict) string {
+	pairs := v.wins + v.losses + v.ties
+	return fmt.Sprintf("| `%s` | %s | %s | %.4g | %.4g | %+.1f%% | %d | %d/%d |",
+		commit, workload, metric, v.base.median, v.change.median, v.pct, pairs, v.wins, pairs)
+}
+
 // runOnce runs the benchmark command once in dir and parses its result.
 func runOnce(sp spec, dir, workload string, seed int64) (result, error) {
 	args := append(slices.Clone(sp.Command[1:]), "--workload", workload, "--seed", strconv.FormatInt(seed, 10),
@@ -335,6 +359,18 @@ func runOnce(sp spec, dir, workload string, seed int64) (result, error) {
 func lastLines(s string, n int) string {
 	lines := strings.Split(strings.TrimSpace(s), "\n")
 	return strings.Join(lines[max(0, len(lines)-n):], "\n")
+}
+
+// gitOutput runs git with args and returns its trimmed standard output.
+func gitOutput(args ...string) (string, error) {
+	var stderr bytes.Buffer
+	cmd := exec.Command("git", args...)
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return "", fmt.Errorf("git %s: %v: %s", strings.Join(args, " "), err, strings.TrimSpace(stderr.String()))
+	}
+	return strings.TrimSpace(string(out)), nil
 }
 
 // extract writes the tree of revision rev into a new temporary

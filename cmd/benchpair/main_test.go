@@ -163,3 +163,20 @@ func TestFailedShare(t *testing.T) {
 		t.Errorf("failedShare(nil) = %g, want 0", got)
 	}
 }
+
+func TestTrajectoryRow(t *testing.T) {
+	lower := metricSpec{Name: "latency_p50_ms", Better: "lower", Bound: 0.25}
+	v := judge(lower, []float64{6.2, 6.39, 6.6, 6.1, 6.5}, []float64{2.5, 2.59, 2.7, 2.6, 6.45})
+	got := trajectoryRow("79c0b21", "serve_mixed", lower.Name, v)
+	want := "| `79c0b21` | serve_mixed | latency_p50_ms | 6.39 | 2.6 | -59.3% | 5 | 5/5 |"
+	if got != want {
+		t.Errorf("row\n got %s\nwant %s", got, want)
+	}
+	higher := metricSpec{Name: "events_per_s", Better: "higher", Bound: 0.25}
+	v = judge(higher, []float64{4.93e6, 4.93e6, 5e6}, []float64{5.94e6, 4.93e6, 4.9e6})
+	got = trajectoryRow("35c60af", "catalog_study", higher.Name, v)
+	want = "| `35c60af` | catalog_study | events_per_s | 4.93e+06 | 4.93e+06 | +0.0% | 3 | 1/3 |"
+	if got != want {
+		t.Errorf("row\n got %s\nwant %s", got, want)
+	}
+}

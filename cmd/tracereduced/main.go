@@ -47,7 +47,7 @@ func main() {
 	fleet := flag.Int("fleet", 0, "global worker-slot budget (0 = GOMAXPROCS)")
 	sessionWorkers := flag.Int("session-workers", 0, "fleet slots one session asks for (0 = whole fleet)")
 	uploadMB := flag.Int64("upload-mb", 0, "per-session upload budget in MiB (0 = default 256)")
-	cacheMB := flag.Int64("cache-mb", 0, "representative cache budget in MiB (0 = default 256, negative disables)")
+	cacheMB := flag.Int64("cache-mb", 0, "representative cache budget in MiB (0 = default 256, negative disables the cache and the signature memo)")
 	degradeAt := flag.Float64("degrade-at", 0, "load fraction at which new sessions degrade (0 = default 0.75)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight sessions on shutdown")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the server's lifetime to `file`")

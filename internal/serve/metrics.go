@@ -132,6 +132,9 @@ type Metrics struct {
 	// CacheHits / CacheMisses count representative-cache outcomes.
 	CacheHits   Counter
 	CacheMisses Counter
+	// SignatureMemoHits counts uploads whose content signature came from
+	// the memo of upload digests instead of a decode.
+	SignatureMemoHits Counter
 	// AnalyzeTotal counts /v1/analyze requests served.
 	AnalyzeTotal Counter
 	// ErrorsTotal counts requests that failed with a 4xx/5xx other than
@@ -171,6 +174,7 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	counter("tracered_sessions_degraded_total", "Sessions served with degraded parameters under load.", m.SessionsDegraded.Value())
 	counter("tracered_cache_hits_total", "Representative cache hits.", m.CacheHits.Value())
 	counter("tracered_cache_misses_total", "Representative cache misses.", m.CacheMisses.Value())
+	counter("tracered_signature_memo_hits_total", "Uploads whose signature came from the memo of upload digests.", m.SignatureMemoHits.Value())
 	counter("tracered_analyze_total", "Analyze requests served.", m.AnalyzeTotal.Value())
 	counter("tracered_errors_total", "Failed requests (non-admission 4xx/5xx).", m.ErrorsTotal.Value())
 	counter("tracered_bytes_in_total", "Upload body bytes read.", m.BytesIn.Value())

@@ -510,7 +510,7 @@ func TestCacheChargesHeldBytes(t *testing.T) {
 	}
 	var held, served int64
 	for el := srv.cache.order.Front(); el != nil; el = el.Next() {
-		body := el.Value.(*cacheItem).ent.Body
+		body := el.Value.(*cacheItem[CacheKey, *CacheEntry]).val.Body
 		held += int64(cap(body))
 		served += int64(len(body))
 	}

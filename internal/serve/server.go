@@ -3,9 +3,11 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"net/http"
 	"runtime"
@@ -36,7 +38,8 @@ type Config struct {
 	// memory budget. Default 256 MiB.
 	MaxUploadBytes int64
 	// CacheBytes budgets the representative cache. Default 256 MiB;
-	// negative disables caching.
+	// negative disables caching, and with it the memo of upload
+	// signatures.
 	CacheBytes int64
 	// DegradeAt is the inflight/MaxSessions load fraction at which new
 	// sessions are served with the next-coarser threshold. Default
@@ -79,7 +82,8 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg      Config
 	fleet    *Fleet
-	cache    *Cache
+	cache    *Cache[CacheKey, *CacheEntry]
+	memo     *Cache[digest, trace.Signature]
 	metrics  *Metrics
 	sessions chan struct{}
 	draining atomic.Bool
@@ -89,14 +93,15 @@ type Server struct {
 func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	m := NewMetrics()
-	cacheBytes := cfg.CacheBytes
+	cacheBytes, memoEntries := cfg.CacheBytes, int64(sigMemoEntries)
 	if cacheBytes < 0 {
-		cacheBytes = 0
+		cacheBytes, memoEntries = 0, 0
 	}
 	return &Server{
 		cfg:      cfg,
 		fleet:    NewFleet(cfg.FleetWorkers, &m.FleetBusy),
-		cache:    NewCache(cacheBytes, &m.CacheBytes, &m.CacheEntries),
+		cache:    NewCache[CacheKey](cacheBytes, (*CacheEntry).size, &m.CacheBytes, &m.CacheEntries),
+		memo:     NewCache[digest](memoEntries, func(trace.Signature) int64 { return 1 }, nil, nil),
 		metrics:  m,
 		sessions: make(chan struct{}, cfg.MaxSessions),
 	}
@@ -229,7 +234,7 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	body, err := s.spoolUpload(w, r)
+	body, d, err := s.spoolUpload(w, r)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -242,11 +247,20 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.BytesIn.Add(int64(len(body)))
 
-	decOpts := trace.DecoderOptions{Ctx: r.Context(), Limits: s.cfg.Limits}
-	sig, err := trace.SignatureOfWith(bytes.NewReader(body), decOpts)
-	if err != nil {
-		s.failDecode(w, r, err)
-		return
+	// Bytes this server has signed before skip the decode: the memo maps
+	// their digest to the signature signing produced. Only a signature
+	// that was computed is remembered, so a failed, over-Limits or
+	// cancelled upload is signed (and rejected) afresh every time.
+	sig, ok := s.memo.Get(d)
+	if ok {
+		s.metrics.SignatureMemoHits.Inc()
+	} else {
+		decOpts := trace.DecoderOptions{Ctx: r.Context(), Limits: s.cfg.Limits}
+		if sig, err = trace.SignatureOfWith(bytes.NewReader(body), decOpts); err != nil {
+			s.failSession(w, r, err)
+			return
+		}
+		s.memo.Put(d, sig)
 	}
 
 	key := CacheKey{Sig: sig, Method: params.method, Threshold: params.threshold, Format: params.format}
@@ -267,7 +281,8 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 	// decode → reduce → encode path with exactly that parallelism.
 	granted, err := s.fleet.Acquire(r.Context(), s.cfg.SessionWorkers)
 	if err != nil {
-		s.httpError(w, http.StatusServiceUnavailable, fmt.Errorf("acquiring workers: %w", err))
+		// Acquire fails only when the client has gone away.
+		s.failSession(w, r, fmt.Errorf("acquiring workers: %w", err))
 		return
 	}
 	dec, err := trace.NewDecoderWith(bytes.NewReader(body), trace.DecoderOptions{
@@ -275,7 +290,7 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 	})
 	if err != nil {
 		s.fleet.Release(granted)
-		s.failDecode(w, r, err)
+		s.failSession(w, r, err)
 		return
 	}
 	var out bytes.Buffer
@@ -294,7 +309,7 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 	dec.Close()
 	s.fleet.Release(granted)
 	if err != nil {
-		s.failDecode(w, r, err)
+		s.failSession(w, r, err)
 		return
 	}
 	// Cache an exact-size copy: out's backing array has grown by
@@ -306,34 +321,54 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 	s.writeReduced(w, params, sig, degraded, ent, false, begin)
 }
 
-// spoolUpload reads the whole upload into memory: the signature pass and
-// the reduce pass each decode it, and a bytes.Reader gives the v2
-// decoder its random-access block-parallel path. MaxUploadBytes is the
-// per-session memory budget. A declared Content-Length sizes the spool
-// in one allocation, and one over the budget is refused before any
-// read; a body of unknown length (chunked) grows under
-// http.MaxBytesReader instead, so no reservation ever exceeds the
-// budget. A body shorter than its declared length is an error.
-func (s *Server) spoolUpload(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+// spoolUpload reads the whole upload into memory: the signature pass
+// (unless the memo knows the bytes) and the reduce pass each decode it,
+// and a bytes.Reader gives the v2 decoder its random-access
+// block-parallel path. MaxUploadBytes is the per-session memory budget.
+// A declared Content-Length sizes the spool in one allocation, and one
+// over the budget is refused before any read; a body of unknown length
+// (chunked) grows under http.MaxBytesReader instead, so no reservation
+// ever exceeds the budget. A body shorter than its declared length is
+// an error. Unless the cache, and with it the signature memo, is off,
+// the bytes are digested as they arrive, so recognising a repeat upload
+// takes no second pass over them.
+func (s *Server) spoolUpload(w http.ResponseWriter, r *http.Request) ([]byte, digest, error) {
+	var d digest
 	limit := s.cfg.MaxUploadBytes
 	if r.ContentLength > limit {
-		return nil, &http.MaxBytesError{Limit: limit}
+		return nil, d, &http.MaxBytesError{Limit: limit}
 	}
+	var src io.Reader = r.Body
 	if r.ContentLength < 0 {
-		return io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+		src = http.MaxBytesReader(w, r.Body, limit)
 	}
-	buf := make([]byte, r.ContentLength)
-	if _, err := io.ReadFull(r.Body, buf); err != nil {
-		return nil, err
+	var h hash.Hash
+	if s.cfg.CacheBytes > 0 {
+		h = sha256.New()
+		src = io.TeeReader(src, h)
 	}
-	return buf, nil
+	var buf []byte
+	var err error
+	if r.ContentLength < 0 {
+		buf, err = io.ReadAll(src)
+	} else {
+		buf = make([]byte, r.ContentLength)
+		_, err = io.ReadFull(src, buf)
+	}
+	if err != nil {
+		return nil, d, err
+	}
+	if h != nil {
+		h.Sum(d[:0])
+	}
+	return buf, d, nil
 }
 
-// failDecode maps a decode/reduce failure to a status: client
-// cancellation gets the nginx-convention 499 (never seen by the
+// failSession maps a failure after the upload was read to a status:
+// client cancellation gets the nginx-convention 499 (never seen by the
 // client, but it keeps the access log honest), anything else is a 400 —
 // the upload, not the server, is at fault.
-func (s *Server) failDecode(w http.ResponseWriter, r *http.Request, err error) {
+func (s *Server) failSession(w http.ResponseWriter, r *http.Request, err error) {
 	if r.Context().Err() != nil {
 		s.metrics.ErrorsTotal.Inc()
 		w.WriteHeader(499)
