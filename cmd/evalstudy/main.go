@@ -22,6 +22,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -73,7 +74,7 @@ func main() {
 	}
 	r := eval.NewRunner()
 	r.SetWorkers(*workers)
-	runErr := run(r, *fig, *table, *summary, *all)
+	runErr := run(r, os.Stdout, *fig, *table, *summary, *all)
 	if runErr != nil {
 		fmt.Fprintln(os.Stderr, "evalstudy:", runErr)
 	}
@@ -86,7 +87,8 @@ func main() {
 	}
 }
 
-func run(r *eval.Runner, fig, table int, summary, all bool) error {
+// run renders what the flags select to w.
+func run(r *eval.Runner, w io.Writer, fig, table int, summary, all bool) error {
 	switch {
 	case all:
 		// Evaluate the entire study grid through one worker pool up
@@ -95,30 +97,30 @@ func run(r *eval.Runner, fig, table int, summary, all bool) error {
 		if _, err := r.RunGrid(eval.StudyCells()); err != nil {
 			return err
 		}
-		if err := comparative(r, true); err != nil {
+		if err := comparative(r, w, true); err != nil {
 			return err
 		}
 		for f := 9; f <= 19; f++ {
-			if err := sweepFigure(r, f); err != nil {
+			if err := sweepFigure(r, w, f); err != nil {
 				return err
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 		for tn := 1; tn <= len(tableWorkloads); tn++ {
-			if err := retentionTable(r, tn); err != nil {
+			if err := retentionTable(r, w, tn); err != nil {
 				return err
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 		return nil
 	case summary:
-		return comparative(r, false)
+		return comparative(r, w, false)
 	case fig >= 5 && fig <= 8:
-		return comparativeFigure(r, fig)
+		return comparativeFigure(r, w, fig)
 	case fig >= 9 && fig <= 19:
-		return sweepFigure(r, fig)
+		return sweepFigure(r, w, fig)
 	case table >= 1 && table <= len(tableWorkloads):
-		return retentionTable(r, table)
+		return retentionTable(r, w, table)
 	default:
 		return fmt.Errorf("nothing to do: pass -summary, -all, -fig 5..19 or -table 1..%d", len(tableWorkloads))
 	}
@@ -134,83 +136,83 @@ func defaultGrid(r *eval.Runner) (*eval.Index, error) {
 	return eval.NewIndex(results), nil
 }
 
-func comparative(r *eval.Runner, withFigures bool) error {
+func comparative(r *eval.Runner, w io.Writer, withFigures bool) error {
 	ix, err := defaultGrid(r)
 	if err != nil {
 		return err
 	}
 	if withFigures {
-		fmt.Print(eval.FormatSizeAndMatching(ix, eval.AllNames(), core.MethodNames))
-		fmt.Println()
-		fmt.Print(eval.FormatApproxDistance(ix, eval.AllNames(), core.MethodNames))
-		fmt.Println()
-		for _, w := range []string{"dyn_load_balance", "1to1r_1024"} {
-			chart, err := eval.FormatTrendChart(r, ix, w, core.MethodNames)
+		fmt.Fprint(w, eval.FormatSizeAndMatching(ix, eval.AllNames(), core.MethodNames))
+		fmt.Fprintln(w)
+		fmt.Fprint(w, eval.FormatApproxDistance(ix, eval.AllNames(), core.MethodNames))
+		fmt.Fprintln(w)
+		for _, workload := range []string{"dyn_load_balance", "1to1r_1024"} {
+			chart, err := eval.FormatTrendChart(r, ix, workload, core.MethodNames)
 			if err != nil {
 				return err
 			}
-			fmt.Print(chart)
-			fmt.Println()
+			fmt.Fprint(w, chart)
+			fmt.Fprintln(w)
 		}
 	}
-	fmt.Print(eval.FormatRetention(ix, eval.AllNames(), core.MethodNames))
-	fmt.Println()
-	fmt.Print(eval.FormatSummary(ix, eval.AllNames(), core.MethodNames))
+	fmt.Fprint(w, eval.FormatRetention(ix, eval.AllNames(), core.MethodNames))
+	fmt.Fprintln(w)
+	fmt.Fprint(w, eval.FormatSummary(ix, eval.AllNames(), core.MethodNames))
 	return nil
 }
 
-func comparativeFigure(r *eval.Runner, fig int) error {
+func comparativeFigure(r *eval.Runner, w io.Writer, fig int) error {
 	ix, err := defaultGrid(r)
 	if err != nil {
 		return err
 	}
 	switch fig {
 	case 5:
-		fmt.Print(eval.FormatSizeAndMatching(ix, eval.AllNames(), core.MethodNames))
+		fmt.Fprint(w, eval.FormatSizeAndMatching(ix, eval.AllNames(), core.MethodNames))
 	case 6:
-		fmt.Print(eval.FormatApproxDistance(ix, eval.AllNames(), core.MethodNames))
+		fmt.Fprint(w, eval.FormatApproxDistance(ix, eval.AllNames(), core.MethodNames))
 	case 7:
 		chart, err := eval.FormatTrendChart(r, ix, "dyn_load_balance", core.MethodNames)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("Figure 7 — performance trends, dyn_load_balance\n%s", chart)
+		fmt.Fprintf(w, "Figure 7 — performance trends, dyn_load_balance\n%s", chart)
 	case 8:
 		chart, err := eval.FormatTrendChart(r, ix, "1to1r_1024", core.MethodNames)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("Figure 8 — performance trends, 1to1r_1024\n%s", chart)
+		fmt.Fprintf(w, "Figure 8 — performance trends, 1to1r_1024\n%s", chart)
 	}
 	return nil
 }
 
-func sweepFigure(r *eval.Runner, fig int) error {
+func sweepFigure(r *eval.Runner, w io.Writer, fig int) error {
 	if method, ok := figureMethod[fig]; ok {
 		results, err := r.RunGrid(eval.GridSweep(eval.BenchmarkNames(), method))
 		if err != nil {
 			return err
 		}
-		fmt.Printf("Figure %d — ", fig)
-		fmt.Print(eval.FormatThresholdSweep(eval.NewIndex(results), method, eval.BenchmarkNames()))
+		fmt.Fprintf(w, "Figure %d — ", fig)
+		fmt.Fprint(w, eval.FormatThresholdSweep(eval.NewIndex(results), method, eval.BenchmarkNames()))
 		return nil
 	}
 	methods, ok := sweepFigureMethods[fig]
 	if !ok {
 		return fmt.Errorf("unknown figure %d", fig)
 	}
-	fmt.Printf("Figure %d — Sweep3D threshold sweeps\n", fig)
+	fmt.Fprintf(w, "Figure %d — Sweep3D threshold sweeps\n", fig)
 	for _, method := range methods {
 		results, err := r.RunGrid(eval.GridSweep(eval.ApplicationNames(), method))
 		if err != nil {
 			return err
 		}
-		fmt.Print(eval.FormatThresholdSweep(eval.NewIndex(results), method, eval.ApplicationNames()))
+		fmt.Fprint(w, eval.FormatThresholdSweep(eval.NewIndex(results), method, eval.ApplicationNames()))
 	}
 	return nil
 }
 
-func retentionTable(r *eval.Runner, tn int) error {
+func retentionTable(r *eval.Runner, w io.Writer, tn int) error {
 	workload := tableWorkloads[tn-1]
 	var cells []eval.Cell
 	for _, m := range core.MethodNames {
@@ -224,7 +226,7 @@ func retentionTable(r *eval.Runner, tn int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Table %d — ", tn)
-	fmt.Print(eval.FormatRetentionTable(eval.NewIndex(results), workload, core.MethodNames))
+	fmt.Fprintf(w, "Table %d — ", tn)
+	fmt.Fprint(w, eval.FormatRetentionTable(eval.NewIndex(results), workload, core.MethodNames))
 	return nil
 }

@@ -45,11 +45,18 @@ func EncodedReducedSize(r *Reduced) int64 {
 	}
 	size += 4 // rank count
 	for i := range r.Ranks {
-		rr := &r.Ranks[i]
-		size += 12 + int64(len(rr.Execs))*ExecRecordSize
-		for _, s := range rr.Stored {
-			size += 20 + int64(len(s.Events))*trace.EventRecordSize
-		}
+		size += rankReducedV1Size(&r.Ranks[i])
+	}
+	return size
+}
+
+// rankReducedV1Size returns len(appendRankReducedV1(nil, nt, rr)): 12
+// header bytes, 20 per stored segment, EventRecordSize per stored event
+// and ExecRecordSize per exec.
+func rankReducedV1Size(rr *RankReduced) int64 {
+	size := 12 + int64(len(rr.Execs))*ExecRecordSize
+	for _, s := range rr.Stored {
+		size += 20 + int64(len(s.Events))*trace.EventRecordSize
 	}
 	return size
 }

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
 
+	"repro/internal/bufpool"
 	"repro/internal/trace"
 )
 
@@ -68,8 +68,8 @@ func ApproximationDistanceReduced(full *trace.Trace, red *Reduced, quantile floa
 			total += 2 * len(rr.Stored[ex.ID].Events)
 		}
 	}
-	buf := stampErrs.Get().(*[]trace.Time)
-	diffs := slices.Grow((*buf)[:0], total)
+	diffs := stampDiffs.Get(total)
+	defer func() { stampDiffs.Put(diffs) }()
 	for r := range full.Ranks {
 		events := full.Ranks[r].Events
 		rr := &red.Ranks[r]
@@ -101,14 +101,11 @@ func ApproximationDistanceReduced(full *trace.Trace, red *Reduced, quantile floa
 			}
 		}
 	}
-	d := quantileAbsDiff(diffs, quantile)
-	*buf = diffs[:0]
-	stampErrs.Put(buf)
-	return d, nil
+	return quantileAbsDiff(diffs, quantile), nil
 }
 
-// stampErrs recycles ApproximationDistanceReduced's stamp-error buffers.
-var stampErrs = sync.Pool{New: func() any { return new([]trace.Time) }}
+// stampDiffs holds ApproximationDistanceReduced's stamp-error buffers.
+var stampDiffs bufpool.Pool[trace.Time]
 
 // stampCountMismatch builds the timestamp-count error for rank r in the
 // same shape the reconstruct-based path reports.

@@ -7,6 +7,7 @@ import (
 	"io"
 	"sync"
 
+	"repro/internal/bufpool"
 	"repro/internal/trace"
 )
 
@@ -117,10 +118,12 @@ type StreamOptions struct {
 	Ctx context.Context
 	// Recycle, when non-nil, receives each rank back as soon as its
 	// events have been split into segments (the reducer copies what it
-	// keeps), letting the trace decoder reuse the event storage for a
-	// later rank. Wire it to trace.Decoder.Recycle to bound a session's
-	// event allocation at O(workers) buffers however many ranks stream
-	// through. Must be safe for concurrent calls from the worker pool.
+	// keeps), so the event storage can serve a later rank. Wire it to
+	// trace.Decoder.Recycle, which hands the storage to one process-wide
+	// pool that every decoder draws from and the garbage collector
+	// empties; it must receive only ranks that decoder returned and
+	// that nothing else references. Must be safe for concurrent calls
+	// from the worker pool.
 	Recycle func(*trace.RankTrace)
 }
 
@@ -132,15 +135,21 @@ func ReduceStreamToWriterOpts(name string, p Policy, next func() (*trace.RankTra
 	}
 	s := &encodeSink{version: version, nt: trace.NewNameTable(), stats: StreamStats{Name: name, Method: p.Name()}}
 	s.regCond = sync.NewCond(&s.regMu)
+	defer s.release()
 	if err := reduceRanks(name, p, next, opts, s); err != nil {
 		return nil, err
 	}
 	return s.write(w)
 }
 
+// chunkBufs holds the encoded rank chunks the pipeline spools until the
+// container is assembled.
+var chunkBufs bufpool.Pool[byte]
+
 // encodeSink registers each reduced rank's names in rank order and
 // encodes the rank's chunk on the worker that reduced it, spooling the
-// chunks until write assembles the container.
+// chunks until write assembles the container. Each chunk is drawn from
+// chunkBufs at its exact encoded size and returned by release.
 type encodeSink struct {
 	version int
 	nt      *trace.NameTable
@@ -182,9 +191,9 @@ func (s *encodeSink) put(i int, r *RankReducer) {
 	// spooled.
 	var chunk []byte
 	if s.version == 2 {
-		chunk = appendRankReducedV2(nil, ids, &rr)
+		chunk = appendRankReducedV2(chunkBufs.Get(int(rankReducedV2Size(ids, &rr))), ids, &rr)
 	} else {
-		chunk = appendRankReducedV1(nil, ids, &rr)
+		chunk = appendRankReducedV1(chunkBufs.Get(int(rankReducedV1Size(&rr))), ids, &rr)
 	}
 	s.outMu.Lock()
 	defer s.outMu.Unlock()
@@ -209,6 +218,15 @@ func (s *encodeSink) abort() {
 	s.aborted = true
 	s.regCond.Broadcast()
 	s.regMu.Unlock()
+}
+
+// release returns the spooled chunks to chunkBufs. The writer has
+// copied them out by then, or the run failed.
+func (s *encodeSink) release() {
+	for i, chunk := range s.chunks {
+		chunkBufs.Put(chunk)
+		s.chunks[i] = nil
+	}
 }
 
 // write assembles the container — header, spooled chunks, and for v2

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/bufpool"
 	"repro/internal/trace"
 )
 
@@ -189,8 +190,10 @@ type commRec struct {
 // interns every location once, gives every (metric, location) cell one
 // row of a single rows × ranks severity array, and gives every channel a
 // slot the first time an event names it. The pairing streams are counted
-// before anything is placed, then carved exactly sized out of one
-// allocation (carve), so placement never regrows a stream.
+// before anything is placed, then carved exactly sized out of one pooled
+// buffer (carve), so placement never regrows a stream; release returns
+// the buffer. A Diagnosis aliases only the severity array, which is
+// never pooled.
 type analysis struct {
 	nRanks int
 
@@ -209,7 +212,21 @@ type analysis struct {
 	// s owns stream nRanks+2s (its sends) and nRanks+2s+1 (its receives).
 	count   []int
 	streams [][]commRec
+	placed  []commRec // the storage carve divides among the streams
 }
+
+// The pools behind the analyzers' per-call buffers: the carved pairing
+// streams, Analyze's stream index per communication event, and
+// AnalyzeReduced's execution counts, profiles, communication events and
+// clip bounds. Each call returns what it drew before it returns.
+var (
+	commRecs    bufpool.Pool[commRec]
+	streamIDs   bufpool.Pool[int32]
+	execCounts  bufpool.Pool[int]
+	repProfiles bufpool.Pool[repProfile]
+	repComms    bufpool.Pool[repComm]
+	clipBounds  bufpool.Pool[trace.Time]
+)
 
 func newAnalysis(nRanks int) *analysis {
 	return &analysis{
@@ -286,19 +303,27 @@ func (a *analysis) stream(rank int, e *trace.Event) int {
 	return st
 }
 
-// carve gives every stream its counted capacity out of one allocation.
+// carve gives every stream its counted capacity out of one pooled
+// buffer.
 func (a *analysis) carve() {
 	total := 0
 	for _, n := range a.count {
 		total += n
 	}
-	buf := make([]commRec, total)
+	a.placed = commRecs.Get(total)
+	buf := a.placed[:total]
 	a.streams = make([][]commRec, len(a.count))
 	off := 0
 	for st, n := range a.count {
 		a.streams[st] = buf[off : off : off+n]
 		off += n
 	}
+}
+
+// release returns the carved stream storage to its pool.
+func (a *analysis) release() {
+	commRecs.Put(a.placed)
+	a.placed, a.streams = nil, nil
 }
 
 // score runs the point-to-point and collective pattern analyses over the
@@ -442,9 +467,13 @@ func Analyze(t *trace.Trace) (*Diagnosis, error) {
 
 	// First pass: wall time and stream sizes. The stream of every
 	// communication event is recorded in walk order, so the second pass
-	// resolves no channel again.
+	// resolves no channel again; an event has at most one stream.
 	var wall trace.Time
-	var streamOf []int32
+	streamOf := streamIDs.Get(t.NumEvents())
+	defer func() {
+		streamIDs.Put(streamOf)
+		a.release()
+	}()
 	for r := range t.Ranks {
 		evs := t.Ranks[r].Events
 		for i := range evs {

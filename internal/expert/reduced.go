@@ -136,18 +136,35 @@ func (a *analysis) profile(p *repProfile, comm []repComm, rank int, s *segment.S
 // at the top of this file for the algorithm.
 func AnalyzeReduced(r *core.Reduced) (*Diagnosis, error) {
 	a := newAnalysis(len(r.Ranks))
-	maxStored, maxExecs, totalStored := 0, 0, 0
+	maxStored, maxExecs, totalStored, storedEvents := 0, 0, 0, 0
 	for rank := range r.Ranks {
-		maxStored = max(maxStored, len(r.Ranks[rank].Stored))
-		maxExecs = max(maxExecs, len(r.Ranks[rank].Execs))
-		totalStored += len(r.Ranks[rank].Stored)
+		rr := &r.Ranks[rank]
+		maxStored = max(maxStored, len(rr.Stored))
+		maxExecs = max(maxExecs, len(rr.Execs))
+		totalStored += len(rr.Stored)
+		for _, s := range rr.Stored {
+			storedEvents += len(s.Events)
+		}
 	}
+
+	// The per-call buffers come from pools and go back on every return.
+	// A profile appends at most one communication event per stored
+	// event, so comm never regrows.
+	counts := execCounts.Get(maxStored)[:maxStored]
+	profiles := repProfiles.Get(totalStored)[:totalStored] // rank-major, by stored id
+	clear(profiles)
+	comm := repComms.Get(storedEvents)
+	nextEnter := clipBounds.Get(maxExecs)[:maxExecs]
+	defer func() {
+		execCounts.Put(counts)
+		repProfiles.Put(profiles)
+		repComms.Put(comm)
+		clipBounds.Put(nextEnter)
+		a.release()
+	}()
 
 	// First pass: validate and count the executions of every
 	// representative, profile each executed one, and size the streams.
-	counts := make([]int, maxStored)
-	profiles := make([]repProfile, totalStored) // rank-major, by stored id
-	var comm []repComm
 	base := 0
 	for rank := range r.Ranks {
 		rr := &r.Ranks[rank]
@@ -175,7 +192,6 @@ func AnalyzeReduced(r *core.Reduced) (*Diagnosis, error) {
 	// after execution k — the clip bound of its final event, MaxInt64
 	// when none follows. A backward sweep computes it, skipping
 	// executions of representatives without non-marker events.
-	nextEnter := make([]trace.Time, maxExecs)
 	var wall trace.Time
 	base = 0
 	for rank := range r.Ranks {

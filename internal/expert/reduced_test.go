@@ -184,12 +184,20 @@ func TestAnalyzeReducedNegativeEnd(t *testing.T) {
 	}
 }
 
+// raceEnabled reports a build with the race detector (race_test.go).
+var raceEnabled bool
+
 // TestAnalyzeReducedAllocsFlatInExecutions pins the exact stream sizing:
 // placing an execution's events allocates nothing, so the allocations of
 // a diagnosis do not grow with the execution count. Each representative
 // sends twice on one channel, the case a per-representative presize
-// misses.
+// misses. The race detector makes sync.Pool drop the analyzer's pooled
+// buffers at random, which adds allocations unrelated to the execution
+// count, so the comparison is skipped there.
 func TestAnalyzeReducedAllocsFlatInExecutions(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
 	p2p := func(kind trace.EventKind, peer int32, enter, exit trace.Time) trace.Event {
 		return trace.Event{Name: kind.String(), Kind: kind, Enter: enter, Exit: exit, Peer: peer, Tag: 7, Root: trace.NoPeer}
 	}

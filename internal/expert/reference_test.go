@@ -61,3 +61,60 @@ func TestAnalyzeMatchesReference(t *testing.T) {
 		})
 	}
 }
+
+// TestDiagnosisSurvivesPoolReuse: a Diagnosis stays unchanged while
+// later Analyze and AnalyzeReduced calls, failing ones included, reuse
+// the pooled buffers of the calls that built it. It aliases only its
+// severity array, which is never pooled.
+func TestDiagnosisSurvivesPoolReuse(t *testing.T) {
+	clone := func(d *expert.Diagnosis) *expert.Diagnosis {
+		c := *d
+		c.Sev = make(map[expert.Key][]float64, len(d.Sev))
+		for k, v := range d.Sev {
+			c.Sev[k] = append([]float64(nil), v...)
+		}
+		return &c
+	}
+	type kept struct{ got, want *expert.Diagnosis }
+	var diags []kept
+	for _, name := range []string{"late_sender", "NtoN_32", "1to1r_32", "early_gather"} {
+		w, err := eval.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := w.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := expert.Analyze(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diags = append(diags, kept{d, clone(d)})
+		for _, method := range core.MethodNames {
+			p, err := core.DefaultMethod(method)
+			if err != nil {
+				t.Fatal(err)
+			}
+			red, err := core.Reduce(full, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := expert.AnalyzeReduced(red)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diags = append(diags, kept{d, clone(d)})
+			red.Ranks[0].Execs = append(red.Ranks[0].Execs, core.Exec{ID: len(red.Ranks[0].Stored)})
+			if _, err := expert.AnalyzeReduced(red); err == nil {
+				t.Fatalf("%s/%s: AnalyzeReduced accepted an exec of a missing segment", name, method)
+			}
+		}
+	}
+	for i, d := range diags {
+		expert.RequireEqual(t, d.got, d.want)
+		if d.got.MaxAbs() == 0 {
+			t.Fatalf("diagnosis %d has no severities; the check would show nothing", i)
+		}
+	}
+}

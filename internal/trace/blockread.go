@@ -10,6 +10,8 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/bufpool"
 )
 
 // The read side of the v2 block containers, shared by TRC2 and the TRR2
@@ -171,10 +173,10 @@ type blockResult[T any] struct {
 // errBlockReaderClosed is the terminal error of a closed reader.
 var errBlockReaderClosed = errors.New("trace: decoder closed")
 
-// blockBufs recycles random-access block read buffers across readers.
+// blockReads holds the random-access block read buffers of every reader.
 // Parsers copy what they keep out of the payload (names come from the
 // header's table), so a buffer is free once its block has been parsed.
-var blockBufs sync.Pool
+var blockReads bufpool.Pool[byte]
 
 // NewBlockReader returns a reader over the n blocks of c, a v2
 // container whose header the caller has read from c.Header. parse turns
@@ -303,17 +305,15 @@ func (b *BlockReader[T]) run() {
 			<-b.sem
 			return
 		}
-		bp, _ := blockBufs.Get().(*[]byte)
-		if bp == nil {
-			bp = new([]byte)
-		}
+		// The index check bounded the block by the container's size.
+		buf := blockReads.Get(blockHeaderSize + int(b.entries[i].Length))
 		var res blockResult[T]
 		var payload []byte
-		payload, *bp, res.err = readBlockAt(b.c.sr, b.entries[i], *bp)
+		payload, buf, res.err = readBlockAt(b.c.sr, b.entries[i], buf)
 		if res.err == nil {
 			res.v, res.err = b.parse(b.entries[i], payload)
 		}
-		blockBufs.Put(bp)
+		blockReads.Put(buf)
 		b.results[i%b.workers] <- res
 	}
 }

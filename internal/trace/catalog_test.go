@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -123,6 +124,43 @@ func FuzzEncodedSize(f *testing.F) {
 			t.Errorf("EncodedSize = %d, Encode wrote %d", got, buf.Len())
 		}
 	})
+}
+
+// TestDecodeKeepsAQuarterSpareAtMost: a rank Decode returns, and its
+// caller keeps, holds a pooled buffer at most 25 % larger than the rank
+// on every decode path, whether the pool hit or missed. The catalog's
+// ranks are all under 1<<16 events, so a TRC1 rank of 70,000 events
+// covers the reader's growth past its capped first draw.
+func TestDecodeKeepsAQuarterSpareAtMost(t *testing.T) {
+	long := trace.New("long_rank", 1)
+	for j := range 70000 {
+		long.Ranks[0].Events = append(long.Ranks[0].Events, trace.Event{Name: "f", Kind: trace.KindCompute,
+			Enter: trace.Time(2 * j), Exit: trace.Time(2*j + 1), Peer: trace.NoPeer, Root: trace.NoPeer})
+	}
+	for _, tr := range append(catalogTraces(t), long) {
+		var v1, v2 bytes.Buffer
+		if err := trace.Encode(&v1, tr); err != nil {
+			t.Fatal(err)
+		}
+		if err := trace.EncodeV2(&v2, tr); err != nil {
+			t.Fatal(err)
+		}
+		for path, r := range map[string]io.Reader{
+			"trc1":            bytes.NewReader(v1.Bytes()),
+			"trc2-parallel":   bytes.NewReader(v2.Bytes()),
+			"trc2-sequential": struct{ io.Reader }{bytes.NewReader(v2.Bytes())},
+		} {
+			got, err := trace.Decode(r)
+			if err != nil {
+				t.Fatalf("%s %s: %v", tr.Name, path, err)
+			}
+			for _, rt := range got.Ranks {
+				if n := len(rt.Events); 4*cap(rt.Events) > 5*n {
+					t.Fatalf("%s %s rank %d: %d events in a buffer of %d", tr.Name, path, rt.Rank, n, cap(rt.Events))
+				}
+			}
+		}
+	}
 }
 
 // BenchmarkEncodedSize sizes all 20 catalog traces per iteration: the

@@ -6,7 +6,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sync"
+
+	"repro/internal/bufpool"
 )
 
 // Binary trace file format (TRC1). The byte-level specification lives in
@@ -239,64 +240,32 @@ type Decoder struct {
 	version int
 	next    func() (*RankTrace, error)
 	close   func()
-	free    *eventFreeList
 }
 
-// eventFreeList recycles rank event buffers between a decoder and its
-// consumer: the consumer hands finished ranks back through
-// Decoder.Recycle, and the decoder's rank readers draw storage from the
-// list before allocating. The bound caps how many idle buffers the list
-// retains (O(workers) in-flight ranks plus a little slack), so the
-// recycling loop also acts as back-pressure on event storage: a session
-// that keeps up reuses the same few buffers forever.
-type eventFreeList struct {
-	mu   sync.Mutex
-	max  int
-	bufs [][]Event
-}
+// eventBufs holds the rank event buffers of every decoder in the
+// process. The rank readers draw from it, sized by the rank's declared
+// event count once the input has shown that count is plausible, and
+// Decoder.Recycle feeds it, so a decode reuses what earlier decodes
+// released whichever decoder they ran on.
+var eventBufs bufpool.Pool[Event]
 
-func (f *eventFreeList) get() []Event {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if n := len(f.bufs); n > 0 {
-		b := f.bufs[n-1]
-		f.bufs[n-1] = nil
-		f.bufs = f.bufs[:n-1]
-		return b
-	}
-	return nil
-}
-
-func (f *eventFreeList) put(buf []Event) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.bufs) < f.max {
-		f.bufs = append(f.bufs, buf)
-	}
-}
-
-// newEventFreeList sizes a free list for a pool of workers consuming
-// ranks concurrently.
-func newEventFreeList(workers int) *eventFreeList {
-	return &eventFreeList{max: workers + 2}
-}
-
-// Recycle hands rt's event storage back to the decoder for reuse by a
-// later NextRank, clearing rt.Events. Callers that are done with a
-// rank's events — the reduction pipeline recycles each rank as soon as
-// its segments are split off — should call it instead of dropping the
-// slice, keeping per-session event storage bounded and reused. Safe to
-// call with nil or an already-recycled rank; safe from concurrent
-// consumers. The events themselves only reference name-table strings,
-// never decoder-owned byte buffers, so reuse cannot corrupt ranks still
-// in flight.
+// Recycle hands rt's event storage to the process-wide event buffer
+// pool, where any later NextRank of any decoder may draw it, and clears
+// rt.Events. Callers that are done with a rank's events — the reduction
+// pipeline recycles each rank as soon as its segments are split off —
+// should call it instead of dropping the slice, so repeated decodes
+// reuse storage instead of allocating it; the garbage collector releases
+// what stays idle. Recycle only a rank this decoder returned and that
+// nothing else references: the storage can be overwritten by a decode
+// anywhere in the process. Safe to call with nil or an already-recycled
+// rank, and from concurrent consumers. The events themselves only
+// reference name-table strings, never decoder-owned byte buffers.
 func (d *Decoder) Recycle(rt *RankTrace) {
-	if rt == nil || cap(rt.Events) == 0 {
+	if rt == nil {
 		return
 	}
-	buf := rt.Events[:0]
+	eventBufs.Put(rt.Events)
 	rt.Events = nil
-	d.free.put(buf)
 }
 
 // DecoderOptions configure decoding. The zero value is the default.
@@ -383,14 +352,14 @@ func NewDecoderWith(r io.Reader, opts DecoderOptions) (*Decoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Decoder{name: hdr[0], names: names, nRanks: nRanks, free: newEventFreeList(opts.Workers)}
+	d := &Decoder{name: hdr[0], names: names, nRanks: nRanks}
 	if c.Magic == traceMagicV2 {
 		if err := newV2Decoder(c, d, opts); err != nil {
 			return nil, err
 		}
 		return d, nil
 	}
-	v1 := &v1decoder{br: c.Header, names: names, nRanks: nRanks, ctx: opts.Ctx, free: d.free}
+	v1 := &v1decoder{br: c.Header, names: names, nRanks: nRanks, ctx: opts.Ctx}
 	d.version, d.next, d.close = 1, v1.nextRank, func() {}
 	return d, nil
 }
@@ -456,7 +425,6 @@ type v1decoder struct {
 	nRanks int
 	next   int
 	ctx    context.Context
-	free   *eventFreeList
 	rec    []byte
 }
 
@@ -478,31 +446,30 @@ func (d *v1decoder) nextRank() (*RankTrace, error) {
 	if err := binary.Read(d.br, binary.LittleEndian, &nEvents); err != nil {
 		return nil, fmt.Errorf("trace: rank %d of %d header: %w", d.next-1, d.nRanks, noEOF(err))
 	}
-	rt := &RankTrace{Rank: int(rank)}
-	if nEvents > 0 {
-		// Prefer a recycled buffer from the free list (a consumer that
-		// calls Decoder.Recycle keeps a few buffers circulating); otherwise
-		// cap the upfront allocation: a hostile or corrupt header can
-		// declare billions of events, but each one still costs
-		// EventRecordSize bytes of input, so growth-by-append bounds
-		// memory by the actual stream size.
-		if buf := d.free.get(); buf != nil {
-			rt.Events = buf
-		} else {
-			rt.Events = make([]Event, 0, min(nEvents, 1<<16))
-		}
-	}
+	// A hostile or corrupt header can declare billions of events, but
+	// each one still costs EventRecordSize bytes of input, so the first
+	// draw is capped and the buffer grows through the pool as records
+	// arrive: memory stays bounded by the stream's actual size, and the
+	// final buffer is at most its class's 25 % over the rank.
+	rt := &RankTrace{Rank: int(rank), Events: eventBufs.Get(int(min(nEvents, 1<<16)))}
 	if d.rec == nil {
 		d.rec = make([]byte, EventRecordSize)
 	}
 	rec := d.rec
 	for j := uint32(0); j < nEvents; j++ {
 		if _, err := io.ReadFull(d.br, rec); err != nil {
+			eventBufs.Put(rt.Events)
 			return nil, fmt.Errorf("trace: rank %d event %d: %w", rank, j, err)
 		}
 		e, err := GetEventRecord(rec, d.names)
 		if err != nil {
+			eventBufs.Put(rt.Events)
 			return nil, err
+		}
+		if len(rt.Events) == cap(rt.Events) {
+			grown := append(eventBufs.Get(int(min(uint64(nEvents), 2*uint64(j)))), rt.Events...)
+			eventBufs.Put(rt.Events)
+			rt.Events = grown
 		}
 		rt.Events = append(rt.Events, e)
 	}

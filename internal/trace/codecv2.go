@@ -271,17 +271,14 @@ func ParseEventsV2(c *Cursor, names []string, n uint32) ([]Event, error) {
 }
 
 // ParseEventsV2Into is ParseEventsV2 writing into dst's storage (appended
-// from dst[:0]; grown as needed). Decoders pass recycled event buffers so
+// from dst[:0]; grown as needed). Decoders pass pooled event buffers so
 // steady-state decodes reuse storage instead of allocating per rank.
 func ParseEventsV2Into(c *Cursor, names []string, n uint32, dst []Event) ([]Event, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	// Every record costs at least minEventV2Size payload bytes, so this
-	// rejects hostile counts before the allocation below: len(events) is
-	// bounded by the payload bytes actually present.
-	if uint64(c.Len()) < uint64(n)*minEventV2Size {
-		return nil, fmt.Errorf("trace: %d events declared but only %d payload bytes remain", n, c.Len())
+	if err := checkEventsV2(c, n); err != nil {
+		return nil, err
 	}
 	events := dst[:0]
 	if cap(events) == 0 {
@@ -334,6 +331,17 @@ func ParseEventsV2Into(c *Cursor, names []string, n uint32, dst []Event) ([]Even
 	return events, nil
 }
 
+// checkEventsV2 rejects a record count the rest of c's payload cannot
+// hold: every record costs at least minEventV2Size bytes, so a count
+// that passes is bounded by the payload bytes actually present, and a
+// buffer of that many events may be allocated.
+func checkEventsV2(c *Cursor, n uint32) error {
+	if uint64(c.Len()) < uint64(n)*minEventV2Size {
+		return fmt.Errorf("trace: %d events declared but only %d payload bytes remain", n, c.Len())
+	}
+	return nil
+}
+
 // unzigzag maps a zigzag-encoded uvarint back to its signed value, as
 // binary.Varint does.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
@@ -359,20 +367,22 @@ func int32Overflow(peer, tag, root uint64) error {
 }
 
 // newV2Decoder points d at the TRC2 rank blocks of c, whose header d
-// holds: each block payload becomes one rank, parsed into an event
-// buffer from d's free list.
+// holds: each block payload becomes one rank, parsed into a buffer
+// drawn from the event pool once the block's record count has been
+// checked against its payload bytes.
 func newV2Decoder(c *Container, d *Decoder, opts DecoderOptions) error {
 	blocks, err := NewBlockReader(c, d.nRanks, opts, func(e BlockEntry, payload []byte) (*RankTrace, error) {
 		cur := NewCursor(payload)
-		var dst []Event
-		if e.Records > 0 {
-			dst = d.free.get()
+		if err := checkEventsV2(cur, e.Records); err != nil {
+			return nil, fmt.Errorf("trace: rank %d block: %w", e.Rank, err)
 		}
-		events, err := ParseEventsV2Into(cur, d.names, e.Records, dst)
+		buf := eventBufs.Get(int(e.Records))
+		events, err := ParseEventsV2Into(cur, d.names, e.Records, buf)
 		if err == nil {
 			err = cur.Done()
 		}
 		if err != nil {
+			eventBufs.Put(buf)
 			return nil, fmt.Errorf("trace: rank %d block: %w", e.Rank, err)
 		}
 		return &RankTrace{Rank: int(e.Rank), Events: events}, nil

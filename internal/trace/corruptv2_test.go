@@ -3,6 +3,9 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
+	"math"
+	"runtime"
 	"testing"
 )
 
@@ -139,6 +142,40 @@ func TestDecodeV2Corruption(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			decodeBoth(t, tc.name, mutate(data, tc.mut)(t, l))
 		})
+	}
+}
+
+// TestDecodeV2HostileRecordCount: a block whose footer index entry and
+// inline header agree on a huge record count, under a valid checksum,
+// must fail cleanly on both decode paths before any buffer sized by that
+// count is allocated: the count is checked against the payload bytes
+// before an event buffer is drawn.
+func TestDecodeV2HostileRecordCount(t *testing.T) {
+	data := encodeV2Bytes(t, v2TestTrace())
+	l := layoutV2(t, data, traceMagicV2)
+	if got := l.entries[0].Length; got != 49 {
+		t.Fatalf("rank 0 payload is %d bytes, the case is built for 49", got)
+	}
+	le := binary.LittleEndian
+	for _, n := range []uint32{1 << 22, math.MaxUint32} {
+		b := append([]byte{}, data...)
+		le.PutUint32(b[l.entries[0].Offset+4:], n)
+		le.PutUint32(b[l.indexOff+4+16:], n)
+		for path, r := range map[string]io.Reader{
+			"parallel":   bytes.NewReader(b),
+			"sequential": streamOnly{bytes.NewReader(b)},
+		} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Decode(r)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Errorf("%s, %d records: decode accepted the container", path, n)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<10 {
+				t.Errorf("%s, %d records: decode allocated %d bytes, want under 64 KiB", path, n, grew)
+			}
+		}
 	}
 }
 

@@ -179,9 +179,10 @@ func ReduceStreamToWriterOpts(d *TraceDecoder, m Method, w io.Writer, f Format, 
 	default:
 		return nil, closeOnError(d, fmt.Errorf("tracered: unknown reduced format %v", f))
 	}
-	// The decoder owning the ranks is right here, so recycle event
-	// buffers back to it by default: steady-state event storage stays at
-	// O(workers) buffers however many ranks stream through.
+	// The decoder returned the ranks and nothing else holds them, so
+	// recycle them by default: their event storage goes to the
+	// process-wide pool every decoder draws from, which the garbage
+	// collector empties when it sits idle.
 	if opts.Recycle == nil {
 		opts.Recycle = d.Recycle
 	}
