@@ -1,9 +1,8 @@
-// Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation. Each benchmark regenerates its artifact — the same
-// computation `cmd/evalstudy` prints — and reports the headline numbers
-// as custom metrics, so `go test -bench=.` both times the pipeline and
-// reproduces the study. Traces are generated once and shared through a
-// package-level runner; the measured work is reduction, reconstruction,
+// Benchmark harness: BenchmarkStudy times the paper's whole evaluation —
+// the computation `cmd/evalstudy -all` prints, whose output
+// TestStudyGolden pins — and the ablations time what the paper leaves
+// as future or related work. Traces are generated once and shared
+// through a package-level runner; the measured work is reduction,
 // analysis and comparison.
 package repro
 
@@ -73,214 +72,21 @@ func meanMetrics(b *testing.B, results []*eval.Result) {
 	b.ReportMetric(float64(retained), "retained")
 }
 
-// BenchmarkFig05_SizeAndMatching regenerates Figure 5: reduced file size
-// percentage and degree of matching for every workload × method at the
-// default thresholds. Sub-benchmarks isolate each method's column.
-func BenchmarkFig05_SizeAndMatching(b *testing.B) {
-	for _, method := range core.MethodNames {
-		b.Run(method, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				results := runCells(b, eval.GridDefault(eval.AllNames(), []string{method}))
-				if i == b.N-1 {
-					meanMetrics(b, results)
-				}
-			}
-		})
+// BenchmarkStudy times the paper's whole evaluation: every cell of
+// eval.StudyCells — each workload under each method at its default
+// threshold and across its threshold sweep, the grid behind Figures 5–19
+// and Tables 1–20 — reduced, scored and compared once per iteration, and
+// reports the grid-wide means. The figures and tables themselves are
+// pinned by TestStudyGolden (testdata/study_all.txt), not measured here.
+func BenchmarkStudy(b *testing.B) {
+	cells := eval.StudyCells()
+	var results []*eval.Result
+	for b.Loop() {
+		results = runCells(b, cells)
 	}
+	b.ReportMetric(float64(len(cells)), "cells")
+	meanMetrics(b, results)
 }
-
-// BenchmarkFig06_ApproxDistance regenerates Figure 6: the 90th-percentile
-// timestamp error per workload × method at default thresholds.
-func BenchmarkFig06_ApproxDistance(b *testing.B) {
-	for _, method := range core.MethodNames {
-		b.Run(method, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				results := runCells(b, eval.GridDefault(eval.AllNames(), []string{method}))
-				if i == b.N-1 {
-					var worst float64
-					for _, r := range results {
-						if d := float64(r.ApproxDist); d > worst {
-							worst = d
-						}
-					}
-					b.ReportMetric(worst, "max-apxdist-us")
-					meanMetrics(b, results)
-				}
-			}
-		})
-	}
-}
-
-// benchTrendChart regenerates one of the paper's trend-chart figures
-// (Figures 7 and 8): every method's reconstruction of one workload,
-// rendered side by side with the full-trace diagnosis.
-func benchTrendChart(b *testing.B, workload string) {
-	for i := 0; i < b.N; i++ {
-		r := sharedRunner(b)
-		results := runCells(b, eval.GridDefault([]string{workload}, core.MethodNames))
-		ix := eval.NewIndex(results)
-		chart, err := eval.FormatTrendChart(r, ix, workload, core.MethodNames)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(chart) == 0 {
-			b.Fatal("empty chart")
-		}
-		if i == b.N-1 {
-			meanMetrics(b, results)
-		}
-	}
-}
-
-// BenchmarkFig07_DynLoadTrends regenerates Figure 7 (dyn_load_balance).
-func BenchmarkFig07_DynLoadTrends(b *testing.B) { benchTrendChart(b, "dyn_load_balance") }
-
-// BenchmarkFig08_InterferenceTrends regenerates Figure 8 (1to1r_1024).
-func BenchmarkFig08_InterferenceTrends(b *testing.B) { benchTrendChart(b, "1to1r_1024") }
-
-// benchSweep regenerates a threshold-sweep figure: one method over a
-// workload set at every threshold in its §5.1 grid, with sub-benchmarks
-// per threshold.
-func benchSweep(b *testing.B, method string, workloads []string) {
-	for _, t := range core.ThresholdSweep(method) {
-		b.Run(method+"/"+thresholdLabel(method, t), func(b *testing.B) {
-			var cells []eval.Cell
-			for _, w := range workloads {
-				cells = append(cells, eval.Cell{Workload: w, Method: method, Threshold: t})
-			}
-			for i := 0; i < b.N; i++ {
-				results := runCells(b, cells)
-				if i == b.N-1 {
-					meanMetrics(b, results)
-				}
-			}
-		})
-	}
-}
-
-func thresholdLabel(method string, t float64) string {
-	switch method {
-	case "absDiff":
-		switch {
-		case t >= 1e6:
-			return "1e6"
-		case t >= 1e5:
-			return "1e5"
-		case t >= 1e4:
-			return "1e4"
-		case t >= 1e3:
-			return "1e3"
-		case t >= 1e2:
-			return "1e2"
-		default:
-			return "1e1"
-		}
-	case "iter_k":
-		switch t {
-		case 1:
-			return "k1"
-		case 10:
-			return "k10"
-		case 50:
-			return "k50"
-		case 100:
-			return "k100"
-		case 500:
-			return "k500"
-		default:
-			return "k1000"
-		}
-	default:
-		switch t {
-		case 0.1:
-			return "t0.1"
-		case 0.2:
-			return "t0.2"
-		case 0.4:
-			return "t0.4"
-		case 0.6:
-			return "t0.6"
-		case 0.8:
-			return "t0.8"
-		default:
-			return "t1.0"
-		}
-	}
-}
-
-// Figures 9-16: threshold sweeps over the 18 benchmark traces (the
-// paper's 16 plus the two scenario extensions).
-
-func BenchmarkFig09_RelDiffSweep(b *testing.B)   { benchSweep(b, "relDiff", eval.BenchmarkNames()) }
-func BenchmarkFig10_AbsDiffSweep(b *testing.B)   { benchSweep(b, "absDiff", eval.BenchmarkNames()) }
-func BenchmarkFig11_ManhattanSweep(b *testing.B) { benchSweep(b, "manhattan", eval.BenchmarkNames()) }
-func BenchmarkFig12_EuclideanSweep(b *testing.B) { benchSweep(b, "euclidean", eval.BenchmarkNames()) }
-func BenchmarkFig13_ChebyshevSweep(b *testing.B) { benchSweep(b, "chebyshev", eval.BenchmarkNames()) }
-func BenchmarkFig14_IterKSweep(b *testing.B)     { benchSweep(b, "iter_k", eval.BenchmarkNames()) }
-func BenchmarkFig15_AvgWaveSweep(b *testing.B)   { benchSweep(b, "avgWave", eval.BenchmarkNames()) }
-func BenchmarkFig16_HaarWaveSweep(b *testing.B)  { benchSweep(b, "haarWave", eval.BenchmarkNames()) }
-
-// Figures 17-19: threshold sweeps over the two Sweep3D runs, grouped as
-// in the paper's appendix.
-
-func BenchmarkFig17_Sweep3dSweepA(b *testing.B) {
-	for _, m := range []string{"relDiff", "absDiff", "manhattan"} {
-		benchSweep(b, m, eval.ApplicationNames())
-	}
-}
-
-func BenchmarkFig18_Sweep3dSweepB(b *testing.B) {
-	for _, m := range []string{"euclidean", "chebyshev", "iter_k"} {
-		benchSweep(b, m, eval.ApplicationNames())
-	}
-}
-
-func BenchmarkFig19_Sweep3dSweepC(b *testing.B) {
-	for _, m := range []string{"avgWave", "haarWave"} {
-		benchSweep(b, m, eval.ApplicationNames())
-	}
-}
-
-// benchTable regenerates one appendix retention table's default-threshold
-// column: every method's verdict for one workload (the full threshold
-// grid is `cmd/evalstudy -table N`). The reported "retained" metric is
-// the number of methods (of 9) that keep the workload's trends.
-func benchTable(b *testing.B, workload string) {
-	for i := 0; i < b.N; i++ {
-		results := runCells(b, eval.GridDefault([]string{workload}, core.MethodNames))
-		if i == b.N-1 {
-			meanMetrics(b, results)
-		}
-	}
-}
-
-// Tables 1-18, in the paper's appendix order.
-
-func BenchmarkTable01_DynLoadBalance(b *testing.B) { benchTable(b, "dyn_load_balance") }
-func BenchmarkTable02_EarlyGather(b *testing.B)    { benchTable(b, "early_gather") }
-func BenchmarkTable03_ImbalanceAtBarrier(b *testing.B) {
-	benchTable(b, "imbalance_at_mpi_barrier")
-}
-func BenchmarkTable04_LateBroadcast(b *testing.B) { benchTable(b, "late_broadcast") }
-func BenchmarkTable05_LateReceiver(b *testing.B)  { benchTable(b, "late_receiver") }
-func BenchmarkTable06_LateSender(b *testing.B)    { benchTable(b, "late_sender") }
-func BenchmarkTable07_Nto1_32(b *testing.B)       { benchTable(b, "Nto1_32") }
-func BenchmarkTable08_NtoN_32(b *testing.B)       { benchTable(b, "NtoN_32") }
-func BenchmarkTable09_1toN_32(b *testing.B)       { benchTable(b, "1toN_32") }
-func BenchmarkTable10_1to1r_32(b *testing.B)      { benchTable(b, "1to1r_32") }
-func BenchmarkTable11_1to1s_32(b *testing.B)      { benchTable(b, "1to1s_32") }
-func BenchmarkTable12_Nto1_1024(b *testing.B)     { benchTable(b, "Nto1_1024") }
-func BenchmarkTable13_NtoN_1024(b *testing.B)     { benchTable(b, "NtoN_1024") }
-func BenchmarkTable14_1toN_1024(b *testing.B)     { benchTable(b, "1toN_1024") }
-func BenchmarkTable15_1to1r_1024(b *testing.B)    { benchTable(b, "1to1r_1024") }
-func BenchmarkTable16_1to1s_1024(b *testing.B)    { benchTable(b, "1to1s_1024") }
-func BenchmarkTable17_Sweep3d8p(b *testing.B)     { benchTable(b, "sweep3d_8p") }
-func BenchmarkTable18_Sweep3d32p(b *testing.B)    { benchTable(b, "sweep3d_32p") }
-
-// Tables 19-20: the scenario-diversity extensions.
-
-func BenchmarkTable19_HaloJitter(b *testing.B) { benchTable(b, "halo_jitter") }
-func BenchmarkTable20_BurstyIO(b *testing.B)   { benchTable(b, "bursty_io") }
 
 // BenchmarkAblationMinkowskiOrder sweeps the Minkowski order beyond the
 // paper's {1, 2, ∞} on one irregular workload — the design-choice

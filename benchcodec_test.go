@@ -38,15 +38,6 @@ func BenchmarkCodecEncode(b *testing.B) {
 			}
 		}
 	})
-	b.Run("v2", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ReportMetric(float64(trace.EncodedSizeV2(full))/float64(trace.EncodedSize(full)), "size-ratio")
-		for i := 0; i < b.N; i++ {
-			if err := trace.EncodeV2(io.Discard, full); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("v2-parallel-w%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
@@ -69,7 +60,7 @@ func BenchmarkCodecDecode(b *testing.B) {
 	if err := trace.Encode(&v1, full); err != nil {
 		b.Fatal(err)
 	}
-	if err := trace.EncodeV2(&v2, full); err != nil {
+	if err := trace.EncodeV2With(&v2, full, trace.EncoderOptions{}); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("v1", func(b *testing.B) {
@@ -124,16 +115,16 @@ func BenchmarkCodecReducedRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	var v1, v2 bytes.Buffer
-	if err := core.EncodeReduced(&v1, red); err != nil {
+	if err := core.EncodeReduced(&v1, red, 1); err != nil {
 		b.Fatal(err)
 	}
-	if err := core.EncodeReducedV2(&v2, red); err != nil {
+	if err := core.EncodeReduced(&v2, red, 2); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("encode-v1", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := core.EncodeReduced(io.Discard, red); err != nil {
+			if err := core.EncodeReduced(io.Discard, red, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -142,7 +133,7 @@ func BenchmarkCodecReducedRoundTrip(b *testing.B) {
 		b.ReportAllocs()
 		b.ReportMetric(float64(v2.Len())/float64(v1.Len()), "size-ratio")
 		for i := 0; i < b.N; i++ {
-			if err := core.EncodeReducedV2(io.Discard, red); err != nil {
+			if err := core.EncodeReduced(io.Discard, red, 2); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -166,22 +157,23 @@ func BenchmarkCodecReducedRoundTrip(b *testing.B) {
 }
 
 // BenchmarkPipelineReduce measures the end-to-end TRC2 -> reduce ->
-// TRR2 path both ways: batch (stream-reduce into a full Reduced, then
-// encode it) against the pipelined ReduceStreamToWriter, which overlaps
-// decode, reduction, and encode and never materializes the Reduced.
+// TRR2 path both ways: batch (decode the full trace, reduce it into a
+// full Reduced, then encode it) against the pipelined
+// ReduceStreamToWriterOpts, which overlaps decode, reduction, and encode
+// and never materializes the Reduced.
 func BenchmarkPipelineReduce(b *testing.B) {
 	full, err := sharedRunner(b).Trace(benchCodecTrace)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var trc2 bytes.Buffer
-	if err := trace.EncodeV2(&trc2, full); err != nil {
+	if err := trace.EncodeV2With(&trc2, full, trace.EncoderOptions{}); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			d, err := trace.NewDecoder(bytes.NewReader(trc2.Bytes()))
+			tr, err := trace.Decode(bytes.NewReader(trc2.Bytes()))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -189,14 +181,13 @@ func BenchmarkPipelineReduce(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			red, err := core.ReduceStream(d.Name(), p, d.NextRank)
+			red, err := core.Reduce(tr, p)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := core.EncodeReducedV2With(io.Discard, red, trace.EncoderOptions{}); err != nil {
+			if err := core.EncodeReduced(io.Discard, red, 2); err != nil {
 				b.Fatal(err)
 			}
-			d.Close()
 		}
 	})
 	b.Run("pipelined", func(b *testing.B) {
@@ -210,7 +201,7 @@ func BenchmarkPipelineReduce(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := core.ReduceStreamToWriter(d.Name(), p, d.NextRank, io.Discard, 2); err != nil {
+			if _, err := core.ReduceStreamToWriterOpts(d, p, io.Discard, 2, core.StreamOptions{}); err != nil {
 				b.Fatal(err)
 			}
 			d.Close()
@@ -237,7 +228,7 @@ func BenchmarkTraceSignature(b *testing.B) {
 		if err := trace.Encode(&v1, full); err != nil {
 			b.Fatal(err)
 		}
-		if err := trace.EncodeV2(&v2, full); err != nil {
+		if err := trace.EncodeV2With(&v2, full, trace.EncoderOptions{}); err != nil {
 			b.Fatal(err)
 		}
 		v1s, v2s = append(v1s, v1.Bytes()), append(v2s, v2.Bytes())

@@ -76,11 +76,13 @@ func benchScore(b *testing.B, score func(*trace.Trace, *expert.Diagnosis, *core.
 
 // BenchmarkScoreReduced exercises the production scorer: approximation
 // distance and diagnosis computed directly from representatives and
-// execution records, no reconstruction. It passes the full trace's size
-// cached, as the study's Runner does, so it leaves out the full-trace
-// walk that tracered.ScoreReduced, Score and Evaluate pay on every call;
-// BenchmarkScoreCatalog includes it.
-func BenchmarkScoreReduced(b *testing.B) { benchScore(b, eval.EvaluateReducedSized) }
+// execution records, no reconstruction. Like tracered.ScoreReduced, it
+// sizes the full trace itself, on a goroutine of its own.
+func BenchmarkScoreReduced(b *testing.B) {
+	benchScore(b, func(full *trace.Trace, fullDiag *expert.Diagnosis, red *core.Reduced, _ int64) (*eval.Result, error) {
+		return eval.EvaluateReduced(full, fullDiag, red)
+	})
+}
 
 // BenchmarkScoreCatalog scores the study's 180 cells — the 20 catalog
 // traces, each reduced by the nine methods at their default thresholds —
@@ -135,7 +137,7 @@ func BenchmarkScoreCatalog(b *testing.B) {
 
 // BenchmarkScoreReconstructRef exercises the retained reconstruct-based
 // reference path the parity tests compare against.
-func BenchmarkScoreReconstructRef(b *testing.B) { benchScore(b, eval.EvaluateReducedReconstructSized) }
+func BenchmarkScoreReconstructRef(b *testing.B) { benchScore(b, evaluateReducedReconstruct) }
 
 // BenchmarkApproxDistCatalog scores the approximation distance of the
 // study's 180 cells — the 20 catalog traces, each reduced by the nine

@@ -204,10 +204,10 @@ func TestCLIRoundTripV2(t *testing.T) {
 	// Compare through the canonical v1 encoding: byte equality is the
 	// cross-version parity the codecs guarantee.
 	var wantEnc, gotEnc bytes.Buffer
-	if err := tracered.WriteReduced(&wantEnc, want); err != nil {
+	if err := tracered.WriteReducedFormat(&wantEnc, want, tracered.FormatV1); err != nil {
 		t.Fatal(err)
 	}
-	if err := tracered.WriteReduced(&gotEnc, red); err != nil {
+	if err := tracered.WriteReducedFormat(&gotEnc, red, tracered.FormatV1); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(wantEnc.Bytes(), gotEnc.Bytes()) {
@@ -215,9 +215,52 @@ func TestCLIRoundTripV2(t *testing.T) {
 	}
 }
 
+// TestCLIVerifyInMemory: -verify without -out scores the reduction from
+// memory. It prints the -out run's summary line and the same distance
+// and trend lines, and writes no file.
+func TestCLIVerifyInMemory(t *testing.T) {
+	dir := t.TempDir()
+	tools := buildTools(t, dir)
+	trc := filepath.Join(dir, "late_sender.trc")
+	trr := filepath.Join(dir, "late_sender.trr")
+	run(t, tools["tracegen"], "-workload", "late_sender", "-o", trc)
+	for _, format := range []string{"v1", "v2"} {
+		withOut := strings.Split(run(t, tools["tracereduce"],
+			"-in", trc, "-format", format, "-out", trr, "-verify"), "\n")
+		if err := os.Remove(trr); err != nil {
+			t.Fatal(err)
+		}
+		before, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inMemory := strings.Split(run(t, tools["tracereduce"], "-in", trc, "-format", format, "-verify"), "\n")
+		// The -out run adds one line, "wrote <file>", after the summary.
+		if len(withOut) < 4 || withOut[1] != "wrote "+trr {
+			t.Fatalf("%s: unexpected -out output:\n%s", format, strings.Join(withOut, "\n"))
+		}
+		want := append([]string{withOut[0]}, withOut[2:]...)
+		if !reflect.DeepEqual(inMemory, want) {
+			t.Errorf("%s: -verify without -out printed\n%s\nwant\n%s", format,
+				strings.Join(inMemory, "\n"), strings.Join(want, "\n"))
+		}
+		if !strings.HasPrefix(inMemory[1], "approximation distance") || !strings.HasPrefix(inMemory[2], "performance trends") {
+			t.Errorf("%s: missing the distance and trend lines:\n%s", format, strings.Join(inMemory, "\n"))
+		}
+		after, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(after) != len(before) {
+			t.Errorf("%s: -verify without -out left %d files in the directory, had %d", format, len(after), len(before))
+		}
+	}
+}
+
 // TestCLIFailures pins tracereduce's failure behaviour: an explicit
-// negative -threshold is an error, not a request for the default, and a
-// reduction that fails leaves no -out file behind.
+// negative -threshold is an error, not a request for the default, a
+// reduction that fails leaves no -out file behind, and an -out that is
+// the input file is refused before anything is written.
 func TestCLIFailures(t *testing.T) {
 	dir := t.TempDir()
 	tools := buildTools(t, dir)
@@ -249,4 +292,32 @@ func TestCLIFailures(t *testing.T) {
 			t.Errorf("failed run left %s behind (stat: %v)", trr, err)
 		}
 	})
+
+	for _, format := range []string{"v1", "v2"} {
+		t.Run("out_is_input_"+format, func(t *testing.T) {
+			in := filepath.Join(dir, "self_"+format+".trc")
+			run(t, tools["tracegen"], "-workload", "late_sender", "-format", format, "-o", in)
+			link := filepath.Join(dir, "self_"+format+".link")
+			if err := os.Symlink(in, link); err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, out := range []string{in, link} {
+				code, msg := runFails(t, tools["tracereduce"], "-in", in, "-out", out)
+				if code != 1 || !strings.Contains(msg, in) || !strings.Contains(msg, out) {
+					t.Errorf("-out %s: exit %d, want 1 naming both paths:\n%s", out, code, msg)
+				}
+				got, err := os.ReadFile(in)
+				if err != nil {
+					t.Fatalf("-out %s: the input is gone: %v", out, err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("-out %s: the input changed (%d bytes, was %d)", out, len(got), len(want))
+				}
+			}
+		})
+	}
 }

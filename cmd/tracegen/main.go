@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/tracered"
@@ -55,7 +56,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
 		os.Exit(1)
 	}
-	if err := tracered.WriteTraceFormat(f, t, fv); err != nil {
+	cw := &countingWriter{w: f}
+	if err := tracered.WriteTraceFormat(cw, t, fv); err != nil {
 		f.Close()
 		fmt.Fprintln(os.Stderr, "tracegen: writing trace:", err)
 		os.Exit(1)
@@ -65,5 +67,17 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("%s: %d ranks, %d events, %d bytes (%s) -> %s\n",
-		*workload, t.NumRanks(), t.NumEvents(), tracered.TraceSizeFormat(t, fv), fv, *out)
+		*workload, t.NumRanks(), t.NumEvents(), cw.n, fv, *out)
+}
+
+// countingWriter counts the bytes written through it.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }

@@ -13,15 +13,16 @@
 // containers decode their blocks in parallel). -format selects the
 // version of the written reduced container: v1 (default) or v2.
 //
-// The trace is decoded, segmented, and reduced rank by rank on a worker
-// pool, so only a pool's worth of ranks is ever held in memory alongside
-// the reduction. With -out the run is fully pipelined: per-rank
-// reduction and reduced-block encoding overlap the decode, the full
-// reduction is never materialized, and the written container is
-// byte-identical to reducing in memory and encoding afterwards. With
-// -verify the tool re-reads the full trace,
-// reconstructs, and reports the approximation distance and trend
-// retention, the remaining two criteria.
+// Every run is fully pipelined: the trace is decoded, segmented, and
+// reduced rank by rank on a worker pool, and each rank's reduced block
+// is encoded as soon as it is reduced, so only a pool's worth of ranks
+// is ever held in memory and the full reduction is never materialized.
+// The container goes to -out, byte-identical to reducing in memory and
+// encoding afterwards; without -out it is only counted, or kept in
+// memory when -verify needs it back. -out may not name the input file.
+// With -verify the tool re-reads the full trace and reports the
+// approximation distance and trend retention, the remaining two
+// criteria.
 // -cpuprofile/-memprofile/-mutexprofile/-blockprofile write standard
 // pprof profiles of the run, the measurement hooks for matcher and
 // engine work (the mutex and block profiles expose pipeline turnstile
@@ -29,9 +30,11 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/profiling"
@@ -105,38 +108,45 @@ func run(in, out, method string, threshold float64, fv tracered.Format, verify b
 	if err != nil {
 		return err
 	}
-	dec, err := tracered.NewTraceDecoder(f)
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("reading trace: %w", err)
-	}
-	defer dec.Close()
+	defer f.Close()
 	// The input file is the encoded full trace, so its size on disk is the
 	// full-trace byte count the paper's size criterion divides by.
-	st, err := os.Stat(in)
+	st, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return err
 	}
 	fullBytes := st.Size()
-	summary := func(name string, redBytes int64, degree float64, stored int) {
-		fmt.Printf("%s + %s(t=%g): %d -> %d bytes (%.2f%%), degree of matching %.3f, %d stored segments\n",
-			name, method, threshold, fullBytes, redBytes,
-			100*float64(redBytes)/float64(fullBytes), degree, stored)
-	}
-
-	// With an output file the whole run is pipelined: decode, per-rank
-	// reduction, and reduced-block encode overlap, and the full Reduced
-	// is never materialized. Without one, reduce in memory and report.
-	var red *tracered.Reduced
+	// Creating the output truncates it, so an output that is the input
+	// (by name or through a link) would destroy the trace being read.
 	if out != "" {
-		g, err := os.Create(out)
-		if err != nil {
-			f.Close()
+		if ost, err := os.Stat(out); err == nil && os.SameFile(st, ost) {
+			return fmt.Errorf("-out %s is the input file %s; refusing to overwrite it", out, in)
+		}
+	}
+	dec, err := tracered.NewTraceDecoderWith(f, tracered.DecoderOptions{})
+	if err != nil {
+		return fmt.Errorf("reading trace: %w", err)
+	}
+	defer dec.Close()
+
+	// Decode, per-rank reduction, and reduced-block encode overlap, and
+	// the full Reduced is never materialized. The container goes to the
+	// output file, or to memory when -verify needs it back, or else is
+	// only counted.
+	var w io.Writer = io.Discard
+	var g *os.File
+	var mem bytes.Buffer
+	switch {
+	case out != "":
+		if g, err = os.Create(out); err != nil {
 			return err
 		}
-		stats, err := tracered.ReduceStreamToWriter(dec, m, g, fv)
-		f.Close()
+		w = g
+	case verify:
+		w = &mem
+	}
+	stats, err := tracered.ReduceStreamToWriterOpts(dec, m, w, fv, tracered.StreamOptions{})
+	if g != nil {
 		if cerr := g.Close(); err == nil && cerr != nil {
 			err = fmt.Errorf("closing: %w", cerr)
 		}
@@ -145,53 +155,54 @@ func run(in, out, method string, threshold float64, fv tracered.Format, verify b
 			// failed run would leave an empty or partial container behind.
 			return errors.Join(err, os.Remove(out))
 		}
-		summary(stats.Name, stats.BytesWritten, stats.DegreeOfMatching(), stats.StoredSegments)
-		fmt.Println("wrote", out)
-		if verify {
-			// Score against the reduction actually written, re-read from
-			// the output file (block-parallel for v2 containers).
-			h, err := os.Open(out)
-			if err != nil {
-				return err
-			}
-			red, err = tracered.ReadReduced(h)
-			h.Close()
-			if err != nil {
-				return fmt.Errorf("re-reading %s: %w", out, err)
-			}
-		}
-	} else {
-		red, err = tracered.ReduceStream(dec, m)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		summary(red.Name, tracered.ReducedSizeFormat(red, fv), red.DegreeOfMatching(), red.StoredSegments())
 	}
-	if verify {
-		// Scoring needs the full trace for the approximation-distance and
-		// trend-retention criteria; re-read it only now that it is needed.
-		h, err := os.Open(in)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("%s + %s(t=%g): %d -> %d bytes (%.2f%%), degree of matching %.3f, %d stored segments\n",
+		stats.Name, method, threshold, fullBytes, stats.BytesWritten,
+		100*float64(stats.BytesWritten)/float64(fullBytes), stats.DegreeOfMatching(), stats.StoredSegments)
+	if out != "" {
+		fmt.Println("wrote", out)
+	}
+	if !verify {
+		return nil
+	}
+	// Score against the reduction actually written, read back from the
+	// output file (block-parallel for v2 containers) or from memory.
+	var src io.Reader = &mem
+	if out != "" {
+		h, err := os.Open(out)
 		if err != nil {
 			return err
 		}
-		full, err := tracered.ReadTrace(h)
-		h.Close()
-		if err != nil {
-			return fmt.Errorf("reading trace: %w", err)
-		}
-		res, err := tracered.Score(full, red)
-		if err != nil {
-			return fmt.Errorf("scoring: %w", err)
-		}
-		fmt.Printf("approximation distance (90th pct): %d time units\n", res.ApproxDist)
-		if res.Retained {
-			fmt.Println("performance trends: retained")
-		} else {
-			fmt.Println("performance trends: LOST")
-			for _, issue := range res.Issues {
-				fmt.Println("  -", issue)
-			}
+		defer h.Close()
+		src = h
+	}
+	red, err := tracered.ReadReduced(src)
+	if err != nil {
+		return fmt.Errorf("re-reading the reduction: %w", err)
+	}
+	// Scoring needs the full trace for the approximation-distance and
+	// trend-retention criteria; re-read it only now that it is needed.
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return err
+	}
+	full, err := tracered.ReadTrace(f)
+	if err != nil {
+		return fmt.Errorf("reading trace: %w", err)
+	}
+	res, err := tracered.Score(full, red)
+	if err != nil {
+		return fmt.Errorf("scoring: %w", err)
+	}
+	fmt.Printf("approximation distance (90th pct): %d time units\n", res.ApproxDist)
+	if res.Retained {
+		fmt.Println("performance trends: retained")
+	} else {
+		fmt.Println("performance trends: LOST")
+		for _, issue := range res.Issues {
+			fmt.Println("  -", issue)
 		}
 	}
 	return nil

@@ -38,21 +38,11 @@ func TestCodecV2TraceParity(t *testing.T) {
 			if err := trace.Encode(&v1, full); err != nil {
 				t.Fatalf("v1 encode: %v", err)
 			}
-			if err := trace.EncodeV2(&v2, full); err != nil {
+			if err := trace.EncodeV2With(&v2, full, trace.EncoderOptions{}); err != nil {
 				t.Fatalf("v2 encode: %v", err)
 			}
 			if v2.Len() >= v1.Len() {
 				t.Errorf("v2 container (%d bytes) not smaller than v1 (%d bytes)", v2.Len(), v1.Len())
-			}
-			var v2par bytes.Buffer
-			if err := trace.EncodeV2With(&v2par, full, trace.EncoderOptions{Workers: 4}); err != nil {
-				t.Fatalf("parallel v2 encode: %v", err)
-			}
-			if !bytes.Equal(v2.Bytes(), v2par.Bytes()) {
-				t.Errorf("parallel v2 encode differs from sequential (%d vs %d bytes)", v2par.Len(), v2.Len())
-			}
-			if got := trace.EncodedSizeV2(full); got != int64(v2.Len()) {
-				t.Errorf("EncodedSizeV2 = %d, v2 container is %d bytes", got, v2.Len())
 			}
 			fromV1 := decodeTraceBytes(t, v1.Bytes())
 			fromV2 := decodeTraceBytes(t, v2.Bytes())
@@ -82,21 +72,11 @@ func TestCodecV2ReducedParity(t *testing.T) {
 					t.Fatalf("%s: Reduce: %v", method, err)
 				}
 				var v1, v2 bytes.Buffer
-				if err := core.EncodeReduced(&v1, red); err != nil {
+				if err := core.EncodeReduced(&v1, red, 1); err != nil {
 					t.Fatalf("%s: v1 encode: %v", method, err)
 				}
-				if err := core.EncodeReducedV2(&v2, red); err != nil {
+				if err := core.EncodeReduced(&v2, red, 2); err != nil {
 					t.Fatalf("%s: v2 encode: %v", method, err)
-				}
-				var v2par bytes.Buffer
-				if err := core.EncodeReducedV2With(&v2par, red, trace.EncoderOptions{Workers: 4}); err != nil {
-					t.Fatalf("%s: parallel v2 encode: %v", method, err)
-				}
-				if !bytes.Equal(v2.Bytes(), v2par.Bytes()) {
-					t.Errorf("%s: parallel v2 encode differs from sequential (%d vs %d bytes)", method, v2par.Len(), v2.Len())
-				}
-				if got := core.EncodedReducedSizeV2(red); got != int64(v2.Len()) {
-					t.Errorf("%s: EncodedReducedSizeV2 = %d, v2 container is %d bytes", method, got, v2.Len())
 				}
 				fromV1, err := core.DecodeReduced(bytes.NewReader(v1.Bytes()))
 				if err != nil {
@@ -117,7 +97,7 @@ func TestCodecV2ReducedParity(t *testing.T) {
 	}
 }
 
-// TestCodecV2ReduceFromV2Parity feeds the streaming reduction pipeline
+// TestCodecV2ReduceFromV2Parity feeds the pipelined reduce-to-writer
 // from a v2 container and requires output byte-identical to reducing
 // the original trace — the guarantee that lets cmd/tracereduce accept
 // either container version transparently.
@@ -128,28 +108,24 @@ func TestCodecV2ReduceFromV2Parity(t *testing.T) {
 		t.Run(workload, func(t *testing.T) {
 			full := parityTrace(t, workload)
 			var enc bytes.Buffer
-			if err := trace.EncodeV2(&enc, full); err != nil {
+			if err := trace.EncodeV2With(&enc, full, trace.EncoderOptions{}); err != nil {
 				t.Fatalf("v2 encode: %v", err)
 			}
 			d, err := trace.NewDecoder(bytes.NewReader(enc.Bytes()))
 			if err != nil {
 				t.Fatalf("NewDecoder: %v", err)
 			}
-			defer d.Close()
+			d.Close()
 			if d.Version() != 2 {
 				t.Fatalf("decoder picked version %d for a TRC2 container", d.Version())
 			}
-			pStream, _ := core.DefaultMethod(method)
+			streamed, _ := pipelineReduce(t, enc.Bytes(), method, 1)
 			pSeq, _ := core.DefaultMethod(method)
-			streamed, err := core.ReduceStream(d.Name(), pStream, d.NextRank)
-			if err != nil {
-				t.Fatalf("ReduceStream from v2: %v", err)
-			}
 			ref, err := core.ReduceSequential(full, pSeq)
 			if err != nil {
 				t.Fatalf("ReduceSequential: %v", err)
 			}
-			if !bytes.Equal(encodeReduced(t, streamed), encodeReduced(t, ref)) {
+			if !bytes.Equal(streamed, encodeReduced(t, ref)) {
 				t.Error("reduction streamed from the v2 container differs from the reference")
 			}
 		})

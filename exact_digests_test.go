@@ -84,7 +84,7 @@ func TestGoldenExactDigests(t *testing.T) {
 			}
 			for _, f := range digestFormats {
 				var b bytes.Buffer
-				if err := tracered.WriteReducedFormatWith(&b, red, f, tracered.EncoderOptions{Workers: 1}); err != nil {
+				if err := tracered.WriteReducedFormat(&b, red, f); err != nil {
 					t.Fatalf("%s/%s/%v: %v", workload, method, f, err)
 				}
 				key := digestKey(workload, method, f)

@@ -61,21 +61,76 @@ func rankReducedV1Size(rr *RankReduced) int64 {
 	return size
 }
 
-// EncodeReduced writes r to w in the reduced binary format.
-func EncodeReduced(w io.Writer, r *Reduced) error {
-	bw := bufio.NewWriter(w)
-	nt := reducedNameTable(r)
-	if err := writeReducedHeader(bw, reducedMagic, r.Name, r.Method, nt, len(r.Ranks)); err != nil {
+// EncodeReduced writes r to w as a reduced container of the given
+// version: 1 for TRR1, the default interchange form, or 2 for the
+// columnar TRR2. Each rank's chunk is encoded on the caller's goroutine
+// and written before the next one is encoded.
+func EncodeReduced(w io.Writer, r *Reduced, version int) error {
+	if err := checkReducedVersion(version); err != nil {
 		return err
 	}
+	nt := reducedNameTable(r)
 	var chunk []byte
-	for i := range r.Ranks {
-		chunk = appendRankReducedV1(chunk[:0], nt, &r.Ranks[i])
-		if _, err := bw.Write(chunk); err != nil {
+	return writeReduced(w, version, r.Name, r.Method, nt, len(r.Ranks), func(i int) (uint32, uint32, []byte) {
+		rr := &r.Ranks[i]
+		chunk = appendRankReduced(chunk[:0], version, nt, rr)
+		return uint32(rr.Rank), rankRecords(rr), chunk
+	})
+}
+
+// checkReducedVersion rejects a reduced container version other than 1
+// or 2.
+func checkReducedVersion(version int) error {
+	if version != 1 && version != 2 {
+		return fmt.Errorf("core: unknown reduced container version %d", version)
+	}
+	return nil
+}
+
+// writeReduced writes a reduced container of the given version: the
+// header, the n rank chunks in file order, and for TRR2 the block footer.
+// chunk(i) returns rank i's encoded chunk with the rank id and record
+// count a TRR2 block header carries; the chunk is written before the
+// next call. The batch encoder and the pipelined reduce-to-writer both
+// write through here.
+func writeReduced(w io.Writer, version int, name, method string, nt *trace.NameTable, n int,
+	chunk func(i int) (rank, records uint32, payload []byte)) error {
+	if version == 2 {
+		bw := trace.NewBlockWriter(w)
+		if err := writeReducedHeader(bw, reducedMagicV2, name, method, nt, n); err != nil {
+			return err
+		}
+		for i := 0; i < n; i++ {
+			if err := bw.WriteBlock(chunk(i)); err != nil {
+				return err
+			}
+		}
+		return bw.Finish(reducedMagicV2)
+	}
+	bw := bufio.NewWriter(w)
+	if err := writeReducedHeader(bw, reducedMagic, name, method, nt, n); err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
+		_, _, payload := chunk(i)
+		if _, err := bw.Write(payload); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
+}
+
+// rankRecords is the record count of rank rr's TRR2 block: its stored
+// segments plus its executions.
+func rankRecords(rr *RankReduced) uint32 { return uint32(len(rr.Stored) + len(rr.Execs)) }
+
+// appendRankReduced appends rank rr's chunk in the given container
+// version to dst: a TRR1 rank section or a TRR2 block payload.
+func appendRankReduced(dst []byte, version int, nt trace.NameIDs, rr *RankReduced) []byte {
+	if version == 2 {
+		return appendRankReducedV2(dst, nt, rr)
+	}
+	return appendRankReducedV1(dst, nt, rr)
 }
 
 // writeReducedHeader writes the header both reduced container versions

@@ -16,7 +16,7 @@ func TestReducedCodecRoundtrip(t *testing.T) {
 		t.Fatalf("Reduce: %v", err)
 	}
 	var buf bytes.Buffer
-	if err := EncodeReduced(&buf, red); err != nil {
+	if err := EncodeReduced(&buf, red, 1); err != nil {
 		t.Fatalf("EncodeReduced: %v", err)
 	}
 	got, err := DecodeReduced(&buf)
@@ -67,7 +67,7 @@ func TestReductionActuallyShrinks(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Reduce: %v", err)
 	}
-	s := Sizes(tr, red)
+	s := SizeReport{FullBytes: trace.EncodedSize(tr), ReducedBytes: EncodedReducedSize(red)}
 	if s.Percent() > 15 {
 		t.Errorf("repetitive trace reduced to %.1f%%, expected <15%%", s.Percent())
 	}
@@ -85,7 +85,7 @@ func TestNoMatchOverheadBounded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Reduce: %v", err)
 	}
-	s := Sizes(tr, red)
+	s := SizeReport{FullBytes: trace.EncodedSize(tr), ReducedBytes: EncodedReducedSize(red)}
 	if s.ReducedBytes > s.FullBytes+int64(len(red.Ranks[0].Execs)*ExecRecordSize)+64 {
 		t.Errorf("no-match overhead too large: %d vs %d", s.ReducedBytes, s.FullBytes)
 	}
@@ -95,7 +95,7 @@ func TestDecodeReducedErrors(t *testing.T) {
 	tr := buildLoopTrace("loop", []trace.Time{10, 12})
 	red, _ := Reduce(tr, NewAbsDiff(100))
 	var buf bytes.Buffer
-	if err := EncodeReduced(&buf, red); err != nil {
+	if err := EncodeReduced(&buf, red, 1); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/segment"
@@ -36,28 +35,8 @@ import (
 
 const reducedMagicV2 = "TRR2"
 
-// EncodedReducedSizeV2 returns the byte size EncodeReducedV2 would
-// write, computed in a single size-only pass (no second encode).
-func EncodedReducedSizeV2(r *Reduced) int64 {
-	nt := reducedNameTable(r)
-	size := int64(len(reducedMagicV2)) + trace.V2StringSize(r.Name) + trace.V2StringSize(r.Method) + 4
-	for _, name := range nt.Names() {
-		size += trace.V2StringSize(name)
-	}
-	size += 4 // rank count
-	for i := range r.Ranks {
-		payload := rankReducedV2Size(nt, &r.Ranks[i])
-		if payload > trace.MaxBlockPayload {
-			panic(fmt.Sprintf("core: EncodedReducedSizeV2: rank %d block payload %d bytes exceeds the %d-byte format limit",
-				r.Ranks[i].Rank, payload, trace.MaxBlockPayload))
-		}
-		size += trace.V2BlockSize(payload)
-	}
-	return size + trace.V2ContainerTail(len(r.Ranks))
-}
-
 // rankReducedV2Size returns len(appendRankReducedV2(nil, nt, rr)) as a
-// pure size walk.
+// pure size walk; the pipeline sizes each chunk's buffer with it.
 func rankReducedV2Size(nt trace.NameIDs, rr *RankReduced) int64 {
 	n := int64(trace.UvarintSize(uint64(len(rr.Stored))) + trace.UvarintSize(uint64(len(rr.Execs))))
 	for _, s := range rr.Stored {
@@ -89,8 +68,9 @@ func reducedNameTable(r *Reduced) *trace.NameTable {
 
 // registerRankNames assigns ids for one rank's names in the exact order
 // the batch prescan visits them: per stored segment, the context first,
-// then its event names. The pipelined writer calls this per rank as
-// ranks complete, in rank order, which yields the same table.
+// then its event names. The pipelined writer's snapshotRankNames visits
+// each rank in the same order, in rank order, which yields the same
+// table.
 func registerRankNames(nt *trace.NameTable, rr *RankReduced) {
 	for _, s := range rr.Stored {
 		nt.ID(s.Context)
@@ -98,43 +78,6 @@ func registerRankNames(nt *trace.NameTable, rr *RankReduced) {
 			nt.ID(e.Name)
 		}
 	}
-}
-
-// EncodeReducedV2 writes r to w in the columnar v2 reduced format
-// (TRR2). It is the sequential reference; EncodeReducedV2With produces
-// identical bytes on a worker pool. The v1 format remains the default
-// interchange form.
-func EncodeReducedV2(w io.Writer, r *Reduced) error {
-	return encodeReducedV2(w, r, 1)
-}
-
-// EncodeReducedV2With is EncodeReducedV2 with explicit options: rank
-// blocks are encoded concurrently by opts.Workers goroutines and
-// committed in file order, byte-identical to the sequential encoder.
-func EncodeReducedV2With(w io.Writer, r *Reduced, opts trace.EncoderOptions) error {
-	return encodeReducedV2(w, r, trace.DefaultEncodeWorkers(opts.Workers))
-}
-
-func encodeReducedV2(w io.Writer, r *Reduced, workers int) error {
-	bw := trace.NewBlockWriter(w)
-	nt := reducedNameTable(r)
-	if err := writeReducedHeader(bw, reducedMagicV2, r.Name, r.Method, nt, len(r.Ranks)); err != nil {
-		return err
-	}
-	// The prescan registered every name, so concurrent encoders only
-	// read the table — safe without locks.
-	err := bw.WriteBlocksParallel(len(r.Ranks), workers,
-		func(i int) (uint32, uint32) {
-			rr := &r.Ranks[i]
-			return uint32(rr.Rank), uint32(len(rr.Stored) + len(rr.Execs))
-		},
-		func(i int, dst []byte) []byte {
-			return appendRankReducedV2(dst, nt, &r.Ranks[i])
-		})
-	if err != nil {
-		return err
-	}
-	return bw.Finish(reducedMagicV2)
 }
 
 // appendRankReducedV2 appends one rank's v2 block payload to dst.

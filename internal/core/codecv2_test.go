@@ -50,8 +50,8 @@ func v2TestReduced() *Reduced {
 func encodeReducedV2Bytes(t *testing.T, r *Reduced) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := EncodeReducedV2(&buf, r); err != nil {
-		t.Fatalf("EncodeReducedV2: %v", err)
+	if err := EncodeReduced(&buf, r, 2); err != nil {
+		t.Fatalf("EncodeReduced: %v", err)
 	}
 	return buf.Bytes()
 }
@@ -79,7 +79,7 @@ func TestEncodeReducedV2RoundTrip(t *testing.T) {
 func TestDecodeReducedV2MatchesV1(t *testing.T) {
 	src := v2TestReduced()
 	var v1buf bytes.Buffer
-	if err := EncodeReduced(&v1buf, src); err != nil {
+	if err := EncodeReduced(&v1buf, src, 1); err != nil {
 		t.Fatal(err)
 	}
 	fromV1, err := DecodeReduced(bytes.NewReader(v1buf.Bytes()))
@@ -111,7 +111,7 @@ func TestDecodeReducedV2WorkerCounts(t *testing.T) {
 
 func TestReducedV2SmallerThanV1(t *testing.T) {
 	r := v2TestReduced()
-	v1, v2 := EncodedReducedSize(r), EncodedReducedSizeV2(r)
+	v1, v2 := EncodedReducedSize(r), int64(len(encodeReducedV2Bytes(t, r)))
 	if v2 >= v1 {
 		t.Errorf("v2 encoding (%d bytes) not smaller than v1 (%d bytes)", v2, v1)
 	}

@@ -27,9 +27,9 @@ func hostileExecIDReduced() *Reduced {
 // to the same execution-log check.
 func TestDecodeReducedRejectsExecIDOutOfRange(t *testing.T) {
 	red := hostileExecIDReduced()
-	for version, encode := range map[int]func(io.Writer, *Reduced) error{1: EncodeReduced, 2: EncodeReducedV2} {
+	for _, version := range []int{1, 2} {
 		var buf bytes.Buffer
-		if err := encode(&buf, red); err != nil {
+		if err := EncodeReduced(&buf, red, version); err != nil {
 			t.Fatal(err)
 		}
 		_, err := DecodeReduced(bytes.NewReader(buf.Bytes()))
@@ -44,7 +44,7 @@ func TestDecodeReducedRejectsExecIDOutOfRange(t *testing.T) {
 func TestDecodeReducedV1TruncatedAtRankBoundary(t *testing.T) {
 	red := fuzzSeedReduced()
 	var buf bytes.Buffer
-	if err := EncodeReduced(&buf, red); err != nil {
+	if err := EncodeReduced(&buf, red, 1); err != nil {
 		t.Fatal(err)
 	}
 	last := appendRankReducedV1(nil, reducedNameTable(red), &red.Ranks[1])
@@ -63,9 +63,9 @@ func TestDecodeReducedV1TruncatedAtRankBoundary(t *testing.T) {
 //	go test -run '^$' -fuzz '^FuzzDecodeReducedAnyVersion$' -fuzztime 20s ./internal/core
 func FuzzDecodeReducedAnyVersion(f *testing.F) {
 	for _, red := range []*Reduced{fuzzSeedReduced(), hostileExecIDReduced()} {
-		for _, encode := range []func(io.Writer, *Reduced) error{EncodeReduced, EncodeReducedV2} {
+		for _, version := range []int{1, 2} {
 			var buf bytes.Buffer
-			if err := encode(&buf, red); err != nil {
+			if err := EncodeReduced(&buf, red, version); err != nil {
 				f.Fatal(err)
 			}
 			f.Add(buf.Bytes())
@@ -80,9 +80,9 @@ func FuzzDecodeReducedAnyVersion(f *testing.F) {
 			return
 		}
 		var decoded [2]*Reduced
-		for i, encode := range []func(io.Writer, *Reduced) error{EncodeReduced, EncodeReducedV2} {
+		for i := range decoded {
 			var buf bytes.Buffer
-			if err := encode(&buf, red); err != nil {
+			if err := EncodeReduced(&buf, red, i+1); err != nil {
 				t.Fatalf("re-encoding as TRR%d: %v", i+1, err)
 			}
 			if decoded[i], err = DecodeReduced(bytes.NewReader(buf.Bytes())); err != nil {

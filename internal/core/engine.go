@@ -13,11 +13,11 @@ import (
 )
 
 // One engine runs every rank-parallel reduction — batch Reduce over an
-// in-memory trace, ReduceStream over a decoder, and the pipelined
-// ReduceStreamToWriter. A worker takes the next rank from a source,
-// reduces it, recycles the rank's events, and hands the reduction to a
-// sink: collectSink builds a *Reduced; encodeSink (pipeline.go) encodes
-// each rank's container chunk in file order.
+// in-memory trace and the pipelined ReduceStreamToWriterOpts over a
+// decoder. A worker takes the next rank from a source, reduces it,
+// recycles the rank's events, and hands the reduction to a sink:
+// collectSink builds a *Reduced; encodeSink (pipeline.go) encodes each
+// rank's container chunk in file order.
 
 // rankSink receives each reduced rank on the worker that reduced it.
 type rankSink interface {
@@ -31,14 +31,16 @@ type rankSink interface {
 // reduceRanks reduces the ranks next yields (one per call, io.EOF at
 // the end) on a pool of opts.Workers workers (GOMAXPROCS when
 // non-positive), numbering them by arrival: rank i's RankReduced.Rank
-// is i. next is called from one goroutine at a time.
+// is i. next is called from one goroutine at a time. recycle, when
+// non-nil, takes each rank back once the reducer has copied what it
+// keeps; it is called concurrently from the workers.
 //
 // The error is deterministic. Each failure is recorded under its
 // arrival index, a source error under the index being claimed, and the
 // lowest is returned: ranks are claimed in order and every claimed rank
 // is reduced, so every rank before a failed one has run. A cancellation
 // with no failed rank returns ctx.Err().
-func reduceRanks(name string, p Policy, next func() (*trace.RankTrace, error), opts StreamOptions, sink rankSink) error {
+func reduceRanks(name string, p Policy, next func() (*trace.RankTrace, error), recycle func(*trace.RankTrace), opts StreamOptions, sink rankSink) error {
 	ctx := opts.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -118,8 +120,8 @@ func reduceRanks(name string, p Policy, next func() (*trace.RankTrace, error), o
 				}
 				// The reducer copied everything it keeps out of rt.Events,
 				// so the rank's storage can go back to the decoder now.
-				if opts.Recycle != nil {
-					opts.Recycle(rt)
+				if recycle != nil {
+					recycle(rt)
 				}
 				sink.put(i, r)
 			}
@@ -157,29 +159,3 @@ func (c *collectSink) put(i int, r *RankReducer) {
 }
 
 func (c *collectSink) abort() {}
-
-// collect runs the engine into a collectSink; nRanks, when known, sizes
-// the rank slice up front.
-func collect(name string, p Policy, next func() (*trace.RankTrace, error), opts StreamOptions, nRanks int) (*Reduced, error) {
-	c := &collectSink{red: &Reduced{Name: name, Method: p.Name(), Ranks: make([]RankReduced, 0, nRanks)}}
-	if err := reduceRanks(name, p, next, opts, c); err != nil {
-		return nil, err
-	}
-	return c.red, nil
-}
-
-// ReduceStream reduces a trace that is still being produced: next is
-// called until it returns io.EOF and must yield one rank's event stream
-// per call (trace.Decoder's NextRank, a generator, a network receiver).
-// Ranks are handed to a GOMAXPROCS-bounded pool of RankReducers as they
-// arrive, so at most `workers` ranks are in memory at once — the whole
-// trace never is. The result is byte-identical to Reduce over the
-// materialized trace: ranks land in the Reduced.Ranks slice in arrival
-// order and the counters are merged as ranks finish.
-//
-// next is called from one goroutine at a time (serialized internally),
-// so an unsynchronized decoder is fine. Policies must be safe for
-// concurrent use on distinct ranks' segments, as with Reduce.
-func ReduceStream(name string, p Policy, next func() (*trace.RankTrace, error)) (*Reduced, error) {
-	return collect(name, p, next, StreamOptions{}, 0)
-}

@@ -36,9 +36,9 @@ func unclosedTrace(nRanks, iters int, bad ...int) *trace.Trace {
 }
 
 // engineEntryPoints runs every public entry point of the rank-parallel
-// engine over the source returned by src, with the given worker count
-// (GOMAXPROCS for the entry points that take no option).
-func engineEntryPoints(t *testing.T, tr *trace.Trace, src func() func() (*trace.RankTrace, error), workers int) map[string]func() error {
+// engine: Reduce over tr, with GOMAXPROCS workers, and the pipeline over
+// the decoder src returns, with the given worker count.
+func engineEntryPoints(t *testing.T, tr *trace.Trace, src func() *trace.Decoder, workers int) map[string]func() error {
 	t.Helper()
 	p, err := DefaultMethod("avgWave")
 	if err != nil {
@@ -49,14 +49,10 @@ func engineEntryPoints(t *testing.T, tr *trace.Trace, src func() func() (*trace.
 			_, err := Reduce(tr, p)
 			return err
 		},
-		"ReduceStream": func() error {
-			_, err := ReduceStream(tr.Name, p, src())
-			return err
-		},
 	}
 	for _, version := range []int{1, 2} {
 		paths[fmt.Sprintf("ReduceStreamToWriterOpts/v%d", version)] = func() error {
-			_, err := ReduceStreamToWriterOpts(tr.Name, p, src(), io.Discard, version, StreamOptions{Workers: workers})
+			_, err := ReduceStreamToWriterOpts(src(), p, io.Discard, version, StreamOptions{Workers: workers})
 			return err
 		}
 	}
@@ -68,7 +64,7 @@ func engineEntryPoints(t *testing.T, tr *trace.Trace, src func() func() (*trace.
 // failing rank, whatever the worker count and the scheduling.
 func TestReduceErrorNamesLowestRank(t *testing.T) {
 	tr := unclosedTrace(16, 40, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)
-	src := func() func() (*trace.RankTrace, error) { return rankSource(tr) }
+	src := func() *trace.Decoder { return decoderOf(t, tr) }
 	for _, workers := range []int{1, 2, 4, 8} {
 		forceWorkers(t, workers)
 		for name, run := range engineEntryPoints(t, tr, src, workers) {
@@ -104,16 +100,8 @@ func TestReduceErrorSourceBehindFailedRank(t *testing.T) {
 	heavy := unclosedTrace(1, 4000, 0)
 	tr.Ranks[2].Events = heavy.Ranks[0].Events
 	errSource := errors.New("injected source failure")
-	src := func() func() (*trace.RankTrace, error) {
-		next := rankSource(tr)
-		i := 0
-		return func() (*trace.RankTrace, error) {
-			if i == 5 {
-				return nil, errSource
-			}
-			i++
-			return next()
-		}
+	src := func() *trace.Decoder {
+		return openDecoder(t, failingFrom(t, tr, 5, errSource), trace.DecoderOptions{})
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		forceWorkers(t, workers)

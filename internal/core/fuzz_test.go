@@ -43,7 +43,7 @@ func fuzzSeedReduced() *Reduced {
 //	go test -fuzz=FuzzDecodeReducedRoundTrip -fuzztime=10s ./internal/core
 func FuzzDecodeReducedRoundTrip(f *testing.F) {
 	var seed bytes.Buffer
-	if err := EncodeReduced(&seed, fuzzSeedReduced()); err != nil {
+	if err := EncodeReduced(&seed, fuzzSeedReduced(), 1); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed.Bytes())
@@ -59,7 +59,7 @@ func FuzzDecodeReducedRoundTrip(f *testing.F) {
 			return // invalid input is fine; not crashing is the property
 		}
 		var enc1 bytes.Buffer
-		if err := EncodeReduced(&enc1, r1); err != nil {
+		if err := EncodeReduced(&enc1, r1, 1); err != nil {
 			t.Fatalf("re-encoding decoded reduction: %v", err)
 		}
 		r2, err := DecodeReduced(bytes.NewReader(enc1.Bytes()))
@@ -67,7 +67,7 @@ func FuzzDecodeReducedRoundTrip(f *testing.F) {
 			t.Fatalf("decoding re-encoded reduction: %v", err)
 		}
 		var enc2 bytes.Buffer
-		if err := EncodeReduced(&enc2, r2); err != nil {
+		if err := EncodeReduced(&enc2, r2, 1); err != nil {
 			t.Fatalf("third encode: %v", err)
 		}
 		if !bytes.Equal(enc1.Bytes(), enc2.Bytes()) {

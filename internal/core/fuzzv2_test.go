@@ -40,7 +40,7 @@ func hostileReducedV2Seeds(valid []byte) [][]byte {
 //	go test -fuzz=FuzzDecodeReducedV2RoundTrip -fuzztime=10s ./internal/core
 func FuzzDecodeReducedV2RoundTrip(f *testing.F) {
 	var seed bytes.Buffer
-	if err := EncodeReducedV2(&seed, fuzzSeedReduced()); err != nil {
+	if err := EncodeReduced(&seed, fuzzSeedReduced(), 2); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed.Bytes())
@@ -48,7 +48,7 @@ func FuzzDecodeReducedV2RoundTrip(f *testing.F) {
 	f.Add([]byte(reducedMagicV2))             // bare magic
 	f.Add([]byte{})
 	var empty bytes.Buffer
-	if err := EncodeReducedV2(&empty, &Reduced{Name: "empty", Method: "none"}); err != nil {
+	if err := EncodeReduced(&empty, &Reduced{Name: "empty", Method: "none"}, 2); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(empty.Bytes())
@@ -68,11 +68,11 @@ func FuzzDecodeReducedV2RoundTrip(f *testing.F) {
 			return // invalid input is fine; not crashing is the property
 		}
 		var enc1 bytes.Buffer
-		if err := EncodeReducedV2(&enc1, r1); err != nil {
+		if err := EncodeReduced(&enc1, r1, 2); err != nil {
 			t.Fatalf("re-encoding decoded reduction: %v", err)
 		}
 		var encSeq bytes.Buffer
-		if err := EncodeReducedV2(&encSeq, r1Seq); err != nil {
+		if err := EncodeReduced(&encSeq, r1Seq, 2); err != nil {
 			t.Fatalf("re-encoding stream-decoded reduction: %v", err)
 		}
 		if !bytes.Equal(enc1.Bytes(), encSeq.Bytes()) {
@@ -83,7 +83,7 @@ func FuzzDecodeReducedV2RoundTrip(f *testing.F) {
 			t.Fatalf("decoding re-encoded reduction: %v", err)
 		}
 		var enc2 bytes.Buffer
-		if err := EncodeReducedV2(&enc2, r2); err != nil {
+		if err := EncodeReduced(&enc2, r2, 2); err != nil {
 			t.Fatalf("third encode: %v", err)
 		}
 		if !bytes.Equal(enc1.Bytes(), enc2.Bytes()) {

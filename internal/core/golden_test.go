@@ -97,7 +97,7 @@ func goldenPath(name string) string {
 
 func TestGoldenTRR1(t *testing.T) {
 	var enc bytes.Buffer
-	if err := EncodeReduced(&enc, goldenReduced()); err != nil {
+	if err := EncodeReduced(&enc, goldenReduced(), 1); err != nil {
 		t.Fatal(err)
 	}
 	data := checkGolden(t, goldenPath("golden.trr1"), enc.Bytes(), *updateGolden)
@@ -112,7 +112,7 @@ func TestGoldenTRR1(t *testing.T) {
 
 func TestGoldenTRR2(t *testing.T) {
 	var enc bytes.Buffer
-	if err := EncodeReducedV2(&enc, goldenReduced()); err != nil {
+	if err := EncodeReduced(&enc, goldenReduced(), 2); err != nil {
 		t.Fatal(err)
 	}
 	data := checkGolden(t, goldenPath("golden.trr2"), enc.Bytes(), *updateGolden)

@@ -250,11 +250,3 @@ func (s SizeReport) Percent() float64 {
 	}
 	return 100 * float64(s.ReducedBytes) / float64(s.FullBytes)
 }
-
-// Sizes computes the file-size criterion by encoding both forms.
-func Sizes(full *trace.Trace, red *Reduced) SizeReport {
-	return SizeReport{
-		FullBytes:    trace.EncodedSize(full),
-		ReducedBytes: EncodedReducedSize(red),
-	}
-}

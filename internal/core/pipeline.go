@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bufio"
 	"context"
-	"fmt"
 	"io"
 	"sync"
 
@@ -15,9 +13,10 @@ import (
 // with an encoding sink, so decode, per-rank reduction, and
 // reduced-block encode all overlap. Each rank's reduced block is encoded
 // by the worker that finished reducing that rank, while other workers
-// are still pulling ranks from the source; only the final container
-// assembly (header + spooled blocks + footer) is serial. The output is
-// byte-identical to encoding the batch ReduceStream result.
+// are still pulling ranks from the decoder; only the final container
+// assembly (header + spooled blocks + footer) is serial, and it goes
+// through the batch encoder's writeReduced. The output is byte-identical
+// to EncodeReduced of the batch Reduce result.
 //
 // Byte identity hinges on the name table: the batch encoders assign ids
 // in first-use order scanning ranks 0,1,2,…, so the ids a rank's block
@@ -93,17 +92,8 @@ func (c *passthroughCounter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// ReduceStreamToWriter reduces the rank stream next (ReduceStream's
-// contract: one rank per call, io.EOF at the end) and writes the reduced
-// container to w in the given format version (1 = TRR1, 2 = TRR2),
-// byte-identical to EncodeReduced/EncodeReducedV2 of the batch
-// ReduceStream result, with the exact first-match scan.
-func ReduceStreamToWriter(name string, p Policy, next func() (*trace.RankTrace, error), w io.Writer, version int) (*StreamStats, error) {
-	return ReduceStreamToWriterOpts(name, p, next, w, version, StreamOptions{})
-}
-
-// StreamOptions configure the rank-parallel engine behind the streaming
-// entry points. The zero value runs on a GOMAXPROCS pool.
+// StreamOptions configure the rank-parallel engine behind
+// ReduceStreamToWriterOpts. The zero value runs on a GOMAXPROCS pool.
 type StreamOptions struct {
 	// Mode is ignored: every reduction runs the exact first-match scan.
 	//
@@ -116,27 +106,30 @@ type StreamOptions struct {
 	// waiters are released, and ctx.Err() is returned. nil means
 	// context.Background().
 	Ctx context.Context
-	// Recycle, when non-nil, receives each rank back as soon as its
-	// events have been split into segments (the reducer copies what it
-	// keeps), so the event storage can serve a later rank. Wire it to
-	// trace.Decoder.Recycle, which hands the storage to one process-wide
-	// pool that every decoder draws from and the garbage collector
-	// empties; it must receive only ranks that decoder returned and
-	// that nothing else references. Must be safe for concurrent calls
-	// from the worker pool.
-	Recycle func(*trace.RankTrace)
 }
 
-// ReduceStreamToWriterOpts is ReduceStreamToWriter with an explicit
-// worker count, cancellation context, and rank recycler.
-func ReduceStreamToWriterOpts(name string, p Policy, next func() (*trace.RankTrace, error), w io.Writer, version int, opts StreamOptions) (*StreamStats, error) {
-	if version != 1 && version != 2 {
-		return nil, fmt.Errorf("core: unknown reduced container version %d", version)
+// ReduceStreamToWriterOpts reduces the ranks d decodes with policy p and
+// writes the reduced container to w in the given version (1 = TRR1,
+// 2 = TRR2), byte-identical to EncodeReduced of Reduce over the decoded
+// trace. The workload name comes from d, and each rank goes back to
+// d.Recycle as soon as its events are split into segments (the reducer
+// copies what it keeps). When it returns an error it has closed d: the
+// run stops pulling ranks at its first failure, and an unclosed
+// random-access version-2 decoder would keep its block workers, and the
+// ranks they decoded ahead, waiting for a consumer that never returns.
+func ReduceStreamToWriterOpts(d *trace.Decoder, p Policy, w io.Writer, version int, opts StreamOptions) (_ *StreamStats, err error) {
+	defer func() {
+		if err != nil {
+			d.Close()
+		}
+	}()
+	if err := checkReducedVersion(version); err != nil {
+		return nil, err
 	}
-	s := &encodeSink{version: version, nt: trace.NewNameTable(), stats: StreamStats{Name: name, Method: p.Name()}}
+	s := &encodeSink{version: version, nt: trace.NewNameTable(), stats: StreamStats{Name: d.Name(), Method: p.Name()}}
 	s.regCond = sync.NewCond(&s.regMu)
 	defer s.release()
-	if err := reduceRanks(name, p, next, opts, s); err != nil {
+	if err := reduceRanks(d.Name(), p, d.NextRank, d.Recycle, opts, s); err != nil {
 		return nil, err
 	}
 	return s.write(w)
@@ -189,12 +182,11 @@ func (s *encodeSink) put(i int, r *RankReducer) {
 	// Encode this rank's block concurrently from the private id snapshot;
 	// the raw rank and reducer state die here, only the compact chunk is
 	// spooled.
-	var chunk []byte
+	size := rankReducedV1Size(&rr)
 	if s.version == 2 {
-		chunk = appendRankReducedV2(chunkBufs.Get(int(rankReducedV2Size(ids, &rr))), ids, &rr)
-	} else {
-		chunk = appendRankReducedV1(chunkBufs.Get(int(rankReducedV1Size(&rr))), ids, &rr)
+		size = rankReducedV2Size(ids, &rr)
 	}
+	chunk := appendRankReduced(chunkBufs.Get(int(size)), s.version, ids, &rr)
 	s.outMu.Lock()
 	defer s.outMu.Unlock()
 	for len(s.chunks) <= i {
@@ -204,7 +196,7 @@ func (s *encodeSink) put(i int, r *RankReducer) {
 	}
 	s.chunks[i] = chunk
 	s.ranks[i] = uint32(rr.Rank)
-	s.counts[i] = uint32(len(rr.Stored) + len(rr.Execs))
+	s.counts[i] = rankRecords(&rr)
 	s.stats.TotalSegments += r.TotalSegments()
 	s.stats.Matches += r.Matches()
 	s.stats.PossibleMatches += r.PossibleMatches()
@@ -229,37 +221,15 @@ func (s *encodeSink) release() {
 	}
 }
 
-// write assembles the container — header, spooled chunks, and for v2
-// the footer — once the name table is complete.
+// write assembles the container through writeReduced once the name
+// table is complete.
 func (s *encodeSink) write(w io.Writer) (*StreamStats, error) {
 	s.stats.Ranks = len(s.chunks)
 	cw := &passthroughCounter{w: w}
-	if s.version == 2 {
-		bw := trace.NewBlockWriter(cw)
-		if err := writeReducedHeader(bw, reducedMagicV2, s.stats.Name, s.stats.Method, s.nt, len(s.chunks)); err != nil {
-			return nil, err
-		}
-		for i, chunk := range s.chunks {
-			if err := bw.WriteBlock(s.ranks[i], s.counts[i], chunk); err != nil {
-				return nil, err
-			}
-		}
-		if err := bw.Finish(reducedMagicV2); err != nil {
-			return nil, err
-		}
-	} else {
-		bw := bufio.NewWriter(cw)
-		if err := writeReducedHeader(bw, reducedMagic, s.stats.Name, s.stats.Method, s.nt, len(s.chunks)); err != nil {
-			return nil, err
-		}
-		for _, chunk := range s.chunks {
-			if _, err := bw.Write(chunk); err != nil {
-				return nil, err
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			return nil, err
-		}
+	err := writeReduced(cw, s.version, s.stats.Name, s.stats.Method, s.nt, len(s.chunks),
+		func(i int) (uint32, uint32, []byte) { return s.ranks[i], s.counts[i], s.chunks[i] })
+	if err != nil {
+		return nil, err
 	}
 	s.stats.BytesWritten = cw.n
 	return &s.stats, nil

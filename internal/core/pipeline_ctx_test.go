@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math/rand"
 	"testing"
 	"time"
@@ -11,36 +12,42 @@ import (
 	"repro/internal/trace"
 )
 
+// cancelAfter cancels a context once n bytes have been read through it.
+type cancelAfter struct {
+	r      io.Reader
+	n      int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) Read(p []byte) (int, error) {
+	k, err := c.r.Read(p)
+	if c.n -= k; c.n <= 0 {
+		c.cancel()
+	}
+	return k, err
+}
+
 // TestReduceStreamToWriterOptsCancel cancels the pipeline mid-stream:
-// the source respects the shared context (as a real decoder under the
-// same DecoderOptions.Ctx does), and the run must return the
-// cancellation error instead of wedging in the registration turnstile.
+// the decoder runs under the same context, so it stops yielding ranks,
+// and the run must return the cancellation error instead of wedging in
+// the registration turnstile.
 func TestReduceStreamToWriterOptsCancel(t *testing.T) {
 	forceWorkers(t, 4)
 	rng := rand.New(rand.NewSource(7))
 	tr := buildMultiRankTrace("cancelled", 32, 10, rng)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	src := rankSource(tr)
-	calls := 0
-	next := func() (*trace.RankTrace, error) {
-		calls++
-		if calls == 4 {
-			cancel()
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return src()
-	}
+	// Cancel a quarter of the way into the container.
+	enc := encodeTrace(t, tr)
+	d := openDecoder(t, &cancelAfter{r: bytes.NewReader(enc), n: len(enc) / 4, cancel: cancel},
+		trace.DecoderOptions{Ctx: ctx})
 	p, _ := DefaultMethod("avgWave")
 	done := make(chan struct{})
 	var runErr error
 	go func() {
 		defer close(done)
 		var buf bytes.Buffer
-		_, runErr = ReduceStreamToWriterOpts(tr.Name, p, next, &buf, 2,
-			StreamOptions{Workers: 4, Ctx: ctx})
+		_, runErr = ReduceStreamToWriterOpts(d, p, &buf, 2, StreamOptions{Workers: 4, Ctx: ctx})
 	}()
 	select {
 	case <-done:
@@ -63,7 +70,7 @@ func TestReduceStreamToWriterOptsPreCancelled(t *testing.T) {
 	cancel()
 	p, _ := DefaultMethod("avgWave")
 	var buf bytes.Buffer
-	if _, err := ReduceStreamToWriterOpts(tr.Name, p, rankSource(tr), &buf, 1,
+	if _, err := ReduceStreamToWriterOpts(decoderOf(t, tr), p, &buf, 1,
 		StreamOptions{Ctx: ctx}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ReduceStreamToWriterOpts(pre-cancelled) = %v, want context.Canceled", err)
 	}
@@ -76,18 +83,18 @@ func TestReduceStreamToWriterOptsWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	tr := buildMultiRankTrace("bounded", 12, 8, rng)
 	p1, _ := DefaultMethod("euclidean")
-	batch, err := ReduceStream(tr.Name, p1, rankSource(tr))
+	batch, err := Reduce(tr, p1)
 	if err != nil {
-		t.Fatalf("ReduceStream: %v", err)
+		t.Fatalf("Reduce: %v", err)
 	}
 	var want bytes.Buffer
-	if err := EncodeReducedV2(&want, batch); err != nil {
-		t.Fatalf("EncodeReducedV2: %v", err)
+	if err := EncodeReduced(&want, batch, 2); err != nil {
+		t.Fatalf("EncodeReduced: %v", err)
 	}
 	for _, workers := range []int{1, 2, 3} {
 		p2, _ := DefaultMethod("euclidean")
 		var got bytes.Buffer
-		if _, err := ReduceStreamToWriterOpts(tr.Name, p2, rankSource(tr), &got, 2,
+		if _, err := ReduceStreamToWriterOpts(decoderOf(t, tr), p2, &got, 2,
 			StreamOptions{Workers: workers}); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -108,8 +115,8 @@ func TestDecodeReducedWithCancelled(t *testing.T) {
 		t.Fatalf("Reduce: %v", err)
 	}
 	var buf bytes.Buffer
-	if err := EncodeReducedV2(&buf, red); err != nil {
-		t.Fatalf("EncodeReducedV2: %v", err)
+	if err := EncodeReduced(&buf, red, 2); err != nil {
+		t.Fatalf("EncodeReduced: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

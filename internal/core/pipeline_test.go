@@ -8,22 +8,49 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/trace"
 )
 
-// rankSource returns a ReduceStream-style next function over tr's ranks.
-func rankSource(tr *trace.Trace) func() (*trace.RankTrace, error) {
-	i := 0
-	return func() (*trace.RankTrace, error) {
-		if i >= len(tr.Ranks) {
-			return nil, io.EOF
-		}
-		rt := &tr.Ranks[i]
-		i++
-		return rt, nil
+// encodeTrace returns tr's TRC1 container.
+func encodeTrace(t testing.TB, tr *trace.Trace) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := trace.Encode(&buf, tr); err != nil {
+		t.Fatal(err)
 	}
+	return buf.Bytes()
+}
+
+// openDecoder opens a decoder over the trace container r yields.
+func openDecoder(t testing.TB, r io.Reader, opts trace.DecoderOptions) *trace.Decoder {
+	t.Helper()
+	d, err := trace.NewDecoderWith(r, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// decoderOf returns a decoder over tr's TRC1 container.
+func decoderOf(t testing.TB, tr *trace.Trace) *trace.Decoder {
+	t.Helper()
+	return openDecoder(t, bytes.NewReader(encodeTrace(t, tr)), trace.DecoderOptions{})
+}
+
+// failingFrom returns a reader over tr's TRC1 container that fails with
+// err where rank k's section starts, so a decoder yields ranks 0..k-1
+// and then err.
+func failingFrom(t testing.TB, tr *trace.Trace, k int, err error) io.Reader {
+	t.Helper()
+	enc := encodeTrace(t, tr)
+	cut := len(enc)
+	for _, rt := range tr.Ranks[k:] {
+		cut -= 8 + len(rt.Events)*trace.EventRecordSize
+	}
+	return io.MultiReader(bytes.NewReader(enc[:cut]), iotest.ErrReader(err))
 }
 
 // forceWorkers raises GOMAXPROCS for the test so the pipeline actually
@@ -37,34 +64,28 @@ func forceWorkers(t *testing.T, n int) {
 
 // TestReduceStreamToWriterParity pins the tentpole guarantee end to end:
 // the pipelined reduce-to-writer bytes are identical to encoding the
-// batch ReduceStream result, for both container versions, and the
-// returned stats match the batch reduction's counters.
+// batch Reduce result, for both container versions, and the returned
+// stats match the batch reduction's counters.
 func TestReduceStreamToWriterParity(t *testing.T) {
 	forceWorkers(t, 4)
 	rng := rand.New(rand.NewSource(99))
 	tr := buildMultiRankTrace("pipelined", 16, 15, rng)
 	for _, name := range []string{"avgWave", "iter_avg", "euclidean"} {
 		p1, _ := DefaultMethod(name)
-		batch, err := ReduceStream(tr.Name, p1, rankSource(tr))
+		batch, err := Reduce(tr, p1)
 		if err != nil {
-			t.Fatalf("%s: ReduceStream: %v", name, err)
+			t.Fatalf("%s: Reduce: %v", name, err)
 		}
 		for _, version := range []int{1, 2} {
 			var want bytes.Buffer
-			var encErr error
-			if version == 2 {
-				encErr = EncodeReducedV2(&want, batch)
-			} else {
-				encErr = EncodeReduced(&want, batch)
-			}
-			if encErr != nil {
-				t.Fatalf("%s v%d: batch encode: %v", name, version, encErr)
+			if err := EncodeReduced(&want, batch, version); err != nil {
+				t.Fatalf("%s v%d: batch encode: %v", name, version, err)
 			}
 			p2, _ := DefaultMethod(name)
 			var got bytes.Buffer
-			stats, err := ReduceStreamToWriter(tr.Name, p2, rankSource(tr), &got, version)
+			stats, err := ReduceStreamToWriterOpts(decoderOf(t, tr), p2, &got, version, StreamOptions{})
 			if err != nil {
-				t.Fatalf("%s v%d: ReduceStreamToWriter: %v", name, version, err)
+				t.Fatalf("%s v%d: ReduceStreamToWriterOpts: %v", name, version, err)
 			}
 			if !bytes.Equal(want.Bytes(), got.Bytes()) {
 				t.Errorf("%s v%d: pipelined container differs from batch (%d vs %d bytes)",
@@ -93,24 +114,18 @@ func TestReduceStreamToWriterParity(t *testing.T) {
 	}
 }
 
-// TestReduceStreamToWriterEmpty: an immediately-EOF source must still
-// produce a valid empty container, byte-identical to the batch path.
+// TestReduceStreamToWriterEmpty: a trace of no ranks must still produce
+// a valid empty container, byte-identical to the batch path.
 func TestReduceStreamToWriterEmpty(t *testing.T) {
 	empty := &Reduced{Name: "empty", Method: "avgWave"}
 	for _, version := range []int{1, 2} {
 		var want bytes.Buffer
-		if version == 2 {
-			if err := EncodeReducedV2(&want, empty); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			if err := EncodeReduced(&want, empty); err != nil {
-				t.Fatal(err)
-			}
+		if err := EncodeReduced(&want, empty, version); err != nil {
+			t.Fatal(err)
 		}
 		p, _ := DefaultMethod("avgWave")
 		var got bytes.Buffer
-		stats, err := ReduceStreamToWriter("empty", p, rankSource(trace.New("empty", 0)), &got, version)
+		stats, err := ReduceStreamToWriterOpts(decoderOf(t, trace.New("empty", 0)), p, &got, version, StreamOptions{})
 		if err != nil {
 			t.Fatalf("v%d: %v", version, err)
 		}
@@ -194,7 +209,7 @@ func TestReduceStreamToWriterFailingWriter(t *testing.T) {
 	for _, version := range []int{1, 2} {
 		p, _ := DefaultMethod("avgWave")
 		var full bytes.Buffer
-		if _, err := ReduceStreamToWriter(tr.Name, p, rankSource(tr), &full, version); err != nil {
+		if _, err := ReduceStreamToWriterOpts(decoderOf(t, tr), p, &full, version, StreamOptions{}); err != nil {
 			t.Fatalf("v%d: clean run: %v", version, err)
 		}
 		size := full.Len()
@@ -203,7 +218,7 @@ func TestReduceStreamToWriterFailingWriter(t *testing.T) {
 			label := fmt.Sprintf("v%d limit=%d", version, limit)
 			p, _ := DefaultMethod("avgWave")
 			err := pipelineTimeout(t, label, func() error {
-				_, err := ReduceStreamToWriter(tr.Name, p, rankSource(tr), &pipeFailWriter{limit: limit}, version)
+				_, err := ReduceStreamToWriterOpts(decoderOf(t, tr), p, &pipeFailWriter{limit: limit}, version, StreamOptions{})
 				return err
 			})
 			if !errors.Is(err, errPipeInjected) {
@@ -212,7 +227,7 @@ func TestReduceStreamToWriterFailingWriter(t *testing.T) {
 			label = fmt.Sprintf("v%d short=%d", version, limit)
 			p, _ = DefaultMethod("avgWave")
 			err = pipelineTimeout(t, label, func() error {
-				_, err := ReduceStreamToWriter(tr.Name, p, rankSource(tr), &pipeShortWriter{limit: limit}, version)
+				_, err := ReduceStreamToWriterOpts(decoderOf(t, tr), p, &pipeShortWriter{limit: limit}, version, StreamOptions{})
 				return err
 			})
 			if !errors.Is(err, io.ErrShortWrite) {
@@ -232,18 +247,10 @@ func TestReduceStreamToWriterSourceError(t *testing.T) {
 	t.Run("decode-error", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(5))
 		tr := buildMultiRankTrace("src", 6, 8, rng)
-		i := 0
-		next := func() (*trace.RankTrace, error) {
-			if i >= 3 {
-				return nil, errSource
-			}
-			rt := &tr.Ranks[i]
-			i++
-			return rt, nil
-		}
+		d := openDecoder(t, failingFrom(t, tr, 3, errSource), trace.DecoderOptions{})
 		p, _ := DefaultMethod("avgWave")
 		err := pipelineTimeout(t, "decode-error", func() error {
-			_, err := ReduceStreamToWriter(tr.Name, p, next, io.Discard, 2)
+			_, err := ReduceStreamToWriterOpts(d, p, io.Discard, 2, StreamOptions{})
 			return err
 		})
 		if !errors.Is(err, errSource) {
@@ -262,7 +269,7 @@ func TestReduceStreamToWriterSourceError(t *testing.T) {
 		}
 		tr.Ranks[1].Events = tr.Ranks[1].Events[:1] // unclosed segment
 		err := pipelineTimeout(t, "reduce-error", func() error {
-			_, err := ReduceStreamToWriter("bad", NewIterAvg(), rankSource(tr), io.Discard, 1)
+			_, err := ReduceStreamToWriterOpts(decoderOf(t, tr), NewIterAvg(), io.Discard, 1, StreamOptions{})
 			return err
 		})
 		if err == nil {
@@ -277,39 +284,26 @@ func TestReduceStreamToWriterSourceError(t *testing.T) {
 func TestReduceStreamToWriterBadVersion(t *testing.T) {
 	p, _ := DefaultMethod("avgWave")
 	for _, v := range []int{0, 3, -1} {
-		if _, err := ReduceStreamToWriter("x", p, rankSource(trace.New("x", 0)), io.Discard, v); err == nil {
+		if _, err := ReduceStreamToWriterOpts(decoderOf(t, trace.New("x", 0)), p, io.Discard, v, StreamOptions{}); err == nil {
 			t.Errorf("version %d accepted", v)
 		}
 	}
 }
 
-// TestEncodeReducedV2ParallelParity pins byte identity of the parallel
-// TRR2 encoder against the sequential reference at every worker count.
-func TestEncodeReducedV2ParallelParity(t *testing.T) {
-	red := v2TestReduced()
-	want := encodeReducedV2Bytes(t, red)
-	for _, workers := range []int{0, 1, 2, 3, 8, 64} {
-		var buf bytes.Buffer
-		if err := EncodeReducedV2With(&buf, red, trace.EncoderOptions{Workers: workers}); err != nil {
-			t.Fatalf("workers=%d: EncodeReducedV2With: %v", workers, err)
-		}
-		if !bytes.Equal(want, buf.Bytes()) {
-			t.Errorf("workers=%d: parallel reduced encode differs from sequential (%d vs %d bytes)",
-				workers, buf.Len(), len(want))
-		}
+// TestRankReducedV2Size holds the size walk the pipeline draws each
+// TRR2 chunk's buffer by to the chunk's encoded length.
+func TestRankReducedV2Size(t *testing.T) {
+	loop, err := Reduce(buildMultiRankTrace("loop", 4, 12, rand.New(rand.NewSource(2))), NewIterAvg())
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestEncodedReducedSizeV2SinglePass: the size walk must agree exactly
-// with the encoder's output.
-func TestEncodedReducedSizeV2SinglePass(t *testing.T) {
-	for name, red := range map[string]*Reduced{
-		"edge-shapes": v2TestReduced(),
-		"empty":       {Name: "empty", Method: "avgWave"},
-	} {
-		data := encodeReducedV2Bytes(t, red)
-		if got := EncodedReducedSizeV2(red); got != int64(len(data)) {
-			t.Errorf("%s: EncodedReducedSizeV2 = %d, encoded %d bytes", name, got, len(data))
+	for name, red := range map[string]*Reduced{"edge-shapes": v2TestReduced(), "loop": loop} {
+		nt := reducedNameTable(red)
+		for i := range red.Ranks {
+			rr := &red.Ranks[i]
+			if got, want := rankReducedV2Size(nt, rr), len(appendRankReducedV2(nil, nt, rr)); got != int64(want) {
+				t.Errorf("%s rank %d: rankReducedV2Size = %d, chunk is %d bytes", name, rr.Rank, got, want)
+			}
 		}
 	}
 }

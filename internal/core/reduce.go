@@ -89,8 +89,12 @@ func Reduce(t *trace.Trace, p Policy) (*Reduced, error) {
 		i++
 		return &t.Ranks[i-1], nil
 	}
+	c := &collectSink{red: &Reduced{Name: t.Name, Method: p.Name(), Ranks: make([]RankReduced, 0, len(t.Ranks))}}
 	workers := max(1, min(runtime.GOMAXPROCS(0), len(t.Ranks)))
-	return collect(t.Name, p, next, StreamOptions{Workers: workers}, len(t.Ranks))
+	if err := reduceRanks(t.Name, p, next, nil, StreamOptions{Workers: workers}, c); err != nil {
+		return nil, err
+	}
+	return c.red, nil
 }
 
 // ReduceSequential is the retained single-threaded reference

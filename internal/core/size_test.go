@@ -62,7 +62,7 @@ func TestEncodedReducedSizeMatches(t *testing.T) {
 	)
 	for _, red := range cases {
 		var buf bytes.Buffer
-		if err := core.EncodeReduced(&buf, red); err != nil {
+		if err := core.EncodeReduced(&buf, red, 1); err != nil {
 			t.Fatalf("%s/%s: EncodeReduced: %v", red.Name, red.Method, err)
 		}
 		if got := core.EncodedReducedSize(red); got != int64(buf.Len()) {

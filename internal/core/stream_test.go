@@ -42,10 +42,10 @@ func assertSameReduced(t *testing.T, label string, a, b *Reduced) {
 			b.TotalSegments, b.Matches, b.PossibleMatches)
 	}
 	var ab, bb bytes.Buffer
-	if err := EncodeReduced(&ab, a); err != nil {
+	if err := EncodeReduced(&ab, a, 1); err != nil {
 		t.Fatalf("%s: encoding a: %v", label, err)
 	}
-	if err := EncodeReduced(&bb, b); err != nil {
+	if err := EncodeReduced(&bb, b, 1); err != nil {
 		t.Fatalf("%s: encoding b: %v", label, err)
 	}
 	if !bytes.Equal(ab.Bytes(), bb.Bytes()) {
@@ -163,29 +163,36 @@ func TestRankReducerFeedMatchesBatchPerRank(t *testing.T) {
 	assertSameReduced(t, "relDiff", streamed, batch)
 }
 
+// TestReduceStreamMatchesBatch: the pipeline over a decoder of the
+// encoded trace writes what the sequential reference reduces, and its
+// stats carry the reference's counters.
 func TestReduceStreamMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	tr := buildMultiRankTrace("streamed", 8, 15, rng)
-	var buf bytes.Buffer
-	if err := trace.Encode(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
 	for _, name := range []string{"avgWave", "iter_avg", "euclidean"} {
 		p1, _ := DefaultMethod(name)
 		p2, _ := DefaultMethod(name)
-		d, err := trace.NewDecoder(bytes.NewReader(buf.Bytes()))
+		var streamed bytes.Buffer
+		st, err := ReduceStreamToWriterOpts(decoderOf(t, tr), p1, &streamed, 1, StreamOptions{})
 		if err != nil {
-			t.Fatal(err)
-		}
-		streamed, err := ReduceStream(d.Name(), p1, d.NextRank)
-		if err != nil {
-			t.Fatalf("%s: ReduceStream: %v", name, err)
+			t.Fatalf("%s: ReduceStreamToWriterOpts: %v", name, err)
 		}
 		batch, err := ReduceSequential(tr, p2)
 		if err != nil {
 			t.Fatalf("%s: ReduceSequential: %v", name, err)
 		}
-		assertSameReduced(t, name, streamed, batch)
+		if st.TotalSegments != batch.TotalSegments || st.Matches != batch.Matches || st.PossibleMatches != batch.PossibleMatches {
+			t.Errorf("%s: counters differ: (%d,%d,%d) vs (%d,%d,%d)", name,
+				st.TotalSegments, st.Matches, st.PossibleMatches,
+				batch.TotalSegments, batch.Matches, batch.PossibleMatches)
+		}
+		var want bytes.Buffer
+		if err := EncodeReduced(&want, batch, 1); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(streamed.Bytes(), want.Bytes()) {
+			t.Errorf("%s: streamed and sequential reductions differ (%d vs %d bytes)", name, streamed.Len(), want.Len())
+		}
 	}
 }
 
@@ -200,17 +207,8 @@ func TestReduceStreamPropagatesErrors(t *testing.T) {
 	tr.Ranks[1].Events = []trace.Event{
 		{Name: "main.1", Kind: trace.KindMarkBegin, Peer: trace.NoPeer, Root: trace.NoPeer},
 	}
-	i := 0
-	next := func() (*trace.RankTrace, error) {
-		if i >= len(tr.Ranks) {
-			return nil, io.EOF
-		}
-		rt := &tr.Ranks[i]
-		i++
-		return rt, nil
-	}
-	if _, err := ReduceStream("bad", NewIterAvg(), next); err == nil {
-		t.Error("ReduceStream with unclosed segment: no error")
+	if _, err := ReduceStreamToWriterOpts(decoderOf(t, tr), NewIterAvg(), io.Discard, 1, StreamOptions{}); err == nil {
+		t.Error("ReduceStreamToWriterOpts with unclosed segment: no error")
 	}
 	// The parallel batch driver must report it too.
 	if _, err := Reduce(tr, NewIterAvg()); err == nil {

@@ -86,20 +86,15 @@ func EvaluateReduced(full *trace.Trace, fullDiag *expert.Diagnosis, red *core.Re
 	return scoreReduced(full, fullDiag, red, nil)
 }
 
-// EvaluateReducedSized is EvaluateReduced with the full trace's encoded
-// byte size supplied by the caller; Runner caches it per workload so
-// study grids don't re-size the same full trace for every cell.
-func EvaluateReducedSized(full *trace.Trace, fullDiag *expert.Diagnosis, red *core.Reduced, fullBytes int64) (*Result, error) {
-	return scoreReduced(full, fullDiag, red, &fullBytes)
-}
-
-// scoreReduced is the scorer behind EvaluateReduced and
-// EvaluateReducedSized. Its criteria are independent, so they run at
-// once: the approximation distance on a second goroutine, the full
-// trace's size on a third when fullBytes is nil, and the reduced form's
-// diagnosis, its comparison and the reduced size on the caller's. Both
-// goroutines are joined before it returns. A failed distance is
-// reported ahead of a failed diagnosis, whichever fails first.
+// scoreReduced is the scorer behind EvaluateReduced and the Runner,
+// which caches the full trace's size per workload and passes it in so
+// study grids don't re-size the same full trace for every cell. Its
+// criteria are independent, so they run at once: the approximation
+// distance on a second goroutine, the full trace's size on a third when
+// fullBytes is nil, and the reduced form's diagnosis, its comparison and
+// the reduced size on the caller's. Both goroutines are joined before it
+// returns. A failed distance is reported ahead of a failed diagnosis,
+// whichever fails first.
 func scoreReduced(full *trace.Trace, fullDiag *expert.Diagnosis, red *core.Reduced, fullBytes *int64) (*Result, error) {
 	var wg sync.WaitGroup
 	var dist trace.Time
@@ -133,44 +128,6 @@ func scoreReduced(full *trace.Trace, fullDiag *expert.Diagnosis, red *core.Reduc
 		return nil, fmt.Errorf("eval: analyzing reduced %s/%s: %w", full.Name, red.Method, err)
 	}
 	sizes := core.SizeReport{FullBytes: *fullBytes, ReducedBytes: reducedBytes}
-	return newResult(full, red, sizes, dist, diag, verdict), nil
-}
-
-// EvaluateReducedReconstruct is the retained reconstruct-based reference
-// scorer, mirroring core.ReduceSequential: it materializes
-// red.Reconstruct() and re-walks every event. parity_test.go holds
-// EvaluateReduced to byte-for-byte the same Result; library users should
-// call EvaluateReduced.
-func EvaluateReducedReconstruct(full *trace.Trace, fullDiag *expert.Diagnosis, red *core.Reduced) (*Result, error) {
-	return EvaluateReducedReconstructSized(full, fullDiag, red, trace.EncodedSize(full))
-}
-
-// EvaluateReducedReconstructSized is EvaluateReducedReconstruct with the
-// full trace's encoded size supplied by the caller, the reference
-// counterpart of EvaluateReducedSized.
-func EvaluateReducedReconstructSized(full *trace.Trace, fullDiag *expert.Diagnosis, red *core.Reduced, fullBytes int64) (*Result, error) {
-	method := red.Method
-	recon, err := red.Reconstruct()
-	if err != nil {
-		return nil, fmt.Errorf("eval: reconstructing %s/%s: %w", full.Name, method, err)
-	}
-	dist, err := core.ApproximationDistance(full, recon, 0.9)
-	if err != nil {
-		return nil, fmt.Errorf("eval: approximation distance %s/%s: %w", full.Name, method, err)
-	}
-	diag, err := expert.Analyze(recon)
-	if err != nil {
-		return nil, fmt.Errorf("eval: analyzing reconstructed %s/%s: %w", full.Name, method, err)
-	}
-	verdict := cube.Compare(fullDiag, diag, cube.DefaultCompareOptions())
-	sizes := core.SizeReport{FullBytes: fullBytes, ReducedBytes: core.EncodedReducedSize(red)}
-	return newResult(full, red, sizes, dist, diag, verdict), nil
-}
-
-// newResult assembles the Result shared by the direct and
-// reconstruct-based scorers from the criteria each computed.
-func newResult(full *trace.Trace, red *core.Reduced, sizes core.SizeReport,
-	dist trace.Time, diag *expert.Diagnosis, verdict cube.Verdict) *Result {
 	return &Result{
 		Workload:       full.Name,
 		Method:         red.Method,
@@ -184,7 +141,7 @@ func newResult(full *trace.Trace, red *core.Reduced, sizes core.SizeReport,
 		StoredSegments: red.StoredSegments(),
 		TotalSegments:  red.TotalSegments,
 		Diag:           diag,
-	}
+	}, nil
 }
 
 // Runner caches workload traces, full-trace diagnoses, encoded full

@@ -12,8 +12,9 @@ import (
 
 // TestScoreReducedErrors holds the concurrent scorer to the error its
 // criteria report when they run one after another: a failed distance
-// wins over a failed diagnosis. Both entry points must return the same
-// text, and every goroutine the scorer starts must be gone afterwards.
+// wins over a failed diagnosis. The scorer must return the same text
+// whether it sizes the full trace itself or is handed its size, and
+// every goroutine it starts must be gone afterwards.
 func TestScoreReducedErrors(t *testing.T) {
 	r := NewRunner()
 	full, err := r.Trace("late_sender")
@@ -82,8 +83,9 @@ func TestScoreReducedErrors(t *testing.T) {
 			if _, err := EvaluateReduced(c.full, fullDiag, c.red); err == nil || err.Error() != c.want {
 				t.Errorf("EvaluateReduced error = %v, want %q", err, c.want)
 			}
-			if _, err := EvaluateReducedSized(c.full, fullDiag, c.red, 1); err == nil || err.Error() != c.want {
-				t.Errorf("EvaluateReducedSized error = %v, want %q", err, c.want)
+			fullBytes := int64(1)
+			if _, err := scoreReduced(c.full, fullDiag, c.red, &fullBytes); err == nil || err.Error() != c.want {
+				t.Errorf("scoreReduced(sized) error = %v, want %q", err, c.want)
 			}
 			// A joined goroutine may still be on its way out; give it a
 			// moment before calling it leaked.

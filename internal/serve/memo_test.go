@@ -40,7 +40,7 @@ func reduce(h http.Handler, upload []byte, query string) *httptest.ResponseRecor
 // compute it.
 func signatureOf(t *testing.T, upload []byte) string {
 	t.Helper()
-	sig, err := trace.SignatureOf(bytes.NewReader(upload))
+	sig, err := trace.SignatureOfWith(bytes.NewReader(upload), trace.DecoderOptions{})
 	if err != nil {
 		t.Fatalf("SignatureOf: %v", err)
 	}
@@ -189,7 +189,7 @@ func TestSignatureMemoByteChange(t *testing.T) {
 	for _, at := range []int{0, 5, len(upload) / 3, len(upload) / 2, len(upload) - 1} {
 		altered := bytes.Clone(upload)
 		altered[at] ^= 0x01
-		want, signErr := trace.SignatureOf(bytes.NewReader(altered))
+		want, signErr := trace.SignatureOfWith(bytes.NewReader(altered), trace.DecoderOptions{})
 		held := srv.memo.Len()
 		rec := reduce(h, altered, "method=avgWave")
 		if hits.Value() != 0 {

@@ -45,7 +45,7 @@ func encodeTrace(t *testing.T, tr *trace.Trace, version int) []byte {
 	var buf bytes.Buffer
 	var err error
 	if version == 2 {
-		err = trace.EncodeV2(&buf, tr)
+		err = trace.EncodeV2With(&buf, tr, trace.EncoderOptions{})
 	} else {
 		err = trace.Encode(&buf, tr)
 	}
@@ -69,8 +69,8 @@ func cliReduce(t *testing.T, upload []byte, method string, threshold float64, fo
 		t.Fatalf("NewMethod: %v", err)
 	}
 	var out bytes.Buffer
-	if _, err := core.ReduceStreamToWriter(dec.Name(), m, dec.NextRank, &out, format); err != nil {
-		t.Fatalf("ReduceStreamToWriter: %v", err)
+	if _, err := core.ReduceStreamToWriterOpts(dec, m, &out, format, core.StreamOptions{}); err != nil {
+		t.Fatalf("ReduceStreamToWriterOpts: %v", err)
 	}
 	return out.Bytes()
 }

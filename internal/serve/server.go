@@ -303,8 +303,8 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 		"workload", dec.Name(),
 		"method", params.method,
 	), func(ctx context.Context) {
-		stats, err = core.ReduceStreamToWriterOpts(dec.Name(), m, dec.NextRank, &out, params.format,
-			core.StreamOptions{Workers: granted, Ctx: ctx, Recycle: dec.Recycle})
+		stats, err = core.ReduceStreamToWriterOpts(dec, m, &out, params.format,
+			core.StreamOptions{Workers: granted, Ctx: ctx})
 	})
 	dec.Close()
 	s.fleet.Release(granted)

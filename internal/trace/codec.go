@@ -133,27 +133,8 @@ func ReadStringLimit(r io.Reader, max uint32) (string, error) {
 // Encode writes t to w in the binary trace format.
 func Encode(w io.Writer, t *Trace) error {
 	bw := bufio.NewWriter(w)
-	if _, err := io.WriteString(bw, traceMagic); err != nil {
-		return err
-	}
-	if err := WriteString(bw, t.Name); err != nil {
-		return err
-	}
-	nt := NewNameTable()
-	for i := range t.Ranks {
-		for _, e := range t.Ranks[i].Events {
-			nt.ID(e.Name)
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(nt.names))); err != nil {
-		return err
-	}
-	for _, name := range nt.names {
-		if err := WriteString(bw, name); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(t.Ranks))); err != nil {
+	nt, err := writeTraceHeader(bw, traceMagic, t)
+	if err != nil {
 		return err
 	}
 	var rec [EventRecordSize]byte
@@ -173,6 +154,35 @@ func Encode(w io.Writer, t *Trace) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// writeTraceHeader writes the header both trace container versions
+// share — magic, workload name, name table, rank count — and returns
+// the table. Ids are assigned in first-use order across ranks, so the
+// table is complete before any rank is encoded and concurrent encoders
+// only read it.
+func writeTraceHeader(w io.Writer, magic string, t *Trace) (*NameTable, error) {
+	if _, err := io.WriteString(w, magic); err != nil {
+		return nil, err
+	}
+	if err := WriteString(w, t.Name); err != nil {
+		return nil, err
+	}
+	nt := NewNameTable()
+	for i := range t.Ranks {
+		for _, e := range t.Ranks[i].Events {
+			nt.ID(e.Name)
+		}
+	}
+	if err := binary.Write(w, binary.LittleEndian, uint32(len(nt.names))); err != nil {
+		return nil, err
+	}
+	for _, name := range nt.names {
+		if err := WriteString(w, name); err != nil {
+			return nil, err
+		}
+	}
+	return nt, binary.Write(w, binary.LittleEndian, uint32(len(t.Ranks)))
 }
 
 // PutEventRecord encodes e into rec, which must be at least

@@ -38,8 +38,8 @@ func v2TestTrace() *Trace {
 func encodeV2Bytes(t *testing.T, tr *Trace) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := EncodeV2(&buf, tr); err != nil {
-		t.Fatalf("EncodeV2: %v", err)
+	if err := EncodeV2With(&buf, tr, EncoderOptions{Workers: 1}); err != nil {
+		t.Fatalf("EncodeV2With: %v", err)
 	}
 	return buf.Bytes()
 }
@@ -166,7 +166,7 @@ func TestDecodeV2AbandonedClose(t *testing.T) {
 // event mix.
 func TestV2SmallerThanV1(t *testing.T) {
 	tr := v2TestTrace()
-	v1, v2 := EncodedSize(tr), EncodedSizeV2(tr)
+	v1, v2 := EncodedSize(tr), int64(len(encodeV2Bytes(t, tr)))
 	if v2 >= v1 {
 		t.Errorf("v2 encoding (%d bytes) not smaller than v1 (%d bytes)", v2, v1)
 	}

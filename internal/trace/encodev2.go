@@ -1,9 +1,6 @@
 package trace
 
 import (
-	"context"
-	"encoding/binary"
-	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -15,21 +12,13 @@ import (
 // encode out of order, write in order — so the container bytes are
 // identical to the sequential encoder's.
 
-// EncoderOptions configures the v2 encoders.
+// EncoderOptions configures the v2 trace encoder.
 type EncoderOptions struct {
 	// Workers bounds the number of concurrent block encoders.
 	// Non-positive means GOMAXPROCS; 1 encodes inline with no
 	// goroutines. The encoded bytes are identical at every setting.
 	Workers int
-	// Ctx cancels the encode: pool workers stop claiming blocks and the
-	// commit loop returns ctx.Err(), latched on the BlockWriter. nil
-	// means context.Background().
-	Ctx context.Context
 }
-
-// DefaultEncodeWorkers resolves a worker-count option: non-positive
-// means GOMAXPROCS.
-func DefaultEncodeWorkers(n int) int { return DefaultDecodeWorkers(n) }
 
 // WriteBlocksParallel encodes and commits n blocks: payload i is
 // produced by encode(i, dst) — which appends to dst and returns the
@@ -47,23 +36,12 @@ func DefaultEncodeWorkers(n int) int { return DefaultDecodeWorkers(n) }
 // workers <= 1 (or n <= 1) everything runs inline on the caller's
 // goroutine, which is the sequential reference path.
 func (b *BlockWriter) WriteBlocksParallel(n, workers int, meta func(i int) (rank, records uint32), encode func(i int, dst []byte) []byte) error {
-	return b.WriteBlocksParallelCtx(context.Background(), n, workers, meta, encode)
-}
-
-// WriteBlocksParallelCtx is WriteBlocksParallel under a context: when ctx
-// is cancelled, workers stop claiming blocks, the commit loop stops, and
-// ctx.Err() is latched on the BlockWriter and returned.
-func (b *BlockWriter) WriteBlocksParallelCtx(ctx context.Context, n, workers int, meta func(i int) (rank, records uint32), encode func(i int, dst []byte) []byte) error {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		var payload []byte
 		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				b.fail = err
-				return err
-			}
 			rank, records := meta(i)
 			payload = encode(i, payload[:0])
 			if err := b.WriteBlock(rank, records, payload); err != nil {
@@ -98,8 +76,6 @@ func (b *BlockWriter) WriteBlocksParallelCtx(ctx context.Context, n, workers int
 				case sem <- struct{}{}:
 				case <-abort:
 					return
-				case <-ctx.Done():
-					return
 				}
 				i := int(claim.Add(1))
 				if i >= n {
@@ -120,18 +96,7 @@ func (b *BlockWriter) WriteBlocksParallelCtx(ctx context.Context, n, workers int
 	}
 	var failErr error
 	for i := 0; i < n; i++ {
-		// Workers that exited on cancellation never fill their result
-		// channel, so the commit loop must watch ctx too or it wedges.
-		var bp *[]byte
-		select {
-		case bp = <-results[i]:
-		case <-ctx.Done():
-			failErr = ctx.Err()
-			b.fail = failErr
-		}
-		if failErr != nil {
-			break
-		}
+		bp := <-results[i]
 		rank, records := meta(i)
 		err := b.WriteBlock(rank, records, *bp)
 		pool.Put(bp)
@@ -146,68 +111,19 @@ func (b *BlockWriter) WriteBlocksParallelCtx(ctx context.Context, n, workers int
 	return failErr
 }
 
-// traceNameTable prescans t and assigns name-table ids in first-use
-// order across ranks — the id assignment every v2 trace encoder shares.
-func traceNameTable(t *Trace) *NameTable {
-	nt := NewNameTable()
-	for i := range t.Ranks {
-		for _, e := range t.Ranks[i].Events {
-			nt.ID(e.Name)
-		}
-	}
-	return nt
-}
-
-// writeV2TraceHeader writes the TRC2 container header — magic, workload
-// name, prescanned name table, rank count — and returns the table.
-func writeV2TraceHeader(bw *BlockWriter, t *Trace) (*NameTable, error) {
-	if _, err := io.WriteString(bw, traceMagicV2); err != nil {
-		return nil, err
-	}
-	if err := WriteString(bw, t.Name); err != nil {
-		return nil, err
-	}
-	nt := traceNameTable(t)
-	le := binary.LittleEndian
-	if err := binary.Write(bw, le, uint32(len(nt.names))); err != nil {
-		return nil, err
-	}
-	for _, name := range nt.names {
-		if err := WriteString(bw, name); err != nil {
-			return nil, err
-		}
-	}
-	if err := binary.Write(bw, le, uint32(len(t.Ranks))); err != nil {
-		return nil, err
-	}
-	return nt, nil
-}
-
-// EncodeV2 writes t to w in the columnar v2 trace format (TRC2): one
+// EncodeV2With writes t to w in the columnar v2 trace format (TRC2): one
 // delta+varint block per rank, checksummed and indexed by the footer.
-// It is the sequential reference; EncodeV2With produces identical bytes
-// on a worker pool. The v1 format remains the default interchange form;
-// see docs/FORMATS.md for when to prefer v2.
-func EncodeV2(w io.Writer, t *Trace) error {
-	return encodeV2(w, t, 1)
-}
-
-// EncodeV2With is EncodeV2 with explicit options: rank blocks are
-// encoded concurrently by opts.Workers goroutines and committed in file
-// order, byte-identical to the sequential encoder.
+// Rank blocks are encoded concurrently by opts.Workers goroutines and
+// committed in file order; the bytes are identical at every worker
+// count. The v1 format remains the default interchange form; see
+// docs/FORMATS.md for when to prefer v2.
 func EncodeV2With(w io.Writer, t *Trace, opts EncoderOptions) error {
-	return encodeV2(w, t, DefaultEncodeWorkers(opts.Workers))
-}
-
-func encodeV2(w io.Writer, t *Trace, workers int) error {
 	bw := NewBlockWriter(w)
-	nt, err := writeV2TraceHeader(bw, t)
+	nt, err := writeTraceHeader(bw, traceMagicV2, t)
 	if err != nil {
 		return err
 	}
-	// The prescan registered every name, so concurrent encoders only
-	// read the table — safe without locks.
-	err = bw.WriteBlocksParallel(len(t.Ranks), workers,
+	err = bw.WriteBlocksParallel(len(t.Ranks), DefaultDecodeWorkers(opts.Workers),
 		func(i int) (uint32, uint32) {
 			return uint32(t.Ranks[i].Rank), uint32(len(t.Ranks[i].Events))
 		},
@@ -255,41 +171,4 @@ func EventsV2Size(nt NameIDs, events []Event) int64 {
 		n += int64(VarintSize(int64(e.Root)))
 	}
 	return n
-}
-
-// V2StringSize returns the encoded size of one length-prefixed string.
-func V2StringSize(s string) int64 { return 4 + int64(len(s)) }
-
-// V2ContainerTail returns the byte size of the v2 footer block index
-// plus trailer for n blocks.
-func V2ContainerTail(n int) int64 {
-	return 4 + int64(n)*blockEntrySize + trailerSize
-}
-
-// V2BlockSize returns the on-disk size of one block holding a payload of
-// the given length: inline header + payload.
-func V2BlockSize(payload int64) int64 { return blockHeaderSize + payload }
-
-// MaxBlockPayload is the format's per-block payload byte limit, exported
-// for the size walks that must fail exactly where the encoders would.
-const MaxBlockPayload = maxBlockPayload
-
-// EncodedSizeV2 returns the number of bytes EncodeV2 would write for t,
-// computed in a single size-only pass (no second encode).
-func EncodedSizeV2(t *Trace) int64 {
-	nt := traceNameTable(t)
-	size := int64(len(traceMagicV2)) + V2StringSize(t.Name) + 4
-	for _, name := range nt.names {
-		size += V2StringSize(name)
-	}
-	size += 4 // rank count
-	for i := range t.Ranks {
-		payload := EventsV2Size(nt, t.Ranks[i].Events)
-		if payload > MaxBlockPayload {
-			panic(fmt.Sprintf("trace: EncodedSizeV2: rank %d block payload %d bytes exceeds the %d-byte format limit",
-				t.Ranks[i].Rank, payload, MaxBlockPayload))
-		}
-		size += V2BlockSize(payload)
-	}
-	return size + V2ContainerTail(len(t.Ranks))
 }

@@ -31,8 +31,9 @@ func encodeStressTrace() *Trace {
 }
 
 // TestEncodeV2ParallelParity pins the tentpole guarantee on the trace
-// container: EncodeV2With is byte-identical to the sequential EncodeV2
-// at every worker count, including pools larger than the rank count.
+// container: EncodeV2With is byte-identical to its one-worker, inline
+// encode at every worker count, including pools larger than the rank
+// count.
 func TestEncodeV2ParallelParity(t *testing.T) {
 	traces := map[string]*Trace{
 		"edge-shapes": v2TestTrace(),
@@ -122,7 +123,7 @@ func (w *shortWriter) Write(p []byte) (int, error) {
 // a clean error promptly (watchdog) and stop all workers (leak check).
 func TestEncodeV2FailingWriter(t *testing.T) {
 	tr := encodeStressTrace()
-	size := int(EncodedSizeV2(tr))
+	size := len(encodeV2Bytes(t, tr))
 	before := runtime.NumGoroutine()
 	limits := []int{0, 1, 3}
 	for l := 5; l < size; l += 997 {
@@ -148,7 +149,7 @@ func TestEncodeV2FailingWriter(t *testing.T) {
 // silently truncate the container.
 func TestEncodeV2ShortWriter(t *testing.T) {
 	tr := encodeStressTrace()
-	size := int(EncodedSizeV2(tr))
+	size := len(encodeV2Bytes(t, tr))
 	before := runtime.NumGoroutine()
 	for _, limit := range []int{0, 100, size / 2, size - 1} {
 		label := fmt.Sprintf("short limit=%d", limit)
@@ -183,22 +184,6 @@ func TestBlockWriterErrorLatch(t *testing.T) {
 	}
 	if err := bw.Err(); !errors.Is(err, errInjectedWrite) {
 		t.Errorf("Err() = %v, want latched injected error", err)
-	}
-}
-
-// TestEncodedSizeV2SinglePass: the size walk must agree exactly with the
-// bytes the encoder produces, for every test-trace shape.
-func TestEncodedSizeV2SinglePass(t *testing.T) {
-	for name, tr := range map[string]*Trace{
-		"edge-shapes": v2TestTrace(),
-		"empty-0":     New("empty", 0),
-		"empty-3":     New("empty", 3),
-		"stress":      encodeStressTrace(),
-	} {
-		data := encodeV2Bytes(t, tr)
-		if got := EncodedSizeV2(tr); got != int64(len(data)) {
-			t.Errorf("%s: EncodedSizeV2 = %d, encoded %d bytes", name, got, len(data))
-		}
 	}
 }
 

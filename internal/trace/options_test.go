@@ -163,28 +163,6 @@ func TestDecodeCancelledMidStream(t *testing.T) {
 	})
 }
 
-func TestWriteBlocksParallelCtxCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var buf bytes.Buffer
-	bw := NewBlockWriter(&buf)
-	err := bw.WriteBlocksParallelCtx(ctx, 128, 4,
-		func(i int) (uint32, uint32) { return uint32(i), 1 },
-		func(i int, dst []byte) []byte {
-			// Cancel from inside the pool: the commit loop and the other
-			// workers must all unwind instead of waiting on results that
-			// will never be produced.
-			cancel()
-			return append(dst, byte(i))
-		})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("WriteBlocksParallelCtx = %v, want context.Canceled", err)
-	}
-	if got := bw.Err(); !errors.Is(got, context.Canceled) {
-		t.Errorf("BlockWriter latched %v, want context.Canceled", got)
-	}
-}
-
 func TestSignatureStableAcrossFormats(t *testing.T) {
 	tr := v2TestTrace()
 	var v1 bytes.Buffer
@@ -193,17 +171,17 @@ func TestSignatureStableAcrossFormats(t *testing.T) {
 	}
 	v2 := encodeV2Bytes(t, tr)
 
-	sigV1, err := SignatureOf(bytes.NewReader(v1.Bytes()))
+	sigV1, err := SignatureOfWith(bytes.NewReader(v1.Bytes()), DecoderOptions{})
 	if err != nil {
-		t.Fatalf("SignatureOf(v1): %v", err)
+		t.Fatalf("SignatureOfWith(v1, DecoderOptions{}): %v", err)
 	}
-	sigV2, err := SignatureOf(bytes.NewReader(v2))
+	sigV2, err := SignatureOfWith(bytes.NewReader(v2), DecoderOptions{})
 	if err != nil {
-		t.Fatalf("SignatureOf(v2): %v", err)
+		t.Fatalf("SignatureOfWith(v2, DecoderOptions{}): %v", err)
 	}
-	sigV2Seq, err := SignatureOf(streamOnly{bytes.NewReader(v2)})
+	sigV2Seq, err := SignatureOfWith(streamOnly{bytes.NewReader(v2)}, DecoderOptions{})
 	if err != nil {
-		t.Fatalf("SignatureOf(v2 stream): %v", err)
+		t.Fatalf("SignatureOfWith(v2 stream, DecoderOptions{}): %v", err)
 	}
 	if sigV1 != sigV2 || sigV1 != sigV2Seq {
 		t.Fatalf("signatures differ across encodings: v1=%s v2=%s v2seq=%s", sigV1, sigV2, sigV2Seq)
@@ -219,9 +197,9 @@ func TestSignatureStableAcrossFormats(t *testing.T) {
 	if err := Encode(&modBuf, mod); err != nil {
 		t.Fatalf("Encode(mod): %v", err)
 	}
-	sigMod, err := SignatureOf(bytes.NewReader(modBuf.Bytes()))
+	sigMod, err := SignatureOfWith(bytes.NewReader(modBuf.Bytes()), DecoderOptions{})
 	if err != nil {
-		t.Fatalf("SignatureOf(mod): %v", err)
+		t.Fatalf("SignatureOfWith(mod, DecoderOptions{}): %v", err)
 	}
 	if sigMod == sigV1 {
 		t.Fatal("signature did not change when an event changed")

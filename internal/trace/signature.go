@@ -36,17 +36,12 @@ func ParseSignature(text string) (Signature, error) {
 	return s, nil
 }
 
-// SignatureOf decodes the trace readable from r (either container
-// version) and returns its content signature. The hash covers the
-// workload name and every rank's events in rank order — name strings
-// rather than name-table ids, so table layout differences between
-// encodings cannot change the signature.
-func SignatureOf(r io.Reader) (Signature, error) {
-	return SignatureOfWith(r, DecoderOptions{})
-}
-
-// SignatureOfWith is SignatureOf with explicit decoder options (worker
-// count, allocation caps, cancellation).
+// SignatureOfWith decodes the trace readable from r (either container
+// version) under opts (worker count, allocation caps, cancellation) and
+// returns its content signature. The hash covers the workload name and
+// every rank's events in rank order — name strings rather than
+// name-table ids, so table layout differences between encodings cannot
+// change the signature.
 //
 // The hashed stream is little-endian uint64 fields and length-prefixed
 // strings, laid out as docs/SERVICE.md specifies: the workload name and

@@ -108,7 +108,8 @@ func TestSignatureAllocsFlatInEvents(t *testing.T) {
 		open   func([]byte) io.Reader
 	}{
 		{"v1", Encode, func(p []byte) io.Reader { return bytes.NewReader(p) }},
-		{"v2-sequential", EncodeV2, func(p []byte) io.Reader { return streamOnly{bytes.NewReader(p)} }},
+		{"v2-sequential", func(w io.Writer, tr *Trace) error { return EncodeV2With(w, tr, EncoderOptions{Workers: 1}) },
+			func(p []byte) io.Reader { return streamOnly{bytes.NewReader(p)} }},
 	}
 	for _, enc := range encodings {
 		allocs := func(tr *Trace) float64 {

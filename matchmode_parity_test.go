@@ -2,7 +2,6 @@ package repro
 
 import (
 	"bytes"
-	"io"
 	"testing"
 
 	"repro/internal/core"
@@ -12,13 +11,17 @@ import (
 
 // TestAutoModeGridParity holds the deprecated MatchModeAuto to its
 // documented behaviour over the full 20-workload × 9-method grid: the
-// engine ignores it, so a pipelined reduction of the in-memory ranks
-// under it writes the counters and TRR1 bytes of Reduce.
+// engine ignores it, so a pipelined reduction of the trace's TRC1
+// container under it writes the counters and TRR1 bytes of Reduce.
 func TestAutoModeGridParity(t *testing.T) {
 	for _, workload := range eval.AllNames() {
 		workload := workload
 		t.Run(workload, func(t *testing.T) {
 			full := parityTrace(t, workload)
+			var enc bytes.Buffer
+			if err := trace.Encode(&enc, full); err != nil {
+				t.Fatal(err)
+			}
 			for _, method := range core.MethodNames {
 				pRef, err := core.DefaultMethod(method)
 				if err != nil {
@@ -32,16 +35,12 @@ func TestAutoModeGridParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: Reduce: %v", method, err)
 				}
-				i := 0
-				next := func() (*trace.RankTrace, error) {
-					if i == len(full.Ranks) {
-						return nil, io.EOF
-					}
-					i++
-					return &full.Ranks[i-1], nil
+				d, err := trace.NewDecoder(bytes.NewReader(enc.Bytes()))
+				if err != nil {
+					t.Fatal(err)
 				}
 				var auto bytes.Buffer
-				st, err := core.ReduceStreamToWriterOpts(full.Name, pAuto, next, &auto, 1,
+				st, err := core.ReduceStreamToWriterOpts(d, pAuto, &auto, 1,
 					core.StreamOptions{Mode: core.MatchModeAuto})
 				if err != nil {
 					t.Fatalf("%s: ReduceStreamToWriterOpts(auto): %v", method, err)

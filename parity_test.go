@@ -11,10 +11,12 @@ package repro
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cube"
 	"repro/internal/eval"
 	"repro/internal/expert"
 	"repro/internal/trace"
@@ -41,7 +43,7 @@ func parityTrace(t *testing.T, name string) *trace.Trace {
 func encodeReduced(t *testing.T, red *core.Reduced) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := core.EncodeReduced(&buf, red); err != nil {
+	if err := core.EncodeReduced(&buf, red, 1); err != nil {
 		t.Fatalf("encoding reduction: %v", err)
 	}
 	return buf.Bytes()
@@ -140,9 +142,9 @@ func TestScoreReducedParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: EvaluateReduced: %v", method, err)
 				}
-				ref, err := eval.EvaluateReducedReconstruct(full, fullDiag, red)
+				ref, err := evaluateReducedReconstruct(full, fullDiag, red, trace.EncodedSize(full))
 				if err != nil {
-					t.Fatalf("%s: EvaluateReducedReconstruct: %v", method, err)
+					t.Fatalf("%s: evaluateReducedReconstruct: %v", method, err)
 				}
 				if direct.PctSize != ref.PctSize || direct.Degree != ref.Degree ||
 					direct.FullBytes != ref.FullBytes || direct.ReducedBytes != ref.ReducedBytes ||
@@ -191,23 +193,51 @@ func TestStreamingDecodeReduceParity(t *testing.T) {
 			if err := trace.Encode(&enc, full); err != nil {
 				t.Fatalf("encoding trace: %v", err)
 			}
-			d, err := trace.NewDecoder(bytes.NewReader(enc.Bytes()))
-			if err != nil {
-				t.Fatalf("NewDecoder: %v", err)
-			}
-			pStream, _ := core.DefaultMethod(method)
+			streamed, _ := pipelineReduce(t, enc.Bytes(), method, 1)
 			pSeq, _ := core.DefaultMethod(method)
-			streamed, err := core.ReduceStream(d.Name(), pStream, d.NextRank)
-			if err != nil {
-				t.Fatalf("ReduceStream: %v", err)
-			}
 			seq, err := core.ReduceSequential(full, pSeq)
 			if err != nil {
 				t.Fatalf("ReduceSequential: %v", err)
 			}
-			if !bytes.Equal(encodeReduced(t, streamed), encodeReduced(t, seq)) {
+			if !bytes.Equal(streamed, encodeReduced(t, seq)) {
 				t.Errorf("streamed and sequential reductions differ")
 			}
 		})
 	}
+}
+
+// evaluateReducedReconstruct is the reconstruct-based reference scorer,
+// mirroring core.ReduceSequential: it materializes red.Reconstruct() and
+// re-walks every event, one criterion after another. TestScoreReducedParity
+// holds eval.EvaluateReduced to exactly the same Result.
+func evaluateReducedReconstruct(full *trace.Trace, fullDiag *expert.Diagnosis, red *core.Reduced, fullBytes int64) (*eval.Result, error) {
+	method := red.Method
+	recon, err := red.Reconstruct()
+	if err != nil {
+		return nil, fmt.Errorf("eval: reconstructing %s/%s: %w", full.Name, method, err)
+	}
+	dist, err := core.ApproximationDistance(full, recon, 0.9)
+	if err != nil {
+		return nil, fmt.Errorf("eval: approximation distance %s/%s: %w", full.Name, method, err)
+	}
+	diag, err := expert.Analyze(recon)
+	if err != nil {
+		return nil, fmt.Errorf("eval: analyzing reconstructed %s/%s: %w", full.Name, method, err)
+	}
+	verdict := cube.Compare(fullDiag, diag, cube.DefaultCompareOptions())
+	sizes := core.SizeReport{FullBytes: fullBytes, ReducedBytes: core.EncodedReducedSize(red)}
+	return &eval.Result{
+		Workload:       full.Name,
+		Method:         method,
+		PctSize:        sizes.Percent(),
+		Degree:         red.DegreeOfMatching(),
+		ApproxDist:     dist,
+		Retained:       verdict.Retained,
+		Issues:         verdict.Issues,
+		FullBytes:      sizes.FullBytes,
+		ReducedBytes:   sizes.ReducedBytes,
+		StoredSegments: red.StoredSegments(),
+		TotalSegments:  red.TotalSegments,
+		Diag:           diag,
+	}, nil
 }

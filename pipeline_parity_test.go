@@ -1,4 +1,4 @@
-// Pipelined-vs-batch parity. ReduceStreamToWriter overlaps decode,
+// Pipelined-vs-batch parity. ReduceStreamToWriterOpts overlaps decode,
 // reduction, and encode, but its output must be byte-identical to
 // encoding the batch reduction — for every study workload, every
 // similarity method, and both container versions. This is the grid-wide
@@ -8,7 +8,6 @@ package repro
 
 import (
 	"bytes"
-	"io"
 	"runtime"
 	"testing"
 
@@ -17,23 +16,33 @@ import (
 	"repro/internal/trace"
 )
 
-// traceRankSource yields tr's ranks one at a time, ReduceStream-style.
-func traceRankSource(tr *trace.Trace) func() (*trace.RankTrace, error) {
-	i := 0
-	return func() (*trace.RankTrace, error) {
-		if i >= len(tr.Ranks) {
-			return nil, io.EOF
-		}
-		rt := &tr.Ranks[i]
-		i++
-		return rt, nil
+// pipelineReduce decodes the trace container enc and runs it through
+// the pipelined reduce-to-writer with the named method, returning the
+// reduced container of the given version and the run's stats.
+func pipelineReduce(t *testing.T, enc []byte, method string, version int) ([]byte, *core.StreamStats) {
+	t.Helper()
+	d, err := trace.NewDecoder(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatalf("NewDecoder: %v", err)
 	}
+	defer d.Close()
+	p, err := core.DefaultMethod(method)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	stats, err := core.ReduceStreamToWriterOpts(d, p, &out, version, core.StreamOptions{})
+	if err != nil {
+		t.Fatalf("%s v%d: ReduceStreamToWriterOpts: %v", method, version, err)
+	}
+	return out.Bytes(), stats
 }
 
 // TestPipelineReducedParity runs the full 20-workload × 9-method grid
 // through the pipelined reduce-to-writer path in both container
-// versions and requires byte identity with the batch encoding, plus
-// counter agreement in the returned stats.
+// versions, each decoded from a trace container of the same version, and
+// requires byte identity with the batch encoding, plus counter agreement
+// in the returned stats.
 func TestPipelineReducedParity(t *testing.T) {
 	// Force a real worker pool so the rank-order registration turnstile
 	// is exercised even on a single-CPU machine.
@@ -43,6 +52,14 @@ func TestPipelineReducedParity(t *testing.T) {
 		workload := workload
 		t.Run(workload, func(t *testing.T) {
 			full := parityTrace(t, workload)
+			var v1, v2 bytes.Buffer
+			if err := trace.Encode(&v1, full); err != nil {
+				t.Fatal(err)
+			}
+			if err := trace.EncodeV2With(&v2, full, trace.EncoderOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			encoded := map[int][]byte{1: v1.Bytes(), 2: v2.Bytes()}
 			for _, method := range core.MethodNames {
 				p, err := core.DefaultMethod(method)
 				if err != nil {
@@ -54,23 +71,13 @@ func TestPipelineReducedParity(t *testing.T) {
 				}
 				for _, version := range []int{1, 2} {
 					var want bytes.Buffer
-					if version == 2 {
-						err = core.EncodeReducedV2(&want, red)
-					} else {
-						err = core.EncodeReduced(&want, red)
-					}
-					if err != nil {
+					if err := core.EncodeReduced(&want, red, version); err != nil {
 						t.Fatalf("%s v%d: batch encode: %v", method, version, err)
 					}
-					pp, _ := core.DefaultMethod(method)
-					var got bytes.Buffer
-					stats, err := core.ReduceStreamToWriter(full.Name, pp, traceRankSource(full), &got, version)
-					if err != nil {
-						t.Fatalf("%s v%d: ReduceStreamToWriter: %v", method, version, err)
-					}
-					if !bytes.Equal(want.Bytes(), got.Bytes()) {
+					got, stats := pipelineReduce(t, encoded[version], method, version)
+					if !bytes.Equal(want.Bytes(), got) {
 						t.Errorf("%s v%d: pipelined container differs from batch (%d vs %d bytes)",
-							method, version, got.Len(), want.Len())
+							method, version, len(got), want.Len())
 					}
 					if stats.TotalSegments != red.TotalSegments ||
 						stats.Matches != red.Matches ||

@@ -10,7 +10,7 @@ import (
 	"repro/tracered"
 )
 
-// TestFailedStreamReductionClosesDecoder: a streaming reduction that
+// TestFailedStreamReductionClosesDecoder: a pipelined reduction that
 // fails stops pulling ranks from its decoder, so it must close the
 // decoder itself. Otherwise a random-access v2 decoder's block workers
 // stay parked on the in-flight window, holding the ranks they decoded
@@ -32,32 +32,24 @@ func TestFailedStreamReductionClosesDecoder(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := tracered.StreamOptions{Workers: 4}
-	paths := map[string]func(d *tracered.TraceDecoder) error{
-		"ReduceStream": func(d *tracered.TraceDecoder) error {
-			_, err := tracered.ReduceStream(d, m)
-			return err
-		},
-		"ReduceStreamToWriterOpts": func(d *tracered.TraceDecoder) error {
-			_, err := tracered.ReduceStreamToWriterOpts(d, m, io.Discard, tracered.FormatV2, opts)
-			return err
-		},
-	}
-	for name, reduce := range paths {
+	// An unknown format fails before any rank is read, an unclosed
+	// segment after some are.
+	for _, f := range []tracered.Format{tracered.FormatV2, 3} {
 		before := runtime.NumGoroutine()
 		for i := 0; i < 10; i++ {
 			d, err := tracered.NewTraceDecoderWith(bytes.NewReader(file.Bytes()), tracered.DecoderOptions{Workers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := reduce(d); err == nil {
-				t.Fatalf("%s: reduction with an unclosed segment succeeded", name)
+			if _, err := tracered.ReduceStreamToWriterOpts(d, m, io.Discard, f, opts); err == nil {
+				t.Fatalf("%v: failing reduction succeeded", f)
 			}
 		}
 		deadline := time.Now().Add(10 * time.Second)
 		for runtime.NumGoroutine() > before {
 			if time.Now().After(deadline) {
-				t.Fatalf("%s: %d goroutines before 10 failed reductions, %d after",
-					name, before, runtime.NumGoroutine())
+				t.Fatalf("%v: %d goroutines before 10 failed reductions, %d after",
+					f, before, runtime.NumGoroutine())
 			}
 			time.Sleep(5 * time.Millisecond)
 		}

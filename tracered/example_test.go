@@ -31,34 +31,36 @@ func ExampleReduce() {
 	// late_sender: kept 24 of 496 segments, degree of matching 1.000
 }
 
-// ExampleReduceStream is the streaming pipeline for traces too large to
-// materialize: ranks are decoded from the binary TRC1 format (see
-// docs/FORMATS.md) and reduced as they arrive. The result is
-// byte-identical to ExampleReduce's.
-func ExampleReduceStream() {
+// ExampleReduceStreamToWriterOpts is the pipeline for traces too large
+// to materialize: ranks are decoded from the binary TRC1 format (see
+// docs/FORMATS.md), reduced as they arrive, and written as a reduced
+// container. The bytes are those of ExampleReduce's reduction written
+// by WriteReducedFormat.
+func ExampleReduceStreamToWriterOpts() {
 	full, err := tracered.GenerateWorkload("late_sender")
 	if err != nil {
 		log.Fatal(err)
 	}
 	var file bytes.Buffer // stands in for the trace file on disk
-	if err := tracered.WriteTrace(&file, full); err != nil {
+	if err := tracered.WriteTraceFormat(&file, full, tracered.FormatV1); err != nil {
 		log.Fatal(err)
 	}
 
-	dec, err := tracered.NewTraceDecoder(&file) // reads the header
+	dec, err := tracered.NewTraceDecoderWith(&file, tracered.DecoderOptions{}) // reads the header
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer dec.Close()
 	method, err := tracered.DefaultMethod("avgWave")
 	if err != nil {
 		log.Fatal(err)
 	}
-	red, err := tracered.ReduceStream(dec, method) // ranks reduced as decoded
+	var out bytes.Buffer // stands in for the reduced file
+	stats, err := tracered.ReduceStreamToWriterOpts(dec, method, &out, tracered.FormatV1, tracered.StreamOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%s: %d ranks, %d bytes reduced\n",
-		red.Name, len(red.Ranks), tracered.ReducedSize(red))
+	fmt.Printf("%s: %d ranks, %d bytes reduced\n", stats.Name, stats.Ranks, stats.BytesWritten)
 	// Output:
 	// late_sender: 8 ranks, 9493 bytes reduced
 }

@@ -99,13 +99,11 @@ func Reduce(t *Trace, m Method) (*Reduced, error) { return core.Reduce(t, m) }
 // prefer Reduce.
 func ReduceSequential(t *Trace, m Method) (*Reduced, error) { return core.ReduceSequential(t, m) }
 
-// Streaming API: the incremental building blocks the batch entry points
-// are made of, for callers that reduce traces too large to materialize.
+// Streaming API: the building blocks for callers that reduce traces too
+// large to materialize (see ReduceStreamToWriterOpts).
 type (
 	// RankReduced is the reduced form of one rank's trace.
 	RankReduced = core.RankReduced
-	// RankReducer reduces one rank's segment stream incrementally.
-	RankReducer = core.RankReducer
 	// SegmentSplitter cuts one rank's event stream into segments
 	// incrementally.
 	SegmentSplitter = segment.Splitter
@@ -113,38 +111,10 @@ type (
 	TraceDecoder = trace.Decoder
 )
 
-// NewRankReducer returns an incremental reducer for one rank's segments:
-// Feed segments (or FeedEvents raw events) as they arrive, then Finish.
-func NewRankReducer(rank int, m Method) *RankReducer { return core.NewRankReducer(rank, m) }
-
 // NewSegmentSplitter returns an incremental splitter for one rank's
 // events: Feed events in trace order; completed segments come back as
 // their closing markers arrive.
 func NewSegmentSplitter(rank int) *SegmentSplitter { return segment.NewSplitter(rank) }
-
-// NewTraceDecoder opens a binary trace stream for rank-at-a-time
-// decoding.
-func NewTraceDecoder(r io.Reader) (*TraceDecoder, error) { return trace.NewDecoder(r) }
-
-// ReduceStream reduces ranks as d decodes them, holding at most a worker
-// pool's worth of ranks in memory instead of the whole trace. The result
-// is byte-identical to Reduce over the fully decoded trace. When it
-// returns an error it has closed d.
-func ReduceStream(d *TraceDecoder, m Method) (*Reduced, error) {
-	red, err := core.ReduceStream(d.Name(), m, d.NextRank)
-	return red, closeOnError(d, err)
-}
-
-// closeOnError closes d when a reduction over it returned err. The
-// reduction stops pulling ranks at its first failure, and an unclosed
-// random-access version-2 decoder would keep its block workers, and the
-// ranks they decoded ahead, waiting for a consumer that never returns.
-func closeOnError(d *TraceDecoder, err error) error {
-	if err != nil {
-		d.Close()
-	}
-	return err
-}
 
 // SplitSegments segments a trace without reducing it; the result is
 // indexed by rank.
@@ -240,31 +210,26 @@ type Signature = trace.Signature
 // ParseSignature parses the hex form produced by Signature.String.
 func ParseSignature(s string) (Signature, error) { return trace.ParseSignature(s) }
 
-// TraceSignature decodes the trace readable from r (either container
-// version) and returns its content signature — the key the serving
-// layer's representative cache is addressed by.
-func TraceSignature(r io.Reader) (Signature, error) { return trace.SignatureOf(r) }
-
-// TraceSignatureWith is TraceSignature with explicit decoder options
-// (worker count, allocation caps, cancellation).
+// TraceSignatureWith decodes the trace readable from r (either container
+// version) under opts (worker count, allocation caps, cancellation) and
+// returns its content signature — the key the serving layer's
+// representative cache is addressed by.
 func TraceSignatureWith(r io.Reader, opts DecoderOptions) (Signature, error) {
 	return trace.SignatureOfWith(r, opts)
 }
 
-// WriteTrace stores a trace in the binary trace format.
-func WriteTrace(w io.Writer, t *Trace) error { return trace.Encode(w, t) }
-
-// ReadTrace loads a trace written by WriteTrace.
+// ReadTrace loads a trace written by WriteTraceFormat, of either
+// container version.
 func ReadTrace(r io.Reader) (*Trace, error) { return trace.Decode(r) }
 
-// WriteReduced stores a reduced trace in the reduced binary format.
-func WriteReduced(w io.Writer, red *Reduced) error { return core.EncodeReduced(w, red) }
-
-// ReadReduced loads a reduced trace written by WriteReduced.
+// ReadReduced loads a reduced trace written by WriteReducedFormat or
+// ReduceStreamToWriterOpts, of either container version.
 func ReadReduced(r io.Reader) (*Reduced, error) { return core.DecodeReduced(r) }
 
-// TraceSize returns the encoded byte size of a full trace.
+// TraceSize returns the byte size of a full trace's version-1 container,
+// the denominator of the paper's size criterion.
 func TraceSize(t *Trace) int64 { return trace.EncodedSize(t) }
 
-// ReducedSize returns the encoded byte size of a reduced trace.
+// ReducedSize returns the byte size of a reduced trace's version-1
+// container, the numerator of the paper's size criterion.
 func ReducedSize(red *Reduced) int64 { return core.EncodedReducedSize(red) }

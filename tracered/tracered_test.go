@@ -92,11 +92,11 @@ func TestTraceIO(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := tracered.WriteTrace(&buf, full); err != nil {
-		t.Fatalf("WriteTrace: %v", err)
+	if err := tracered.WriteTraceFormat(&buf, full, tracered.FormatV1); err != nil {
+		t.Fatalf("WriteTraceFormat: %v", err)
 	}
 	if int64(buf.Len()) != tracered.TraceSize(full) {
-		t.Error("TraceSize disagrees with WriteTrace")
+		t.Error("TraceSize disagrees with WriteTraceFormat")
 	}
 	back, err := tracered.ReadTrace(&buf)
 	if err != nil {
@@ -121,8 +121,11 @@ func TestReducedIO(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := tracered.WriteReduced(&buf, red); err != nil {
-		t.Fatalf("WriteReduced: %v", err)
+	if err := tracered.WriteReducedFormat(&buf, red, tracered.FormatV1); err != nil {
+		t.Fatalf("WriteReducedFormat: %v", err)
+	}
+	if int64(buf.Len()) != tracered.ReducedSize(red) {
+		t.Error("ReducedSize disagrees with WriteReducedFormat")
 	}
 	back, err := tracered.ReadReduced(&buf)
 	if err != nil {
