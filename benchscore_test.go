@@ -5,9 +5,9 @@
 //	go test -bench 'Score|Analyze' -benchtime 5x
 //
 // BenchmarkScoreCatalog times the public scorer over the study's 180
-// cells, full-trace size included; BenchmarkScoreReduced times the
-// four-criteria scorer on the largest workloads with the full size
-// cached; BenchmarkScoreReconstructRef times the reference that
+// cells; BenchmarkScoreReduced times the four-criteria scorer on the
+// largest workloads; both read the full trace's size from its
+// diagnosis. BenchmarkScoreReconstructRef times the reference that
 // materializes Reconstruct() and re-walks every event.
 // BenchmarkAnalyzeReduced / BenchmarkAnalyzeReconstructRef isolate the
 // diagnosis kernel, where the representative-scaling speedup is largest;
@@ -30,18 +30,14 @@ import (
 
 // scoreBenchSetup reduces one benchmark workload with the avgWave method
 // at its default threshold and returns everything both scorers need —
-// including the cached full-trace size, as the study's Runner supplies it
-// — outside the timed region.
+// including the full-trace size the diagnosis records — outside the
+// timed region.
 func scoreBenchSetup(b *testing.B, workload string) (*trace.Trace, *expert.Diagnosis, *core.Reduced, int64) {
 	b.Helper()
 	full := reduceBenchTrace(b, workload)
 	fullDiag, err := reduceBenchRunner.Diagnosis(workload)
 	if err != nil {
 		b.Fatalf("diagnosing %s: %v", workload, err)
-	}
-	fullBytes, err := reduceBenchRunner.FullBytes(workload)
-	if err != nil {
-		b.Fatalf("sizing %s: %v", workload, err)
 	}
 	p, err := core.DefaultMethod("avgWave")
 	if err != nil {
@@ -51,7 +47,7 @@ func scoreBenchSetup(b *testing.B, workload string) (*trace.Trace, *expert.Diagn
 	if err != nil {
 		b.Fatalf("reducing %s: %v", workload, err)
 	}
-	return full, fullDiag, red, fullBytes
+	return full, fullDiag, red, fullDiag.FullBytes
 }
 
 // benchScore times one scorer over the benchmark workloads.
@@ -77,7 +73,7 @@ func benchScore(b *testing.B, score func(*trace.Trace, *expert.Diagnosis, *core.
 // BenchmarkScoreReduced exercises the production scorer: approximation
 // distance and diagnosis computed directly from representatives and
 // execution records, no reconstruction. Like tracered.ScoreReduced, it
-// sizes the full trace itself, on a goroutine of its own.
+// reads the full trace's size from the diagnosis.
 func BenchmarkScoreReduced(b *testing.B) {
 	benchScore(b, func(full *trace.Trace, fullDiag *expert.Diagnosis, red *core.Reduced, _ int64) (*eval.Result, error) {
 		return eval.EvaluateReduced(full, fullDiag, red)
@@ -87,7 +83,7 @@ func BenchmarkScoreReduced(b *testing.B) {
 // BenchmarkScoreCatalog scores the study's 180 cells — the 20 catalog
 // traces, each reduced by the nine methods at their default thresholds —
 // once per iteration through the public tracered.ScoreReduced, the call
-// perfbench's catalog_study times, full-trace size included. As there,
+// perfbench's catalog_study times. As there,
 // the full traces are decoded from TRC2. It reports the cost per scored
 // full-trace event.
 func BenchmarkScoreCatalog(b *testing.B) {

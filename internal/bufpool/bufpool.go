@@ -51,15 +51,15 @@ func (p *Pool[T]) Get(n int) []T {
 	if n > maxCap {
 		return make([]T, 0, n)
 	}
-	c := floorClass(n-1) + 1
+	c := getClass(n)
 	if e, _ := p.classes[c].Get().(*T); e != nil {
 		return unsafe.Slice(e, classCap(c))[:0]
 	}
 	return make([]T, 0, classCap(c))
 }
 
-// Put files buf's storage under the largest class its capacity covers,
-// for a later Get of that class. The caller must not use buf, or any
+// Put files buf's storage under the largest class its capacity covers
+// (floorClass), for a later Get of that class. The caller must not use buf, or any
 // slice sharing its storage, afterwards. A buffer of capacity 0 or past
 // the last class is dropped.
 func (p *Pool[T]) Put(buf []T) {
@@ -67,6 +67,10 @@ func (p *Pool[T]) Put(buf []T) {
 		p.classes[floorClass(c)].Put(unsafe.SliceData(buf[:1]))
 	}
 }
+
+// getClass returns the class Get(n) draws from, for 1 <= n <= maxCap:
+// the smallest class whose capacity covers n.
+func getClass(n int) int { return floorClass(n-1) + 1 }
 
 // floorClass returns the largest class whose capacity is at most c, or
 // -1 when c < 1. The class of capacity 2^k + j·2^(k-2) (1 <= j <= 4,

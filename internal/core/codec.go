@@ -190,7 +190,7 @@ func appendRankReducedV1(dst []byte, nt trace.NameIDs, rr *RankReduced) []byte {
 // DecodeReduced reads a reduced trace in the binary format from rd.
 // Both container versions are accepted; the magic selects the codec.
 // Version-2 (TRR2) files on a random-access input (io.ReaderAt +
-// io.Seeker) decode their blocks in parallel.
+// io.Seeker) decode their blocks in parallel, each into its rank's slot.
 func DecodeReduced(rd io.Reader) (*Reduced, error) {
 	return DecodeReducedWith(rd, trace.DecoderOptions{})
 }
@@ -240,6 +240,15 @@ func DecodeReducedWith(rd io.Reader, opts trace.DecoderOptions) (*Reduced, error
 		return nil, err
 	}
 	defer blocks.Close()
+	if blocks.RandomAccess() {
+		// The block index has been checked against the container's size,
+		// so every declared rank is backed by a block.
+		r.Ranks = make([]RankReduced, nRanks)
+		if err := blocks.ReadAll(func(i int, rr RankReduced) { r.Ranks[i] = rr }); err != nil {
+			return nil, err
+		}
+		return r, nil
+	}
 	for {
 		rr, err := blocks.Next()
 		if err == io.EOF {

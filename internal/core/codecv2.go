@@ -35,16 +35,20 @@ import (
 
 const reducedMagicV2 = "TRR2"
 
-// rankReducedV2Size returns len(appendRankReducedV2(nil, nt, rr)) as a
-// pure size walk; the pipeline sizes each chunk's buffer with it.
-func rankReducedV2Size(nt trace.NameIDs, rr *RankReduced) int64 {
+// rankReducedV2Bound returns a bound on len(appendRankReducedV2(nil,
+// nt, rr)) for any nt whose ids for rr's names are at most maxID: the
+// size walk with every name id counted at maxID's width, so no name is
+// looked up. It is exact when all those ids share one width (every id
+// below 128, say). The pipeline draws each chunk's buffer by it.
+func rankReducedV2Bound(maxID uint32, rr *RankReduced) int64 {
+	idWidth := int64(trace.UvarintSize(uint64(maxID)))
 	n := int64(trace.UvarintSize(uint64(len(rr.Stored))) + trace.UvarintSize(uint64(len(rr.Execs))))
 	for _, s := range rr.Stored {
-		n += int64(trace.UvarintSize(uint64(nt.ID(s.Context))))
+		n += idWidth
 		n += int64(trace.VarintSize(s.End))
 		n += int64(trace.UvarintSize(uint64(s.Weight)))
 		n += int64(trace.UvarintSize(uint64(len(s.Events))))
-		n += trace.EventsV2Size(nt, s.Events)
+		n += trace.EventsV2Bound(idWidth, s.Events)
 	}
 	var prev int64
 	for _, ex := range rr.Execs {

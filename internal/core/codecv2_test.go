@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/segment"
@@ -226,5 +228,41 @@ func TestDecodeReducedV2Truncation(t *testing.T) {
 			}
 			decodeReducedBoth(t, name, data[:cut])
 		})
+	}
+}
+
+// TestDecodeReducedFanOut: a random-access TRR2 container decodes by
+// index into its rank slots, equal to the stream decode at every worker
+// count, and with blocks 3 and 7 corrupt it reports block 3 every time,
+// whichever worker meets a bad block first.
+func TestDecodeReducedFanOut(t *testing.T) {
+	forceWorkers(t, 4)
+	red, err := Reduce(buildMultiRankTrace("fan_out", 12, 9, rand.New(rand.NewSource(4))), NewIterAvg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := encodeReducedV2Bytes(t, red)
+	want, err := DecodeReduced(streamOnly{bytes.NewReader(data)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 16} {
+		got, err := DecodeReducedWith(bytes.NewReader(data), trace.DecoderOptions{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: fanned-out decode differs from the stream decode", workers)
+		}
+	}
+	bad := append([]byte{}, data...)
+	for _, k := range []int{3, 7} {
+		bad[blockOffset(t, bad, k)+16] ^= 0xff
+	}
+	for rep := 0; rep < 100; rep++ {
+		_, err := DecodeReduced(bytes.NewReader(bad))
+		if err == nil || !strings.HasPrefix(err.Error(), "trace: rank 3 block checksum") {
+			t.Fatalf("run %d: error = %v, want rank 3's checksum", rep, err)
+		}
 	}
 }

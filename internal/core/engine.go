@@ -14,33 +14,46 @@ import (
 
 // One engine runs every rank-parallel reduction — batch Reduce over an
 // in-memory trace and the pipelined ReduceStreamToWriterOpts over a
-// decoder. A worker takes the next rank from a source, reduces it,
-// recycles the rank's events, and hands the reduction to a sink:
-// collectSink builds a *Reduced; encodeSink (pipeline.go) encodes each
-// rank's container chunk in file order.
+// decoder. A worker claims the next rank index, takes that rank from the
+// source, reduces it, recycles the rank's events, and hands the
+// reduction to a sink: collectSink builds a *Reduced; encodeSink
+// (pipeline.go) encodes each rank's container chunk in file order.
 
 // rankSink receives each reduced rank on the worker that reduced it.
 type rankSink interface {
 	// put takes rank i's finished reducer. Calls run concurrently, one
-	// per rank index.
+	// per rank index, and never wait for one another.
 	put(i int, r *RankReducer)
-	// abort releases workers blocked in put once the run has failed.
+	// abort tells the sink the run has failed, so it may drop what it
+	// has not finished.
 	abort()
 }
 
-// reduceRanks reduces the ranks next yields (one per call, io.EOF at
-// the end) on a pool of opts.Workers workers (GOMAXPROCS when
-// non-positive), numbering them by arrival: rank i's RankReduced.Rank
-// is i. next is called from one goroutine at a time. recycle, when
-// non-nil, takes each rank back once the reducer has copied what it
-// keeps; it is called concurrently from the workers.
+// rankSource is where the engine takes its ranks from. An indexed source
+// (at set) hands rank i to the worker that claimed index i, outside the
+// engine's lock, so the workers decode in parallel; an ordered source
+// (next set) yields one rank per call, under the lock.
+type rankSource struct {
+	// at returns rank i of n; it is called concurrently.
+	at func(i int) (*trace.RankTrace, error)
+	n  int
+	// next returns the next rank, and io.EOF after the last.
+	next func() (*trace.RankTrace, error)
+	// recycle, when non-nil, takes each rank back once the reducer has
+	// copied what it keeps; it is called concurrently from the workers.
+	recycle func(*trace.RankTrace)
+}
+
+// reduceRanks reduces the ranks of src on a pool of opts.Workers workers
+// (GOMAXPROCS when non-positive), numbering them by claim order: rank
+// i's RankReduced.Rank is i.
 //
-// The error is deterministic. Each failure is recorded under its
-// arrival index, a source error under the index being claimed, and the
-// lowest is returned: ranks are claimed in order and every claimed rank
-// is reduced, so every rank before a failed one has run. A cancellation
-// with no failed rank returns ctx.Err().
-func reduceRanks(name string, p Policy, next func() (*trace.RankTrace, error), recycle func(*trace.RankTrace), opts StreamOptions, sink rankSink) error {
+// The error is deterministic. Each failure is recorded under its rank
+// index, a source error (decode or read) under the index being claimed,
+// and the lowest is returned: ranks are claimed in order and every
+// claimed rank is read and reduced, so every rank before a failed one
+// has run. A cancellation with no failed rank returns ctx.Err().
+func reduceRanks(name string, p Policy, src rankSource, opts StreamOptions, sink rankSink) error {
 	ctx := opts.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -51,7 +64,7 @@ func reduceRanks(name string, p Policy, next func() (*trace.RankTrace, error), r
 		return err
 	}
 	var (
-		mu        sync.Mutex // serializes next; guards the fields below
+		mu        sync.Mutex // serializes src.next; guards the fields below
 		claimed   int
 		stop      bool
 		cancelled bool
@@ -65,8 +78,6 @@ func reduceRanks(name string, p Policy, next func() (*trace.RankTrace, error), r
 			errAt, firstErr = i, err
 		}
 		mu.Unlock()
-		// The failed rank never reaches the sink, so release any worker
-		// waiting there for its turn.
 		sink.abort()
 	}
 	stopCancel := context.AfterFunc(ctx, func() {
@@ -99,7 +110,13 @@ func reduceRanks(name string, p Policy, next func() (*trace.RankTrace, error), r
 					return
 				}
 				i := claimed
-				rt, err := next()
+				var rt *trace.RankTrace
+				var err error
+				if src.at == nil {
+					rt, err = src.next()
+				} else if i == src.n {
+					err = io.EOF
+				}
 				if err != nil {
 					stop = true
 				} else {
@@ -108,6 +125,9 @@ func reduceRanks(name string, p Policy, next func() (*trace.RankTrace, error), r
 				mu.Unlock()
 				if err == io.EOF {
 					return
+				}
+				if err == nil && src.at != nil {
+					rt, err = src.at(i)
 				}
 				if err != nil {
 					fail(i, err)
@@ -120,8 +140,8 @@ func reduceRanks(name string, p Policy, next func() (*trace.RankTrace, error), r
 				}
 				// The reducer copied everything it keeps out of rt.Events,
 				// so the rank's storage can go back to the decoder now.
-				if recycle != nil {
-					recycle(rt)
+				if src.recycle != nil {
+					src.recycle(rt)
 				}
 				sink.put(i, r)
 			}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -123,5 +124,47 @@ func TestDecodeReducedWithCancelled(t *testing.T) {
 	if _, err := DecodeReducedWith(bytes.NewReader(buf.Bytes()),
 		trace.DecoderOptions{Ctx: ctx}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("DecodeReducedWith(cancelled) = %v, want context.Canceled", err)
+	}
+}
+
+// cancelOnBlock is a random-access reader that cancels a context when
+// the block at offset at is read.
+type cancelOnBlock struct {
+	*bytes.Reader
+	at     int64
+	cancel context.CancelFunc
+}
+
+func (c cancelOnBlock) ReadAt(p []byte, off int64) (int, error) {
+	if off == c.at {
+		c.cancel()
+	}
+	return c.Reader.ReadAt(p, off)
+}
+
+// TestDecodeReducedWithCancelledMidway cancels a random-access TRR2
+// decode while its fan-out reads block 4: it must return
+// context.Canceled, with no worker left behind.
+func TestDecodeReducedWithCancelledMidway(t *testing.T) {
+	forceWorkers(t, 4)
+	red, err := Reduce(buildMultiRankTrace("reduced_cancel", 12, 8, rand.New(rand.NewSource(10))), NewIterAvg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := EncodeReduced(&buf, red, 2); err != nil {
+		t.Fatal(err)
+	}
+	at := blockOffset(t, buf.Bytes(), 4)
+	for _, workers := range []int{1, 4} {
+		before := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		_, err := DecodeReducedWith(cancelOnBlock{bytes.NewReader(buf.Bytes()), at, cancel},
+			trace.DecoderOptions{Workers: workers, Ctx: ctx})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: DecodeReducedWith = %v, want context.Canceled", workers, err)
+		}
+		waitPipelineGoroutines(t, before)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"testing/iotest"
 	"time"
 
+	"repro/internal/segment"
 	"repro/internal/trace"
 )
 
@@ -290,19 +291,41 @@ func TestReduceStreamToWriterBadVersion(t *testing.T) {
 	}
 }
 
-// TestRankReducedV2Size holds the size walk the pipeline draws each
-// TRR2 chunk's buffer by to the chunk's encoded length.
+// TestRankReducedV2Size holds the bound the pipeline draws each TRR2
+// chunk's buffer by to the chunk's encoded length: never below it, and
+// equal to it when every name id of the rank takes one byte. The "wide"
+// reduction's one rank uses ids 0..199, so its bound counts each of the
+// 128 one-byte ids at two bytes.
 func TestRankReducedV2Size(t *testing.T) {
 	loop, err := Reduce(buildMultiRankTrace("loop", 4, 12, rand.New(rand.NewSource(2))), NewIterAvg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, red := range map[string]*Reduced{"edge-shapes": v2TestReduced(), "loop": loop} {
+	seg := &segment.Segment{Context: "wide.ctx", End: 400, Weight: 1}
+	for k := 0; k < 199; k++ {
+		seg.Events = append(seg.Events, trace.Event{Name: fmt.Sprintf("f%03d", k), Kind: trace.KindCompute,
+			Enter: trace.Time(2 * k), Exit: trace.Time(2*k + 1), Peer: trace.NoPeer, Root: trace.NoPeer})
+	}
+	wide := &Reduced{Name: "wide", Method: "avgWave", Ranks: []RankReduced{
+		{Rank: 0, Stored: []*segment.Segment{seg}, Execs: []Exec{{ID: 0, Start: 5}}},
+	}}
+	for name, red := range map[string]*Reduced{"edge-shapes": v2TestReduced(), "loop": loop, "wide": wide} {
 		nt := reducedNameTable(red)
 		for i := range red.Ranks {
 			rr := &red.Ranks[i]
-			if got, want := rankReducedV2Size(nt, rr), len(appendRankReducedV2(nil, nt, rr)); got != int64(want) {
-				t.Errorf("%s rank %d: rankReducedV2Size = %d, chunk is %d bytes", name, rr.Rank, got, want)
+			var maxID uint32
+			for _, s := range rr.Stored {
+				maxID = max(maxID, nt.ID(s.Context))
+				for _, e := range s.Events {
+					maxID = max(maxID, nt.ID(e.Name))
+				}
+			}
+			got, want := rankReducedV2Bound(maxID, rr), int64(len(appendRankReducedV2(nil, nt, rr)))
+			if maxID < 128 && got != want || got < want {
+				t.Errorf("%s rank %d: rankReducedV2Bound(%d) = %d, chunk is %d bytes", name, rr.Rank, maxID, got, want)
+			}
+			if name == "wide" && got != want+128 {
+				t.Errorf("wide: bound %d, want the chunk's %d bytes plus one per one-byte id (128)", got, want)
 			}
 		}
 	}

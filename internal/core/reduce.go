@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 
 	"repro/internal/segment"
@@ -81,17 +80,13 @@ func (r *Reduced) StoredSegments() int {
 // safe for concurrent use on distinct ranks' segments; every built-in
 // policy is stateless and qualifies.
 func Reduce(t *trace.Trace, p Policy) (*Reduced, error) {
-	i := 0
-	next := func() (*trace.RankTrace, error) {
-		if i == len(t.Ranks) {
-			return nil, io.EOF
-		}
-		i++
-		return &t.Ranks[i-1], nil
+	src := rankSource{
+		at: func(i int) (*trace.RankTrace, error) { return &t.Ranks[i], nil },
+		n:  len(t.Ranks),
 	}
 	c := &collectSink{red: &Reduced{Name: t.Name, Method: p.Name(), Ranks: make([]RankReduced, 0, len(t.Ranks))}}
 	workers := max(1, min(runtime.GOMAXPROCS(0), len(t.Ranks)))
-	if err := reduceRanks(t.Name, p, next, nil, StreamOptions{Workers: workers}, c); err != nil {
+	if err := reduceRanks(t.Name, p, src, StreamOptions{Workers: workers}, c); err != nil {
 		return nil, err
 	}
 	return c.red, nil

@@ -51,13 +51,6 @@ type Result struct {
 // reduced form, never reconstructing the approximate trace. It scores as
 // EvaluateReduced does, criteria running concurrently.
 func Evaluate(full *trace.Trace, fullDiag *expert.Diagnosis, method string, threshold float64) (*Result, error) {
-	return evaluateCell(full, fullDiag, method, threshold, nil)
-}
-
-// evaluateCell is the shared reduce-then-score pipeline behind Evaluate
-// and Runner.evaluate; the latter supplies a cached full-trace size, and
-// a nil fullBytes has the scorer size the full trace.
-func evaluateCell(full *trace.Trace, fullDiag *expert.Diagnosis, method string, threshold float64, fullBytes *int64) (*Result, error) {
 	p, err := core.NewMethod(method, threshold)
 	if err != nil {
 		return nil, err
@@ -66,7 +59,7 @@ func evaluateCell(full *trace.Trace, fullDiag *expert.Diagnosis, method string, 
 	if err != nil {
 		return nil, fmt.Errorf("eval: reducing %s with %s: %w", full.Name, method, err)
 	}
-	res, err := scoreReduced(full, fullDiag, red, fullBytes)
+	res, err := EvaluateReduced(full, fullDiag, red)
 	if err != nil {
 		return nil, err
 	}
@@ -78,24 +71,17 @@ func evaluateCell(full *trace.Trace, fullDiag *expert.Diagnosis, method string, 
 // trace and its diagnosis, using the direct-from-reduced engine
 // (expert.AnalyzeReduced, core.ApproximationDistanceReduced): scoring
 // cost is proportional to representatives + execution records +
-// communication events, not the full event count. The criteria run
-// concurrently, the full trace's size among them, so full, fullDiag and
-// red must not be mutated during the call. Result.Threshold is left
+// communication events, not the full event count. The full trace's size
+// comes from fullDiag.FullBytes, which expert.Analyze records; only a
+// diagnosis without it (one Analyze did not make) has the full trace
+// walked for its size. Its criteria are independent, so they run at
+// once: the approximation distance on a second goroutine, joined before
+// it returns, and the reduced form's diagnosis, its comparison and the
+// reduced size on the caller's. full, fullDiag and red must not be
+// mutated during the call. A failed distance is reported ahead of a
+// failed diagnosis, whichever fails first. Result.Threshold is left
 // zero; Evaluate fills it for threshold-study cells.
 func EvaluateReduced(full *trace.Trace, fullDiag *expert.Diagnosis, red *core.Reduced) (*Result, error) {
-	return scoreReduced(full, fullDiag, red, nil)
-}
-
-// scoreReduced is the scorer behind EvaluateReduced and the Runner,
-// which caches the full trace's size per workload and passes it in so
-// study grids don't re-size the same full trace for every cell. Its
-// criteria are independent, so they run at once: the approximation
-// distance on a second goroutine, the full trace's size on a third when
-// fullBytes is nil, and the reduced form's diagnosis, its comparison and
-// the reduced size on the caller's. Both goroutines are joined before it
-// returns. A failed distance is reported ahead of a failed diagnosis,
-// whichever fails first.
-func scoreReduced(full *trace.Trace, fullDiag *expert.Diagnosis, red *core.Reduced, fullBytes *int64) (*Result, error) {
 	var wg sync.WaitGroup
 	var dist trace.Time
 	var distErr error
@@ -104,14 +90,9 @@ func scoreReduced(full *trace.Trace, fullDiag *expert.Diagnosis, red *core.Reduc
 		defer wg.Done()
 		dist, distErr = core.ApproximationDistanceReduced(full, red, 0.9)
 	}()
-	var sized int64
-	if fullBytes == nil {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sized = trace.EncodedSize(full)
-		}()
-		fullBytes = &sized
+	fullBytes := fullDiag.FullBytes
+	if fullBytes == 0 {
+		fullBytes = trace.EncodedSize(full)
 	}
 	diag, err := expert.AnalyzeReduced(red)
 	var verdict cube.Verdict
@@ -127,7 +108,7 @@ func scoreReduced(full *trace.Trace, fullDiag *expert.Diagnosis, red *core.Reduc
 	if err != nil {
 		return nil, fmt.Errorf("eval: analyzing reduced %s/%s: %w", full.Name, red.Method, err)
 	}
-	sizes := core.SizeReport{FullBytes: *fullBytes, ReducedBytes: reducedBytes}
+	sizes := core.SizeReport{FullBytes: fullBytes, ReducedBytes: reducedBytes}
 	return &Result{
 		Workload:       full.Name,
 		Method:         red.Method,
@@ -144,9 +125,9 @@ func scoreReduced(full *trace.Trace, fullDiag *expert.Diagnosis, red *core.Reduc
 	}, nil
 }
 
-// Runner caches workload traces, full-trace diagnoses, encoded full
-// sizes, and per-cell results across evaluation cells, and runs grids of
-// cells on a bounded worker pool. Every cell is computed at most once per
+// Runner caches workload traces, full-trace diagnoses (which carry the
+// full traces' encoded sizes), and per-cell results across evaluation
+// cells, and runs grids of cells on a bounded worker pool. Every cell is computed at most once per
 // Runner, so overlapping grids (the comparative study, threshold sweeps,
 // retention tables) share work.
 type Runner struct {
@@ -157,7 +138,6 @@ type Runner struct {
 
 	mu    sync.Mutex
 	diags map[string]*expert.Diagnosis
-	sizes map[string]int64
 	cells map[Cell]*cellEntry
 }
 
@@ -174,7 +154,6 @@ func NewRunner() *Runner {
 	return &Runner{
 		traces: newTraceCache(),
 		diags:  map[string]*expert.Diagnosis{},
-		sizes:  map[string]int64{},
 		cells:  map[Cell]*cellEntry{},
 	}
 }
@@ -188,7 +167,7 @@ func (r *Runner) SetWorkers(n int) {
 }
 
 // ResetCells drops the memoized cell results while keeping the (far more
-// expensive) traces, diagnoses, and sizes. Benchmarks that time repeated
+// expensive) traces and diagnoses. Benchmarks that time repeated
 // grid evaluations call it between iterations so they measure evaluation
 // work, not cache hits.
 func (r *Runner) ResetCells() {
@@ -200,27 +179,6 @@ func (r *Runner) ResetCells() {
 // Trace returns the (cached) full trace of the named workload.
 func (r *Runner) Trace(workload string) (*trace.Trace, error) {
 	return r.traces.get(workload)
-}
-
-// FullBytes returns the (cached) encoded byte size of the workload's full
-// trace — the denominator of the file-size criterion, shared across every
-// cell of the workload.
-func (r *Runner) FullBytes(workload string) (int64, error) {
-	r.mu.Lock()
-	n, ok := r.sizes[workload]
-	r.mu.Unlock()
-	if ok {
-		return n, nil
-	}
-	t, err := r.Trace(workload)
-	if err != nil {
-		return 0, err
-	}
-	n = trace.EncodedSize(t)
-	r.mu.Lock()
-	r.sizes[workload] = n
-	r.mu.Unlock()
-	return n, nil
 }
 
 // Diagnosis returns the (cached) EXPERT diagnosis of the workload's full
@@ -284,11 +242,7 @@ func (r *Runner) evaluate(c Cell) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	fullBytes, err := r.FullBytes(c.Workload)
-	if err != nil {
-		return nil, err
-	}
-	return evaluateCell(full, fullDiag, c.Method, c.Threshold, &fullBytes)
+	return Evaluate(full, fullDiag, c.Method, c.Threshold)
 }
 
 // RunGrid evaluates the given cells on a bounded worker pool (SetWorkers,

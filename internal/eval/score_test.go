@@ -13,8 +13,9 @@ import (
 // TestScoreReducedErrors holds the concurrent scorer to the error its
 // criteria report when they run one after another: a failed distance
 // wins over a failed diagnosis. The scorer must return the same text
-// whether it sizes the full trace itself or is handed its size, and
-// every goroutine it starts must be gone afterwards.
+// whether the diagnosis carries the full trace's size or the scorer
+// sizes the trace itself, and every goroutine it starts must be gone
+// afterwards.
 func TestScoreReducedErrors(t *testing.T) {
 	r := NewRunner()
 	full, err := r.Trace("late_sender")
@@ -83,9 +84,10 @@ func TestScoreReducedErrors(t *testing.T) {
 			if _, err := EvaluateReduced(c.full, fullDiag, c.red); err == nil || err.Error() != c.want {
 				t.Errorf("EvaluateReduced error = %v, want %q", err, c.want)
 			}
-			fullBytes := int64(1)
-			if _, err := scoreReduced(c.full, fullDiag, c.red, &fullBytes); err == nil || err.Error() != c.want {
-				t.Errorf("scoreReduced(sized) error = %v, want %q", err, c.want)
+			unsized := *fullDiag
+			unsized.FullBytes = 0
+			if _, err := EvaluateReduced(c.full, &unsized, c.red); err == nil || err.Error() != c.want {
+				t.Errorf("EvaluateReduced(unsized diagnosis) error = %v, want %q", err, c.want)
 			}
 			// A joined goroutine may still be on its way out; give it a
 			// moment before calling it leaked.

@@ -102,6 +102,11 @@ type Diagnosis struct {
 	// in µs, of length and capacity NumRanks. Severities of wait metrics
 	// may be negative on skewed traces.
 	Sev map[Key][]float64
+	// FullBytes is the analyzed trace's TRC1 container size
+	// (trace.EncodedSize), the denominator of the file-size criterion.
+	// Analyze records it, so a trace scored against many reductions is
+	// sized once; AnalyzeReduced leaves it 0.
+	FullBytes int64
 }
 
 // Keys returns the diagnosis cells in deterministic (metric, location)
@@ -461,7 +466,8 @@ func nextEvent(evs []trace.Event, i int) int {
 	return i
 }
 
-// Analyze runs the pattern analysis over t.
+// Analyze runs the pattern analysis over t and records t's container
+// size in the diagnosis.
 func Analyze(t *trace.Trace) (*Diagnosis, error) {
 	a := newAnalysis(t.NumRanks())
 
@@ -512,5 +518,7 @@ func Analyze(t *trace.Trace) (*Diagnosis, error) {
 	if err := a.score(); err != nil {
 		return nil, err
 	}
-	return a.diagnosis(t.Name, wall), nil
+	d := a.diagnosis(t.Name, wall)
+	d.FullBytes = trace.EncodedSize(t)
+	return d, nil
 }

@@ -17,9 +17,10 @@ import (
 // The read side of the v2 block containers, shared by TRC2 and the TRR2
 // reduced container (internal/core): OpenContainer sniffs the magic and
 // chooses the access path, the caller reads its own header from
-// Container.Header, and a BlockReader then yields the verified blocks in
-// file order, each parsed by a caller-supplied payload parser. This file
-// is the only place that knows how v2 blocks are fetched and checked.
+// Container.Header, and a BlockReader then yields the verified blocks,
+// each parsed by a caller-supplied payload parser: in file order, or on a
+// random-access container by index. This file is the only place that
+// knows how v2 blocks are fetched and checked.
 
 // Container is a trace or reduced-trace container opened for reading:
 // its leading magic has been consumed and Header is positioned at the
@@ -125,18 +126,21 @@ func peekMagic(sr *io.SectionReader) string {
 	return string(magic[:])
 }
 
-// BlockReader yields the blocks of a v2 container in file order, each
-// verified against its inline header, its checksum, and the footer
-// index, and handed to the caller's payload parser.
+// BlockReader yields the blocks of a v2 container, each verified against
+// its inline header, its checksum, and the footer index, and handed to
+// the caller's payload parser.
 //
-// On a random-access container it validates the footer index up front,
-// then reads and parses blocks on a bounded worker pool, keeping at most
-// one block per worker decoded ahead of the consumer. On a plain stream
-// it reads blocks through their inline headers into one reused payload
+// On a random-access container it validates the footer index up front.
+// At then reads and parses any block by index on the caller's goroutine,
+// so callers that decode many blocks at once (ReadAll, the reduction
+// pipeline) do it on their own workers; Next delivers the blocks in file
+// order from a bounded look-ahead pool built on At, keeping at most one
+// block per worker decoded ahead of the consumer. On a plain stream Next
+// reads blocks through their inline headers into one reused payload
 // buffer and checks the footer against them after the last block, so
 // both paths are equally strict.
 //
-// The first error is latched: every later Next returns it.
+// Next's first error is latched: every later Next returns it.
 type BlockReader[T any] struct {
 	c     *Container
 	n     int
@@ -150,10 +154,11 @@ type BlockReader[T any] struct {
 	buf      []byte
 	observed []BlockEntry
 
-	// Random access: the validated index and the decode pool. The slot
-	// semaphore bounds decoded-but-unconsumed blocks to the worker
-	// count, so block i's result always lands in ring slot i%workers
-	// after block i-workers has been taken out of it.
+	// Random access: the validated index and Next's look-ahead pool,
+	// started by the first Next. The slot semaphore bounds
+	// decoded-but-unconsumed blocks to the worker count, so block i's
+	// result always lands in ring slot i%workers after block i-workers
+	// has been taken out of it.
 	entries []BlockEntry
 	workers int
 	start   sync.Once
@@ -181,8 +186,9 @@ var blockReads bufpool.Pool[byte]
 // NewBlockReader returns a reader over the n blocks of c, a v2
 // container whose header the caller has read from c.Header. parse turns
 // one verified payload into a T; the payload is only valid during the
-// call. On a random-access container parse runs on up to opts.Workers
-// goroutines at once, and the footer index is checked here against n.
+// call. On a random-access container parse runs concurrently: on up to
+// opts.Workers goroutines for Next and ReadAll, and on every caller of
+// At. The footer index is checked here against n.
 func NewBlockReader[T any](c *Container, n int, opts DecoderOptions, parse func(BlockEntry, []byte) (T, error)) (*BlockReader[T], error) {
 	opts = opts.Resolve()
 	b := &BlockReader[T]{c: c, n: n, ctx: opts.Ctx, parse: parse, abort: make(chan struct{})}
@@ -198,11 +204,6 @@ func NewBlockReader[T any](c *Container, n int, opts DecoderOptions, parse func(
 	}
 	b.entries = entries
 	b.workers = max(1, min(opts.Workers, len(entries)))
-	b.sem = make(chan struct{}, b.workers)
-	b.results = make([]chan blockResult[T], b.workers)
-	for i := range b.results {
-		b.results[i] = make(chan blockResult[T], 1)
-	}
 	return b, nil
 }
 
@@ -223,6 +224,11 @@ func (b *BlockReader[T]) Next() (T, error) {
 		return zero, b.latch(io.EOF)
 	}
 	b.start.Do(func() {
+		b.sem = make(chan struct{}, b.workers)
+		b.results = make([]chan blockResult[T], b.workers)
+		for i := range b.results {
+			b.results[i] = make(chan blockResult[T], 1)
+		}
 		for w := 0; w < b.workers; w++ {
 			go b.run()
 		}
@@ -283,8 +289,8 @@ func (b *BlockReader[T]) Close() {
 	b.stop.Do(func() { close(b.abort) })
 }
 
-// run is one pool worker: wait for an in-flight slot, claim the next
-// block, read and parse it, deliver the result.
+// run is one look-ahead worker: wait for an in-flight slot, claim the
+// next block, decode it through At, deliver the result.
 //
 // The slot MUST be acquired before the index is claimed: the consumer
 // drains results in strict index order and releases a slot only after
@@ -305,17 +311,107 @@ func (b *BlockReader[T]) run() {
 			<-b.sem
 			return
 		}
-		// The index check bounded the block by the container's size.
-		buf := blockReads.Get(blockHeaderSize + int(b.entries[i].Length))
 		var res blockResult[T]
-		var payload []byte
-		payload, buf, res.err = readBlockAt(b.c.sr, b.entries[i], buf)
-		if res.err == nil {
-			res.v, res.err = b.parse(b.entries[i], payload)
-		}
-		blockReads.Put(buf)
+		res.v, res.err = b.At(i)
 		b.results[i%b.workers] <- res
 	}
+}
+
+// RandomAccess reports whether the container is read through its
+// io.ReaderAt, so that At and ReadAll may be called.
+func (b *BlockReader[T]) RandomAccess() bool { return b.c.sr != nil }
+
+// At reads block i of a random-access container, verifies it against its
+// index entry and its checksum, and parses it, all on the caller's
+// goroutine. It is safe for concurrent use and independent of Next: it
+// claims and latches nothing. Once the reader's context is done it
+// returns ctx.Err(), and once the reader is closed an error.
+func (b *BlockReader[T]) At(i int) (T, error) {
+	var v T
+	select {
+	case <-b.abort:
+		return v, errBlockReaderClosed
+	default:
+	}
+	if err := b.ctx.Err(); err != nil {
+		return v, err
+	}
+	e := b.entries[i]
+	// The index check bounded the block by the container's size.
+	buf := blockReads.Get(blockHeaderSize + int(e.Length))
+	payload, buf, err := readBlockAt(b.c.sr, e, buf)
+	if err == nil {
+		v, err = b.parse(e, payload)
+	}
+	blockReads.Put(buf)
+	return v, err
+}
+
+// ReadAll decodes every block of a random-access container and hands
+// block i's value to put(i, v), fanned out by index over the reader's
+// workers, the caller's goroutine among them: put runs concurrently for
+// distinct i. It returns the error of the lowest failing block, the one
+// Next would have reported first, or else ctx.Err() when the context
+// was done before ReadAll returns, as a read through Next would; no
+// goroutine outlives the call.
+func (b *BlockReader[T]) ReadAll(put func(i int, v T)) error {
+	if err := b.ctx.Err(); err != nil {
+		return err
+	}
+	err := fanOut(b.workers, len(b.entries), func(i int) error {
+		v, err := b.At(i)
+		if err == nil {
+			put(i, v)
+		}
+		return err
+	})
+	if err == nil {
+		err = b.ctx.Err()
+	}
+	return err
+}
+
+// fanOut runs fn(0), ..., fn(n-1) on up to workers goroutines, the
+// caller's among them, each claiming the next index in order. A failure
+// stops further claims, but every claimed index runs to its end; since
+// indices are claimed in order, every index below a failing one has run,
+// and the error of the lowest failing index is returned.
+func fanOut(workers, n int, fn func(i int) error) error {
+	var (
+		next     atomic.Int64
+		stop     atomic.Bool
+		mu       sync.Mutex
+		errAt    = n
+		firstErr error
+	)
+	work := func() {
+		for !stop.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if err := fn(i); err != nil {
+				stop.Store(true)
+				mu.Lock()
+				if i < errAt {
+					errAt, firstErr = i, err
+				}
+				mu.Unlock()
+				return
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	return firstErr
 }
 
 // readBlockIndex reads a v2 footer from ra (a container of size bytes

@@ -239,10 +239,12 @@ func noEOF(err error) error {
 // NextRank call yields the next rank's stream.
 //
 // For version-2 (TRC2) files on a random-access input (io.ReaderAt +
-// io.Seeker, e.g. *os.File or bytes.Reader), blocks are decoded in
-// parallel on a worker pool and delivered in file order; on a plain
-// stream, blocks are decoded sequentially with the same validation.
-// Version-1 files always decode sequentially, unchanged.
+// io.Seeker, e.g. *os.File or bytes.Reader), every rank block can also
+// be read by index (RankAt), which is how the reduction pipeline decodes
+// each rank on the worker that reduces it; NextRank decodes blocks ahead
+// on a worker pool and delivers them in file order. On a plain stream,
+// blocks are decoded sequentially with the same validation. Version-1
+// files always decode sequentially, unchanged.
 type Decoder struct {
 	name    string
 	names   []string
@@ -250,6 +252,9 @@ type Decoder struct {
 	version int
 	next    func() (*RankTrace, error)
 	close   func()
+	// blocks reads the rank blocks of a version-2 container; nil for
+	// version 1.
+	blocks *BlockReader[*RankTrace]
 }
 
 // eventBufs holds the rank event buffers of every decoder in the
@@ -280,8 +285,12 @@ func (d *Decoder) Recycle(rt *RankTrace) {
 
 // DecoderOptions configure decoding. The zero value is the default.
 type DecoderOptions struct {
-	// Workers bounds the version-2 block-decode pool; non-positive means
-	// GOMAXPROCS. Version-1 decoding ignores it.
+	// Workers bounds the goroutines that decode version-2 blocks on a
+	// random-access input: NextRank's look-ahead pool, and the fan-out of
+	// the batch decoders (Decode, the reduced-trace decoder). A reduction
+	// pipeline reads blocks by index on its own workers, bounded by its
+	// own option, so this does not bound it. Non-positive means
+	// GOMAXPROCS. Version-1 and plain-stream decoding ignore it.
 	Workers int
 	// Ctx cancels the decode: pool workers stop claiming blocks and a
 	// blocked NextRank returns ctx.Err(). nil means context.Background().
@@ -423,9 +432,27 @@ func (d *Decoder) Version() int { return d.version }
 // the last rank.
 func (d *Decoder) NextRank() (*RankTrace, error) { return d.next() }
 
+// RankAt returns a reader of d's ranks by index when d decodes a
+// version-2 container from a random-access input and NextRank has not
+// been called, and nil otherwise: version 1 and plain streams are read
+// only in order, and so is a decoder a caller has begun to read that
+// way. The reader decodes the i-th of d.NumRanks() rank blocks on the
+// caller's goroutine and is safe for concurrent use; a caller reads
+// through it or through NextRank, not both. Each rank it returns goes
+// back through d.Recycle like one NextRank returned. It is a function
+// rather than a method so that the public Decoder type gains no method.
+func RankAt(d *Decoder) func(i int) (*RankTrace, error) {
+	b := d.blocks
+	if b == nil || !b.RandomAccess() || b.next > 0 || b.fail != nil {
+		return nil
+	}
+	return b.At
+}
+
 // Close releases decode workers. It is only needed when a version-2
 // parallel decode is abandoned before NextRank returned io.EOF or an
-// error; it is safe (and a no-op) in every other case.
+// error; it is safe (and a no-op) in every other case. A reader RankAt
+// returned fails once d is closed.
 func (d *Decoder) Close() { d.close() }
 
 // v1decoder is the sequential TRC1 rank reader.
@@ -488,13 +515,25 @@ func (d *v1decoder) nextRank() (*RankTrace, error) {
 
 // Decode reads a trace in the binary format from r (either container
 // version; the magic selects the codec). It is the batch form of
-// Decoder: every rank is materialized into one Trace.
+// Decoder: every rank is materialized into one Trace. A version-2
+// container on a random-access input is decoded by index, its blocks
+// fanned out over a GOMAXPROCS pool into their rank slots; anything else
+// is decoded rank by rank.
 func Decode(r io.Reader) (*Trace, error) {
 	d, err := NewDecoder(r)
 	if err != nil {
 		return nil, err
 	}
 	defer d.Close()
+	if d.blocks != nil && d.blocks.RandomAccess() {
+		// The block index has been checked against the container's
+		// size, so every declared rank is backed by a block.
+		t := &Trace{Name: d.Name(), Ranks: make([]RankTrace, d.NumRanks())}
+		if err := d.blocks.ReadAll(func(i int, rt *RankTrace) { t.Ranks[i] = *rt }); err != nil {
+			return nil, err
+		}
+		return t, nil
+	}
 	// The declared rank count only caps the initial capacity: a hostile
 	// header can promise a million ranks in a few bytes.
 	t := &Trace{Name: d.Name(), Ranks: make([]RankTrace, 0, min(d.NumRanks(), 1<<12))}

@@ -390,7 +390,7 @@ func newV2Decoder(c *Container, d *Decoder, opts DecoderOptions) error {
 	if err != nil {
 		return err
 	}
-	d.version, d.next, d.close = 2, blocks.Next, blocks.Close
+	d.version, d.next, d.close, d.blocks = 2, blocks.Next, blocks.Close, blocks
 	return nil
 }
 

@@ -153,14 +153,14 @@ func VarintSize(v int64) int {
 	return UvarintSize(uint64(v)<<1 ^ uint64(v>>63))
 }
 
-// EventsV2Size returns len(AppendEventsV2(nil, nt, events)) as a pure
-// size walk — no bytes are produced. nt must already hold every event
-// name, as it does after the encoders' prescan.
-func EventsV2Size(nt NameIDs, events []Event) int64 {
-	var n int64
+// EventsV2Bound returns len(AppendEventsV2(nil, nt, events)) for a
+// table whose ids for the events' names all take idWidth bytes, and a
+// bound on it when idWidth is the width of the largest of those ids: a
+// size walk that looks no name up and produces no bytes.
+func EventsV2Bound(idWidth int64, events []Event) int64 {
+	n := idWidth * int64(len(events))
 	var prev Time
 	for _, e := range events {
-		n += int64(UvarintSize(uint64(nt.ID(e.Name))))
 		n += int64(UvarintSize(uint64(e.Kind)))
 		n += int64(VarintSize(e.Enter - prev))
 		prev = e.Enter

@@ -8,6 +8,7 @@ package repro
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -88,5 +89,58 @@ func TestPipelineReducedParity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRandomAccessDecodeParity holds the batch decoders' fan-out to
+// their in-order stream path: for every catalog trace, its TRC2
+// container decoded by index from a bytes.Reader equals the same
+// container decoded as a plain stream, and so does each of its nine
+// TRR2 reductions through DecodeReducedWith.
+func TestRandomAccessDecodeParity(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	for _, workload := range eval.AllNames() {
+		full := parityTrace(t, workload)
+		var enc bytes.Buffer
+		if err := trace.EncodeV2With(&enc, full, trace.EncoderOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		indexed, err := trace.Decode(bytes.NewReader(enc.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: random-access decode: %v", workload, err)
+		}
+		streamed, err := trace.Decode(seqReader{bytes.NewReader(enc.Bytes())})
+		if err != nil {
+			t.Fatalf("%s: stream decode: %v", workload, err)
+		}
+		if !reflect.DeepEqual(indexed, streamed) {
+			t.Errorf("%s: the TRC2 container decodes differently by index and as a stream", workload)
+		}
+		for _, method := range core.MethodNames {
+			p, err := core.DefaultMethod(method)
+			if err != nil {
+				t.Fatal(err)
+			}
+			red, err := core.Reduce(full, p)
+			if err != nil {
+				t.Fatalf("%s/%s: Reduce: %v", workload, method, err)
+			}
+			var out bytes.Buffer
+			if err := core.EncodeReduced(&out, red, 2); err != nil {
+				t.Fatal(err)
+			}
+			indexed, err := core.DecodeReducedWith(bytes.NewReader(out.Bytes()), trace.DecoderOptions{})
+			if err != nil {
+				t.Fatalf("%s/%s: random-access decode: %v", workload, method, err)
+			}
+			streamed, err := core.DecodeReducedWith(seqReader{bytes.NewReader(out.Bytes())}, trace.DecoderOptions{})
+			if err != nil {
+				t.Fatalf("%s/%s: stream decode: %v", workload, method, err)
+			}
+			if !reflect.DeepEqual(indexed, streamed) {
+				t.Errorf("%s/%s: the TRR2 container decodes differently by index and as a stream", workload, method)
+			}
+		}
 	}
 }

@@ -58,8 +58,11 @@ func (f Format) String() string {
 }
 
 // DecoderOptions tunes version-aware trace reading; the zero value is
-// ready to use. Workers bounds the block-decode pool for v2 containers
-// on random-access inputs (0 means GOMAXPROCS); v1 containers decode
+// ready to use. Workers bounds the goroutines that decode v2 blocks on
+// random-access inputs (0 means GOMAXPROCS): the batch readers' fan-out
+// and a TraceDecoder's in-order look-ahead. ReduceStreamToWriterOpts
+// decodes such an input on its own workers instead, bounded by
+// StreamOptions.Workers. v1 containers and plain streams decode
 // sequentially regardless. Ctx cancels an in-flight decode; Limits
 // tightens the hostile-input allocation caps for untrusted inputs.
 type DecoderOptions = trace.DecoderOptions
@@ -111,8 +114,9 @@ func WriteReducedFormatWith(w io.Writer, red *Reduced, f Format, opts EncoderOpt
 
 // NewTraceDecoderWith opens a binary trace stream of either container
 // version for rank-at-a-time decoding: on a random-access v2 container
-// the decoder fans blocks across opts.Workers goroutines while NextRank
-// streams ranks in order.
+// NextRank streams ranks in order while up to opts.Workers goroutines
+// decode blocks ahead, and ReduceStreamToWriterOpts reads the blocks by
+// index on its own workers.
 func NewTraceDecoderWith(r io.Reader, opts DecoderOptions) (*TraceDecoder, error) {
 	return trace.NewDecoderWith(r, opts)
 }
@@ -128,15 +132,19 @@ func ReadReducedWith(r io.Reader, opts DecoderOptions) (*Reduced, error) {
 type ReduceStreamStats = core.StreamStats
 
 // StreamOptions configure the pipelined reduce-to-writer path: the
-// worker-pool bound (0 means GOMAXPROCS; the bytes written are identical
-// at every setting) and a cancellation context. Mode is ignored.
+// bound on the workers that decode (on a random-access v2 input),
+// reduce and encode (0 means GOMAXPROCS; the bytes written are
+// identical at every setting) and a cancellation context. Mode is
+// ignored.
 type StreamOptions = core.StreamOptions
 
 // ReduceStreamToWriterOpts reduces ranks as d decodes them AND writes
 // the reduced container to w in the requested format, fully pipelined:
 // decode, per-rank reduction, and reduced-block encode overlap on one
-// worker pool, and each rank's block is encoded by the worker that
-// reduced it. The bytes written are identical to WriteReducedFormat of
+// worker pool. On a random-access v2 input each worker decodes the rank
+// it reduces; a rank's block is encoded once the ranks before it have
+// registered their names, and a rank finished early waits parked, not
+// its worker. The bytes written are identical to WriteReducedFormat of
 // Reduce over the decoded trace, but the full Reduced is never
 // materialized — peak memory is a pool's worth of ranks plus the compact
 // encoded blocks. Each decoded rank goes back to d once reduced. The
