@@ -1,7 +1,8 @@
 // Codec benchmarks: the two container versions head to head on a
-// mid-size workload — encode and decode (v2 both sequential and
-// block-parallel per worker count), the size ratio, and the pipelined
-// reduce-to-writer path against the batch reduce-then-encode path. The
+// mid-size workload — encode and decode (v2 read in order from a stream
+// and from a random-access input, and fanned out by index), the size
+// ratio, and the pipelined reduce-to-writer path against the batch
+// reduce-then-encode path. The
 // container sizes of all 20 catalog traces are deterministic, so they
 // are pinned by TestGoldenCatalogContainers rather than measured here.
 package repro
@@ -9,7 +10,6 @@ package repro
 import (
 	"bytes"
 	"crypto/sha256"
-	"fmt"
 	"io"
 	"testing"
 
@@ -19,7 +19,7 @@ import (
 )
 
 // benchCodecTrace is the workload the codec benchmarks encode: enough
-// ranks for block-parallel decode to have work to spread.
+// ranks for the fanned-out decode to have work to spread.
 const benchCodecTrace = "sweep3d_32p"
 
 // seqReader hides ReaderAt/Seeker so a v2 decode takes the stream path.
@@ -38,17 +38,14 @@ func BenchmarkCodecEncode(b *testing.B) {
 			}
 		}
 	})
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("v2-parallel-w%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				err := trace.EncodeV2With(io.Discard, full, trace.EncoderOptions{Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
+	b.Run("v2", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := trace.EncodeV2(io.Discard, full); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 func BenchmarkCodecDecode(b *testing.B) {
@@ -60,7 +57,7 @@ func BenchmarkCodecDecode(b *testing.B) {
 	if err := trace.Encode(&v1, full); err != nil {
 		b.Fatal(err)
 	}
-	if err := trace.EncodeV2With(&v2, full, trace.EncoderOptions{}); err != nil {
+	if err := trace.EncodeV2(&v2, full); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("v1", func(b *testing.B) {
@@ -79,26 +76,30 @@ func BenchmarkCodecDecode(b *testing.B) {
 			}
 		}
 	})
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("v2-parallel-w%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				d, err := trace.NewDecoderWith(bytes.NewReader(v2.Bytes()),
-					trace.DecoderOptions{Workers: workers})
-				if err != nil {
+	b.Run("v2-nextrank", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			d, err := trace.NewDecoder(bytes.NewReader(v2.Bytes()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			for {
+				if _, err := d.NextRank(); err == io.EOF {
+					break
+				} else if err != nil {
 					b.Fatal(err)
 				}
-				for {
-					if _, err := d.NextRank(); err == io.EOF {
-						break
-					} else if err != nil {
-						b.Fatal(err)
-					}
-				}
-				d.Close()
 			}
-		})
-	}
+		}
+	})
+	b.Run("v2-readall", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := trace.Decode(bytes.NewReader(v2.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkCodecReducedRoundTrip(b *testing.B) {
@@ -167,7 +168,7 @@ func BenchmarkPipelineReduce(b *testing.B) {
 		b.Fatal(err)
 	}
 	var trc2 bytes.Buffer
-	if err := trace.EncodeV2With(&trc2, full, trace.EncoderOptions{}); err != nil {
+	if err := trace.EncodeV2(&trc2, full); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("batch", func(b *testing.B) {
@@ -228,7 +229,7 @@ func BenchmarkTraceSignature(b *testing.B) {
 		if err := trace.Encode(&v1, full); err != nil {
 			b.Fatal(err)
 		}
-		if err := trace.EncodeV2With(&v2, full, trace.EncoderOptions{}); err != nil {
+		if err := trace.EncodeV2(&v2, full); err != nil {
 			b.Fatal(err)
 		}
 		v1s, v2s = append(v1s, v1.Bytes()), append(v2s, v2.Bytes())
@@ -240,14 +241,14 @@ func BenchmarkTraceSignature(b *testing.B) {
 		open func([]byte) io.Reader
 	}{
 		{"v1", v1s, func(p []byte) io.Reader { return bytes.NewReader(p) }},
-		{"v2-parallel", v2s, func(p []byte) io.Reader { return bytes.NewReader(p) }},
+		{"v2-random-access", v2s, func(p []byte) io.Reader { return bytes.NewReader(p) }},
 		{"v2-stream", v2s, func(p []byte) io.Reader { return seqReader{bytes.NewReader(p)} }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, src := range c.srcs {
-					if _, err := trace.SignatureOfWith(c.open(src), trace.DecoderOptions{Workers: 1}); err != nil {
+					if _, err := trace.SignatureOfWith(c.open(src), trace.DecoderOptions{}); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -25,8 +25,8 @@
 // criteria.
 // -cpuprofile/-memprofile/-mutexprofile/-blockprofile write standard
 // pprof profiles of the run, the measurement hooks for matcher and
-// engine work (the mutex and block profiles expose pipeline turnstile
-// and semaphore waits).
+// engine work (the mutex and block profiles expose waits on the
+// engine's claim lock and the encoding sink's lock).
 package main
 
 import (

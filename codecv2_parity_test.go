@@ -38,7 +38,7 @@ func TestCodecV2TraceParity(t *testing.T) {
 			if err := trace.Encode(&v1, full); err != nil {
 				t.Fatalf("v1 encode: %v", err)
 			}
-			if err := trace.EncodeV2With(&v2, full, trace.EncoderOptions{}); err != nil {
+			if err := trace.EncodeV2(&v2, full); err != nil {
 				t.Fatalf("v2 encode: %v", err)
 			}
 			if v2.Len() >= v1.Len() {
@@ -108,7 +108,7 @@ func TestCodecV2ReduceFromV2Parity(t *testing.T) {
 		t.Run(workload, func(t *testing.T) {
 			full := parityTrace(t, workload)
 			var enc bytes.Buffer
-			if err := trace.EncodeV2With(&enc, full, trace.EncoderOptions{}); err != nil {
+			if err := trace.EncodeV2(&enc, full); err != nil {
 				t.Fatalf("v2 encode: %v", err)
 			}
 			d, err := trace.NewDecoder(bytes.NewReader(enc.Bytes()))

@@ -195,9 +195,10 @@ func DecodeReduced(rd io.Reader) (*Reduced, error) {
 	return DecodeReducedWith(rd, trace.DecoderOptions{})
 }
 
-// DecodeReducedWith is DecodeReduced with explicit options: worker
-// count for v2 block-parallel decode, allocation caps, and a context
-// that cancels the decode between ranks.
+// DecodeReducedWith is DecodeReduced with explicit options: allocation
+// caps, and a context that cancels the decode between ranks. A
+// random-access TRR2 input is fanned out over GOMAXPROCS goroutines;
+// opts.Workers is ignored.
 func DecodeReducedWith(rd io.Reader, opts trace.DecoderOptions) (*Reduced, error) {
 	opts = opts.Resolve()
 	c, err := trace.OpenContainer(rd, reducedMagicV2)
@@ -239,7 +240,6 @@ func DecodeReducedWith(rd io.Reader, opts trace.DecoderOptions) (*Reduced, error
 	if err != nil {
 		return nil, err
 	}
-	defer blocks.Close()
 	if blocks.RandomAccess() {
 		// The block index has been checked against the container's size,
 		// so every declared rank is backed by a block.

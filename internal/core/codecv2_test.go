@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -100,8 +101,10 @@ func TestDecodeReducedV2MatchesV1(t *testing.T) {
 func TestDecodeReducedV2WorkerCounts(t *testing.T) {
 	want := v2TestReduced()
 	data := encodeReducedV2Bytes(t, want)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, 2, 7, 64} {
-		got, err := DecodeReducedWith(bytes.NewReader(data), trace.DecoderOptions{Workers: workers})
+		runtime.GOMAXPROCS(workers)
+		got, err := DecodeReduced(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -232,9 +235,11 @@ func TestDecodeReducedV2Truncation(t *testing.T) {
 }
 
 // TestDecodeReducedFanOut: a random-access TRR2 container decodes by
-// index into its rank slots, equal to the stream decode at every worker
-// count, and with blocks 3 and 7 corrupt it reports block 3 every time,
-// whichever worker meets a bad block first.
+// index into its rank slots, equal to the stream decode at every
+// GOMAXPROCS; and with blocks 3 and 7 corrupt, the stream decode, Next
+// on the random-access input and the fan-out all report block 3 in the
+// same words — the fan-out every time, whichever worker meets a bad
+// block first.
 func TestDecodeReducedFanOut(t *testing.T) {
 	forceWorkers(t, 4)
 	red, err := Reduce(buildMultiRankTrace("fan_out", 12, 9, rand.New(rand.NewSource(4))), NewIterAvg())
@@ -247,7 +252,8 @@ func TestDecodeReducedFanOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 16} {
-		got, err := DecodeReducedWith(bytes.NewReader(data), trace.DecoderOptions{Workers: workers})
+		runtime.GOMAXPROCS(workers)
+		got, err := DecodeReduced(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -255,14 +261,52 @@ func TestDecodeReducedFanOut(t *testing.T) {
 			t.Errorf("workers=%d: fanned-out decode differs from the stream decode", workers)
 		}
 	}
+	runtime.GOMAXPROCS(4)
 	bad := append([]byte{}, data...)
 	for _, k := range []int{3, 7} {
 		bad[blockOffset(t, bad, k)+16] ^= 0xff
 	}
+	_, wantErr := DecodeReduced(streamOnly{bytes.NewReader(bad)})
+	if wantErr == nil || !strings.HasPrefix(wantErr.Error(), "trace: rank 3 block checksum") {
+		t.Fatalf("stream decode error = %v, want rank 3's checksum", wantErr)
+	}
+	if err := nextReducedErr(t, bad); err.Error() != wantErr.Error() {
+		t.Fatalf("random-access Next error = %v, want %q", err, wantErr)
+	}
 	for rep := 0; rep < 100; rep++ {
 		_, err := DecodeReduced(bytes.NewReader(bad))
-		if err == nil || !strings.HasPrefix(err.Error(), "trace: rank 3 block checksum") {
-			t.Fatalf("run %d: error = %v, want rank 3's checksum", rep, err)
+		if err == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("run %d: error = %v, want %q", rep, err, wantErr)
+		}
+	}
+}
+
+// nextReducedErr reads the TRR2 container data in order through the
+// block reader's Next on a random-access input, and returns the first
+// error, io.EOF when every block reads.
+func nextReducedErr(t *testing.T, data []byte) error {
+	t.Helper()
+	c, err := trace.OpenContainer(bytes.NewReader(data), reducedMagicV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, names, nRanks, err := trace.ReadHeader(c.Header, trace.DecoderOptions{}.Resolve().Limits, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := trace.NewBlockReader(c, nRanks, trace.DecoderOptions{},
+		func(e trace.BlockEntry, payload []byte) (RankReduced, error) {
+			return parseRankReducedV2(e, payload, names)
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !blocks.RandomAccess() {
+		t.Fatal("block reader over a bytes.Reader is not random-access")
+	}
+	for {
+		if _, err := blocks.Next(); err != nil {
+			return err
 		}
 	}
 }

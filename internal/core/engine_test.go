@@ -73,7 +73,7 @@ func engineEntryPoints(t *testing.T, tr *trace.Trace, srcs map[string]func() *tr
 func encodeTraceV2(t testing.TB, tr *trace.Trace) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := trace.EncodeV2With(&buf, tr, trace.EncoderOptions{}); err != nil {
+	if err := trace.EncodeV2(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -30,8 +30,8 @@ func (c *cancelAfter) Read(p []byte) (int, error) {
 
 // TestReduceStreamToWriterOptsCancel cancels the pipeline mid-stream:
 // the decoder runs under the same context, so it stops yielding ranks,
-// and the run must return the cancellation error instead of wedging in
-// the registration turnstile.
+// and the run must return the cancellation error instead of hanging on
+// the engine's claim lock or the encoding sink's lock.
 func TestReduceStreamToWriterOptsCancel(t *testing.T) {
 	forceWorkers(t, 4)
 	rng := rand.New(rand.NewSource(7))
@@ -157,10 +157,11 @@ func TestDecodeReducedWithCancelledMidway(t *testing.T) {
 	}
 	at := blockOffset(t, buf.Bytes(), 4)
 	for _, workers := range []int{1, 4} {
+		runtime.GOMAXPROCS(workers)
 		before := runtime.NumGoroutine()
 		ctx, cancel := context.WithCancel(context.Background())
 		_, err := DecodeReducedWith(cancelOnBlock{bytes.NewReader(buf.Bytes()), at, cancel},
-			trace.DecoderOptions{Workers: workers, Ctx: ctx})
+			trace.DecoderOptions{Ctx: ctx})
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: DecodeReducedWith = %v, want context.Canceled", workers, err)

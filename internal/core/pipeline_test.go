@@ -55,8 +55,8 @@ func failingFrom(t testing.TB, tr *trace.Trace, k int, err error) io.Reader {
 }
 
 // forceWorkers raises GOMAXPROCS for the test so the pipeline actually
-// runs multiple workers (and the registration turnstile is exercised)
-// even on a single-CPU machine.
+// runs multiple workers (and ranks finished out of turn are parked in
+// the encoding sink) even on a single-CPU machine.
 func forceWorkers(t *testing.T, n int) {
 	t.Helper()
 	prev := runtime.GOMAXPROCS(n)
@@ -240,7 +240,8 @@ func TestReduceStreamToWriterFailingWriter(t *testing.T) {
 }
 
 // TestReduceStreamToWriterSourceError: decoder and reducer failures must
-// propagate out of the pipeline without wedging the turnstile.
+// propagate out of the pipeline without leaving a worker waiting on the
+// engine's claim lock or the encoding sink's lock.
 func TestReduceStreamToWriterSourceError(t *testing.T) {
 	forceWorkers(t, 4)
 	before := runtime.NumGoroutine()

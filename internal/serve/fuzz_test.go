@@ -30,7 +30,7 @@ func FuzzReduceHandler(f *testing.F) {
 	if err := trace.Encode(&v1, tr); err != nil {
 		f.Fatal(err)
 	}
-	if err := trace.EncodeV2With(&v2, tr, trace.EncoderOptions{}); err != nil {
+	if err := trace.EncodeV2(&v2, tr); err != nil {
 		f.Fatal(err)
 	}
 	// The tightest limits late_sender passes.

@@ -45,7 +45,7 @@ func encodeTrace(t *testing.T, tr *trace.Trace, version int) []byte {
 	var buf bytes.Buffer
 	var err error
 	if version == 2 {
-		err = trace.EncodeV2With(&buf, tr, trace.EncoderOptions{})
+		err = trace.EncodeV2(&buf, tr)
 	} else {
 		err = trace.Encode(&buf, tr)
 	}

@@ -286,7 +286,7 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	dec, err := trace.NewDecoderWith(bytes.NewReader(body), trace.DecoderOptions{
-		Workers: granted, Ctx: r.Context(), Limits: s.cfg.Limits,
+		Ctx: r.Context(), Limits: s.cfg.Limits,
 	})
 	if err != nil {
 		s.fleet.Release(granted)

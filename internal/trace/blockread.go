@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -39,9 +40,9 @@ type Container struct {
 
 // OpenContainer reads the magic from r. When r is random-access
 // (io.ReaderAt + io.Seeker) and the container carries v2magic, later
-// block reads go through r's ReaderAt on a worker pool; anything else
-// (every v1 container, and v2 on a plain stream) is read sequentially
-// through Container.Header.
+// block reads go through r's ReaderAt, by index; anything else (every
+// v1 container, and v2 on a plain stream) is read sequentially through
+// Container.Header.
 func OpenContainer(r io.Reader, v2magic string) (*Container, error) {
 	sr, ok, err := sectionFor(r)
 	if err != nil {
@@ -133,46 +134,32 @@ func peekMagic(sr *io.SectionReader) string {
 // On a random-access container it validates the footer index up front.
 // At then reads and parses any block by index on the caller's goroutine,
 // so callers that decode many blocks at once (ReadAll, the reduction
-// pipeline) do it on their own workers; Next delivers the blocks in file
-// order from a bounded look-ahead pool built on At, keeping at most one
-// block per worker decoded ahead of the consumer. On a plain stream Next
-// reads blocks through their inline headers into one reused payload
-// buffer and checks the footer against them after the last block, so
-// both paths are equally strict.
+// pipeline) do it on their own workers, and Next reads the next block
+// through At. On a plain stream Next reads blocks through their inline
+// headers into one reused payload buffer and checks the footer against
+// them after the last block, so both paths are equally strict. Apart
+// from ReadAll, which joins its workers before it returns, no call
+// starts a goroutine.
 //
-// Next's first error is latched: every later Next returns it.
+// Next's first error is latched: every later Next returns it. A corrupt
+// block reads the same from every path; only the errors a plain stream
+// alone can meet, such as truncation, name the block's index.
 type BlockReader[T any] struct {
-	c     *Container
-	n     int
-	ctx   context.Context
-	parse func(BlockEntry, []byte) (T, error)
-	next  int
-	fail  error
+	c      *Container
+	n      int
+	ctx    context.Context
+	parse  func(BlockEntry, []byte) (T, error)
+	next   int
+	fail   error
+	closed atomic.Bool
 
 	// Plain stream: the reused payload buffer and the blocks read so
 	// far, checked against the footer at the end.
 	buf      []byte
 	observed []BlockEntry
 
-	// Random access: the validated index and Next's look-ahead pool,
-	// started by the first Next. The slot semaphore bounds
-	// decoded-but-unconsumed blocks to the worker count, so block i's
-	// result always lands in ring slot i%workers after block i-workers
-	// has been taken out of it.
+	// Random access: the validated index.
 	entries []BlockEntry
-	workers int
-	start   sync.Once
-	claim   atomic.Int64
-	sem     chan struct{}
-	results []chan blockResult[T]
-	abort   chan struct{}
-	stop    sync.Once
-}
-
-// blockResult carries one parsed block from a pool worker to Next.
-type blockResult[T any] struct {
-	v   T
-	err error
 }
 
 // errBlockReaderClosed is the terminal error of a closed reader.
@@ -186,12 +173,12 @@ var blockReads bufpool.Pool[byte]
 // NewBlockReader returns a reader over the n blocks of c, a v2
 // container whose header the caller has read from c.Header. parse turns
 // one verified payload into a T; the payload is only valid during the
-// call. On a random-access container parse runs concurrently: on up to
-// opts.Workers goroutines for Next and ReadAll, and on every caller of
-// At. The footer index is checked here against n.
+// call. On a random-access container parse runs concurrently: on the
+// GOMAXPROCS goroutines of ReadAll, and on every caller of At. The
+// footer index is checked here against n.
 func NewBlockReader[T any](c *Container, n int, opts DecoderOptions, parse func(BlockEntry, []byte) (T, error)) (*BlockReader[T], error) {
 	opts = opts.Resolve()
-	b := &BlockReader[T]{c: c, n: n, ctx: opts.Ctx, parse: parse, abort: make(chan struct{})}
+	b := &BlockReader[T]{c: c, n: n, ctx: opts.Ctx, parse: parse}
 	if c.sr == nil {
 		return b, nil
 	}
@@ -203,7 +190,6 @@ func NewBlockReader[T any](c *Container, n int, opts DecoderOptions, parse func(
 		return nil, fmt.Errorf("trace: %s: %d blocks indexed for %d ranks", c.Magic, len(entries), n)
 	}
 	b.entries = entries
-	b.workers = max(1, min(opts.Workers, len(entries)))
 	return b, nil
 }
 
@@ -223,30 +209,12 @@ func (b *BlockReader[T]) Next() (T, error) {
 	if b.next == len(b.entries) {
 		return zero, b.latch(io.EOF)
 	}
-	b.start.Do(func() {
-		b.sem = make(chan struct{}, b.workers)
-		b.results = make([]chan blockResult[T], b.workers)
-		for i := range b.results {
-			b.results[i] = make(chan blockResult[T], 1)
-		}
-		for w := 0; w < b.workers; w++ {
-			go b.run()
-		}
-	})
-	// A cancelled context stops the workers, so the pending result may
-	// never arrive: wait on both.
-	var res blockResult[T]
-	select {
-	case res = <-b.results[b.next%b.workers]:
-	case <-b.ctx.Done():
-		return zero, b.latch(b.ctx.Err())
-	}
+	v, err := b.At(b.next)
 	b.next++
-	<-b.sem
-	if res.err != nil {
-		return zero, b.latch(res.err)
+	if err != nil {
+		return zero, b.latch(err)
 	}
-	return res.v, nil
+	return v, nil
 }
 
 // nextStream reads the next block through its inline header.
@@ -265,6 +233,9 @@ func (b *BlockReader[T]) nextStream() (T, error) {
 	b.buf = payload
 	b.next++
 	b.observed = append(b.observed, e)
+	if err := checkPayload(e, payload); err != nil {
+		return zero, b.latch(err)
+	}
 	v, err := b.parse(e, payload)
 	if err != nil {
 		return zero, b.latch(err)
@@ -272,49 +243,20 @@ func (b *BlockReader[T]) nextStream() (T, error) {
 	return v, nil
 }
 
-// latch records err as the reader's terminal state and stops the pool.
+// latch records err as the reader's terminal state.
 func (b *BlockReader[T]) latch(err error) error {
 	b.fail = err
-	b.Close()
 	return err
 }
 
-// Close stops the decode pool; Next returns an error afterwards. It is
-// needed only when a random-access read is abandoned before Next
-// returned io.EOF or an error, and safe to call in every case.
+// Close makes every later Next and At fail. A reader holds no goroutine
+// and no pooled buffer between calls, so Close frees nothing and is
+// never required.
 func (b *BlockReader[T]) Close() {
 	if b.fail == nil {
 		b.fail = errBlockReaderClosed
 	}
-	b.stop.Do(func() { close(b.abort) })
-}
-
-// run is one look-ahead worker: wait for an in-flight slot, claim the
-// next block, decode it through At, deliver the result.
-//
-// The slot MUST be acquired before the index is claimed: the consumer
-// drains results in strict index order and releases a slot only after
-// consuming, so the worker holding the lowest pending index has to own
-// a slot or the pool wedges (claim-first lets later claimants fill
-// every slot while the lowest claimant waits on the semaphore forever).
-func (b *BlockReader[T]) run() {
-	for {
-		select {
-		case b.sem <- struct{}{}:
-		case <-b.abort:
-			return
-		case <-b.ctx.Done():
-			return
-		}
-		i := int(b.claim.Add(1)) - 1
-		if i >= len(b.entries) {
-			<-b.sem
-			return
-		}
-		var res blockResult[T]
-		res.v, res.err = b.At(i)
-		b.results[i%b.workers] <- res
-	}
+	b.closed.Store(true)
 }
 
 // RandomAccess reports whether the container is read through its
@@ -328,10 +270,8 @@ func (b *BlockReader[T]) RandomAccess() bool { return b.c.sr != nil }
 // returns ctx.Err(), and once the reader is closed an error.
 func (b *BlockReader[T]) At(i int) (T, error) {
 	var v T
-	select {
-	case <-b.abort:
+	if b.closed.Load() {
 		return v, errBlockReaderClosed
-	default:
 	}
 	if err := b.ctx.Err(); err != nil {
 		return v, err
@@ -348,8 +288,8 @@ func (b *BlockReader[T]) At(i int) (T, error) {
 }
 
 // ReadAll decodes every block of a random-access container and hands
-// block i's value to put(i, v), fanned out by index over the reader's
-// workers, the caller's goroutine among them: put runs concurrently for
+// block i's value to put(i, v), fanned out by index over GOMAXPROCS
+// goroutines, the caller's among them: put runs concurrently for
 // distinct i. It returns the error of the lowest failing block, the one
 // Next would have reported first, or else ctx.Err() when the context
 // was done before ReadAll returns, as a read through Next would; no
@@ -358,7 +298,7 @@ func (b *BlockReader[T]) ReadAll(put func(i int, v T)) error {
 	if err := b.ctx.Err(); err != nil {
 		return err
 	}
-	err := fanOut(b.workers, len(b.entries), func(i int) error {
+	err := fanOut(runtime.GOMAXPROCS(0), len(b.entries), func(i int) error {
 		v, err := b.At(i)
 		if err == nil {
 			put(i, v)
@@ -523,10 +463,16 @@ func readBlockAt(ra io.ReaderAt, e BlockEntry, buf []byte) (payload, backing []b
 		return nil, buf, fmt.Errorf("trace: block header %+v does not match index entry %+v", got, e)
 	}
 	payload = buf[blockHeaderSize:]
+	return payload, buf, checkPayload(e, payload)
+}
+
+// checkPayload verifies a block's payload against the checksum its
+// header declares, with one error text for every read path.
+func checkPayload(e BlockEntry, payload []byte) error {
 	if crc := CRC32C(payload); crc != e.CRC {
-		return nil, buf, fmt.Errorf("trace: rank %d block checksum %08x, want %08x", e.Rank, crc, e.CRC)
+		return fmt.Errorf("trace: rank %d block checksum %08x, want %08x", e.Rank, crc, e.CRC)
 	}
-	return payload, buf, nil
+	return nil
 }
 
 // readBlock reads the next inline block from r sequentially. offset is
@@ -535,6 +481,8 @@ func readBlockAt(ra io.ReaderAt, e BlockEntry, buf []byte) (payload, backing []b
 // so a caller that passes the previous payload back reuses one buffer
 // across blocks; otherwise the payload grows with the bytes actually
 // read, so a hostile length cannot force a large upfront allocation.
+// Its errors are the stream's alone (truncation, an oversized length);
+// the caller checks the payload with checkPayload, as readBlockAt does.
 func readBlock(r io.Reader, offset uint64, buf []byte) (BlockEntry, []byte, error) {
 	var hdr [blockHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -559,9 +507,6 @@ func readBlock(r io.Reader, offset uint64, buf []byte) (BlockEntry, []byte, erro
 			return BlockEntry{}, nil, io.ErrUnexpectedEOF
 		}
 		payload = grown.Bytes()
-	}
-	if crc := CRC32C(payload); crc != e.CRC {
-		return BlockEntry{}, nil, fmt.Errorf("trace: rank %d block checksum %08x, want %08x", e.Rank, crc, e.CRC)
 	}
 	return e, payload, nil
 }

@@ -142,7 +142,7 @@ func TestDecodeKeepsAQuarterSpareAtMost(t *testing.T) {
 		if err := trace.Encode(&v1, tr); err != nil {
 			t.Fatal(err)
 		}
-		if err := trace.EncodeV2With(&v2, tr, trace.EncoderOptions{}); err != nil {
+		if err := trace.EncodeV2(&v2, tr); err != nil {
 			t.Fatal(err)
 		}
 		for path, r := range map[string]io.Reader{

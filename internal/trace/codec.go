@@ -159,8 +159,7 @@ func Encode(w io.Writer, t *Trace) error {
 // writeTraceHeader writes the header both trace container versions
 // share — magic, workload name, name table, rank count — and returns
 // the table. Ids are assigned in first-use order across ranks, so the
-// table is complete before any rank is encoded and concurrent encoders
-// only read it.
+// table is complete before any rank is encoded.
 func writeTraceHeader(w io.Writer, magic string, t *Trace) (*NameTable, error) {
 	if _, err := io.WriteString(w, magic); err != nil {
 		return nil, err
@@ -241,17 +240,17 @@ func noEOF(err error) error {
 // For version-2 (TRC2) files on a random-access input (io.ReaderAt +
 // io.Seeker, e.g. *os.File or bytes.Reader), every rank block can also
 // be read by index (RankAt), which is how the reduction pipeline decodes
-// each rank on the worker that reduces it; NextRank decodes blocks ahead
-// on a worker pool and delivers them in file order. On a plain stream,
-// blocks are decoded sequentially with the same validation. Version-1
-// files always decode sequentially, unchanged.
+// each rank on the worker that reduces it. NextRank reads one block per
+// call, on the caller's goroutine, through the index on such an input
+// and through the inline block headers on a plain stream, with the same
+// validation. Version-1 files always decode sequentially. A Decoder
+// starts no goroutine.
 type Decoder struct {
 	name    string
 	names   []string
 	nRanks  int
 	version int
 	next    func() (*RankTrace, error)
-	close   func()
 	// blocks reads the rank blocks of a version-2 container; nil for
 	// version 1.
 	blocks *BlockReader[*RankTrace]
@@ -285,15 +284,15 @@ func (d *Decoder) Recycle(rt *RankTrace) {
 
 // DecoderOptions configure decoding. The zero value is the default.
 type DecoderOptions struct {
-	// Workers bounds the goroutines that decode version-2 blocks on a
-	// random-access input: NextRank's look-ahead pool, and the fan-out of
-	// the batch decoders (Decode, the reduced-trace decoder). A reduction
-	// pipeline reads blocks by index on its own workers, bounded by its
-	// own option, so this does not bound it. Non-positive means
-	// GOMAXPROCS. Version-1 and plain-stream decoding ignore it.
+	// Workers is ignored. The batch decoders (Decode, the reduced-trace
+	// decoder) fan a random-access version-2 input out over GOMAXPROCS
+	// goroutines; NextRank and RankAt read on the caller's goroutine.
+	//
+	// Deprecated: perfbench is the last caller that sets it.
 	Workers int
-	// Ctx cancels the decode: pool workers stop claiming blocks and a
-	// blocked NextRank returns ctx.Err(). nil means context.Background().
+	// Ctx cancels the decode: NextRank returns ctx.Err(), and the batch
+	// decoders' workers stop claiming blocks. nil means
+	// context.Background().
 	Ctx context.Context
 	// Limits override the hostile-input allocation caps; zero fields keep
 	// the defaults (see DecodeLimits).
@@ -342,7 +341,6 @@ func (l DecodeLimits) withDefaults() DecodeLimits {
 // and a non-nil context. Decoder entry points in other packages (the
 // reduced-trace codec) call it once up front.
 func (o DecoderOptions) Resolve() DecoderOptions {
-	o.Workers = DefaultDecodeWorkers(o.Workers)
 	if o.Ctx == nil {
 		o.Ctx = context.Background()
 	}
@@ -379,7 +377,7 @@ func NewDecoderWith(r io.Reader, opts DecoderOptions) (*Decoder, error) {
 		return d, nil
 	}
 	v1 := &v1decoder{br: c.Header, names: names, nRanks: nRanks, ctx: opts.Ctx}
-	d.version, d.next, d.close = 1, v1.nextRank, func() {}
+	d.version, d.next = 1, v1.nextRank
 	return d, nil
 }
 
@@ -449,11 +447,15 @@ func RankAt(d *Decoder) func(i int) (*RankTrace, error) {
 	return b.At
 }
 
-// Close releases decode workers. It is only needed when a version-2
-// parallel decode is abandoned before NextRank returned io.EOF or an
-// error; it is safe (and a no-op) in every other case. A reader RankAt
-// returned fails once d is closed.
-func (d *Decoder) Close() { d.close() }
+// Close makes every later NextRank of a version-2 decoder fail, and
+// every read through a reader RankAt returned. It frees nothing: a
+// decoder holds no goroutine between calls, so one dropped without Close
+// leaks nothing.
+func (d *Decoder) Close() {
+	if d.blocks != nil {
+		d.blocks.Close()
+	}
+}
 
 // v1decoder is the sequential TRC1 rank reader.
 type v1decoder struct {
@@ -517,14 +519,13 @@ func (d *v1decoder) nextRank() (*RankTrace, error) {
 // version; the magic selects the codec). It is the batch form of
 // Decoder: every rank is materialized into one Trace. A version-2
 // container on a random-access input is decoded by index, its blocks
-// fanned out over a GOMAXPROCS pool into their rank slots; anything else
-// is decoded rank by rank.
+// fanned out over GOMAXPROCS goroutines into their rank slots; anything
+// else is decoded rank by rank.
 func Decode(r io.Reader) (*Trace, error) {
 	d, err := NewDecoder(r)
 	if err != nil {
 		return nil, err
 	}
-	defer d.Close()
 	if d.blocks != nil && d.blocks.RandomAccess() {
 		// The block index has been checked against the container's
 		// size, so every declared rank is backed by a block.

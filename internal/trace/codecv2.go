@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"runtime"
 )
 
 // Columnar trace container, version 2 (TRC2). The byte-level
@@ -17,7 +16,7 @@ import (
 // delta+varint encoded, every block carries an inline header (rank,
 // record count, payload length, CRC32-C) and is indexed again by a
 // footer block index so a random-access reader can verify the layout
-// once and fan independent blocks out across a worker pool. Layout:
+// once and read any block by index. Layout:
 //
 //	magic   "TRC2" (4 bytes)
 //	name    length-prefixed workload name
@@ -228,12 +227,9 @@ func (c *Cursor) Done() error {
 
 // NameIDs resolves event names to their v2 name-table ids. *NameTable
 // implements it; the pipelined reduce-to-writer path substitutes
-// immutable per-rank snapshots so encode workers can read ids without
-// synchronizing against later ranks still registering names.
-//
-// Implementations handed to the concurrent encoders must be safe for
-// lock-free reads: either fully pre-populated (a prescanned NameTable is
-// never written during encode) or a plain read-only map.
+// immutable per-rank snapshots, plain read-only maps, so its encode
+// workers can read ids without synchronizing against later ranks still
+// registering names.
 type NameIDs interface {
 	// ID returns the table id for name, which must already be present.
 	ID(name string) uint32
@@ -390,15 +386,6 @@ func newV2Decoder(c *Container, d *Decoder, opts DecoderOptions) error {
 	if err != nil {
 		return err
 	}
-	d.version, d.next, d.close, d.blocks = 2, blocks.Next, blocks.Close, blocks
+	d.version, d.next, d.blocks = 2, blocks.Next, blocks
 	return nil
-}
-
-// DefaultDecodeWorkers resolves a worker-count option: non-positive
-// means GOMAXPROCS.
-func DefaultDecodeWorkers(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
 }

@@ -3,11 +3,12 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
-	"time"
 )
 
 // streamOnly hides ReaderAt/Seeker so a decode is forced down the
@@ -38,8 +39,8 @@ func v2TestTrace() *Trace {
 func encodeV2Bytes(t *testing.T, tr *Trace) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := EncodeV2With(&buf, tr, EncoderOptions{Workers: 1}); err != nil {
-		t.Fatalf("EncodeV2With: %v", err)
+	if err := EncodeV2(&buf, tr); err != nil {
+		t.Fatalf("EncodeV2: %v", err)
 	}
 	return buf.Bytes()
 }
@@ -119,36 +120,8 @@ func TestDecoderVersionV1(t *testing.T) {
 	}
 }
 
-// TestDecodeV2WorkerCounts decodes the same container under several
-// worker-pool sizes; all must agree with the single-worker result.
-func TestDecodeV2WorkerCounts(t *testing.T) {
-	want := v2TestTrace()
-	data := encodeV2Bytes(t, want)
-	for _, workers := range []int{1, 2, 3, 7, 64} {
-		d, err := NewDecoderWith(bytes.NewReader(data), DecoderOptions{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: NewDecoderWith: %v", workers, err)
-		}
-		got := &Trace{Name: d.Name()}
-		for {
-			rt, err := d.NextRank()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatalf("workers=%d: NextRank: %v", workers, err)
-			}
-			got.Ranks = append(got.Ranks, *rt)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("workers=%d: decoded trace differs", workers)
-		}
-	}
-}
-
-// TestDecodeV2AbandonedClose abandons a parallel decode mid-stream and
-// closes it; the decoder must release its workers without deadlocking
-// (the race detector would flag unsynchronized worker exits).
+// TestDecodeV2AbandonedClose abandons a random-access decode mid-stream
+// and closes it: Close must return at once, with nothing to wait for.
 func TestDecodeV2AbandonedClose(t *testing.T) {
 	data := encodeV2Bytes(t, v2TestTrace())
 	d, err := NewDecoder(bytes.NewReader(data))
@@ -159,6 +132,34 @@ func TestDecodeV2AbandonedClose(t *testing.T) {
 		t.Fatalf("NextRank: %v", err)
 	}
 	d.Close()
+}
+
+// TestDecodeV2NextRankStartsNoGoroutine: NextRank over a random-access
+// container reads each block on the caller's goroutine, so the goroutine
+// count stays at its baseline after every call, and after a decoder is
+// dropped half-read without Close.
+func TestDecodeV2NextRankStartsNoGoroutine(t *testing.T) {
+	data := encodeV2Bytes(t, wideTrace(64))
+	before := runtime.NumGoroutine()
+	check := func(when string) {
+		t.Helper()
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("%s: %d goroutines, %d before", when, n, before)
+		}
+	}
+	for _, stop := range []int{65, 32} {
+		d, err := NewDecoder(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < stop; i++ {
+			if _, err := d.NextRank(); err != nil && (err != io.EOF || i < 64) {
+				t.Fatalf("rank %d: %v", i, err)
+			}
+			check(fmt.Sprintf("after NextRank %d of %d", i, stop))
+		}
+	}
+	check("after dropping a decoder half-read")
 }
 
 // TestV2SmallerThanV1 pins the point of the columnar format: the varint
@@ -190,102 +191,41 @@ func TestV2SequentialParallelIdentical(t *testing.T) {
 	}
 }
 
-// nextRankTimeout calls d.NextRank with a watchdog so a regression that
-// wedges the parallel pipeline fails the test instead of hanging it.
-func nextRankTimeout(t *testing.T, d *Decoder) (*RankTrace, error) {
-	t.Helper()
-	type out struct {
-		rt  *RankTrace
-		err error
-	}
-	ch := make(chan out, 1)
-	go func() {
-		rt, err := d.NextRank()
-		ch <- out{rt, err}
-	}()
-	select {
-	case o := <-ch:
-		return o.rt, o.err
-	case <-time.After(30 * time.Second):
-		t.Fatal("NextRank blocked: parallel decode pipeline wedged")
-		return nil, nil
-	}
-}
-
-// TestDecodeV2ManyRanksFewWorkers floods a small worker pool with many
-// blocks. The worker loop must take an in-flight slot before claiming an
-// index — claim-first lets later claimants fill every slot while the
-// lowest claimant starves, wedging the in-order consumer.
-func TestDecodeV2ManyRanksFewWorkers(t *testing.T) {
-	const nRanks = 64
-	want := New("stress", nRanks)
-	for i := range want.Ranks {
-		base := Time(10 * (i + 1))
-		want.Ranks[i].Events = append(want.Ranks[i].Events,
-			Event{Name: "work", Kind: KindCompute, Enter: base, Exit: base + 5, Peer: NoPeer, Root: NoPeer},
-		)
-	}
-	data := encodeV2Bytes(t, want)
-	for _, workers := range []int{1, 2, 3} {
-		for iter := 0; iter < 8; iter++ {
-			d, err := NewDecoderWith(bytes.NewReader(data), DecoderOptions{Workers: workers})
-			if err != nil {
-				t.Fatalf("workers=%d: NewDecoderWith: %v", workers, err)
-			}
-			got := &Trace{Name: d.Name()}
-			for {
-				rt, err := nextRankTimeout(t, d)
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					t.Fatalf("workers=%d: NextRank: %v", workers, err)
-				}
-				got.Ranks = append(got.Ranks, *rt)
-			}
-			d.Close()
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("workers=%d iter=%d: decoded trace differs", workers, iter)
-			}
-		}
-	}
-}
-
-// TestDecodeV2NextRankAfterError pins the error latch: once a parallel
-// decode fails, further NextRank calls must return an error immediately
-// rather than blocking on result channels no worker will ever fill.
+// TestDecodeV2NextRankAfterError pins the error latch: once a
+// random-access decode fails, every further NextRank call returns the
+// same error.
 func TestDecodeV2NextRankAfterError(t *testing.T) {
 	data := encodeV2Bytes(t, v2TestTrace())
 	l := layoutV2(t, data, traceMagicV2)
 	corrupt := append([]byte{}, data...)
 	corrupt[l.entries[0].Offset+blockHeaderSize] ^= 0x40 // break block 0's checksum
-	d, err := NewDecoderWith(bytes.NewReader(corrupt), DecoderOptions{Workers: 2})
+	d, err := NewDecoder(bytes.NewReader(corrupt))
 	if err != nil {
-		t.Fatalf("NewDecoderWith: %v", err)
+		t.Fatalf("NewDecoder: %v", err)
 	}
-	if _, err := nextRankTimeout(t, d); err == nil {
+	_, first := d.NextRank()
+	if first == nil {
 		t.Fatal("NextRank accepted a corrupt block")
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := nextRankTimeout(t, d); err == nil {
-			t.Fatalf("NextRank call %d after failure returned nil error", i)
+		if _, err := d.NextRank(); err != first {
+			t.Fatalf("NextRank call %d after failure = %v, want the latched %v", i, err, first)
 		}
 	}
 }
 
-// TestDecodeV2NextRankAfterClose: NextRank on a closed decoder must
-// error promptly, not wait on aborted workers.
+// TestDecodeV2NextRankAfterClose: NextRank on a closed decoder errors.
 func TestDecodeV2NextRankAfterClose(t *testing.T) {
 	data := encodeV2Bytes(t, v2TestTrace())
 	d, err := NewDecoder(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nextRankTimeout(t, d); err != nil {
+	if _, err := d.NextRank(); err != nil {
 		t.Fatalf("NextRank: %v", err)
 	}
 	d.Close()
-	if _, err := nextRankTimeout(t, d); err == nil {
+	if _, err := d.NextRank(); err == nil {
 		t.Fatal("NextRank after Close returned nil error")
 	}
 }

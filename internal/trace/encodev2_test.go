@@ -1,10 +1,8 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"runtime"
@@ -30,51 +28,9 @@ func encodeStressTrace() *Trace {
 	return tr
 }
 
-// TestEncodeV2ParallelParity pins the tentpole guarantee on the trace
-// container: EncodeV2With is byte-identical to its one-worker, inline
-// encode at every worker count, including pools larger than the rank
-// count.
-func TestEncodeV2ParallelParity(t *testing.T) {
-	traces := map[string]*Trace{
-		"edge-shapes": v2TestTrace(),
-		"empty-0":     New("empty", 0),
-		"empty-3":     New("empty", 3),
-		"stress":      encodeStressTrace(),
-	}
-	for name, tr := range traces {
-		want := encodeV2Bytes(t, tr)
-		for _, workers := range []int{0, 1, 2, 3, 8, 64} {
-			var buf bytes.Buffer
-			if err := EncodeV2With(&buf, tr, EncoderOptions{Workers: workers}); err != nil {
-				t.Fatalf("%s workers=%d: EncodeV2With: %v", name, workers, err)
-			}
-			if !bytes.Equal(want, buf.Bytes()) {
-				t.Errorf("%s workers=%d: parallel encode differs from sequential (%d vs %d bytes)",
-					name, workers, buf.Len(), len(want))
-			}
-		}
-	}
-}
-
-// encodeTimeout runs fn with a watchdog so a wedged encode pipeline
-// fails the test instead of hanging it.
-func encodeTimeout(t *testing.T, what string, fn func() error) error {
-	t.Helper()
-	ch := make(chan error, 1)
-	go func() { ch <- fn() }()
-	select {
-	case err := <-ch:
-		return err
-	case <-time.After(30 * time.Second):
-		t.Fatalf("%s blocked: parallel encode pipeline wedged", what)
-		return nil
-	}
-}
-
-// waitNoEncodeGoroutines gives encode workers a grace period to exit
-// after their error paths, then fails if the goroutine count stays
-// above the pre-test level — the leak check of the fault-injection
-// tests.
+// waitNoEncodeGoroutines fails if, after a grace period, the goroutine
+// count stays above the pre-test level — the leak check of the
+// fault-injection tests.
 func waitNoEncodeGoroutines(t *testing.T, before int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -119,8 +75,8 @@ func (w *shortWriter) Write(p []byte) (int, error) {
 }
 
 // TestEncodeV2FailingWriter sweeps an injected write failure across the
-// whole container: at every fault point the parallel encode must return
-// a clean error promptly (watchdog) and stop all workers (leak check).
+// whole container: at every fault point the encode must return the
+// injected error and leave no goroutine behind.
 func TestEncodeV2FailingWriter(t *testing.T) {
 	tr := encodeStressTrace()
 	size := len(encodeV2Bytes(t, tr))
@@ -130,15 +86,9 @@ func TestEncodeV2FailingWriter(t *testing.T) {
 		limits = append(limits, l)
 	}
 	limits = append(limits, size-1)
-	for _, workers := range []int{2, 8} {
-		for _, limit := range limits {
-			label := fmt.Sprintf("workers=%d limit=%d", workers, limit)
-			err := encodeTimeout(t, label, func() error {
-				return EncodeV2With(&failAfterWriter{limit: limit}, tr, EncoderOptions{Workers: workers})
-			})
-			if !errors.Is(err, errInjectedWrite) {
-				t.Fatalf("%s: EncodeV2With error = %v, want injected write failure", label, err)
-			}
+	for _, limit := range limits {
+		if err := EncodeV2(&failAfterWriter{limit: limit}, tr); !errors.Is(err, errInjectedWrite) {
+			t.Fatalf("limit=%d: EncodeV2 error = %v, want injected write failure", limit, err)
 		}
 	}
 	waitNoEncodeGoroutines(t, before)
@@ -152,12 +102,8 @@ func TestEncodeV2ShortWriter(t *testing.T) {
 	size := len(encodeV2Bytes(t, tr))
 	before := runtime.NumGoroutine()
 	for _, limit := range []int{0, 100, size / 2, size - 1} {
-		label := fmt.Sprintf("short limit=%d", limit)
-		err := encodeTimeout(t, label, func() error {
-			return EncodeV2With(&shortWriter{limit: limit}, tr, EncoderOptions{Workers: 4})
-		})
-		if !errors.Is(err, io.ErrShortWrite) {
-			t.Fatalf("%s: EncodeV2With error = %v, want io.ErrShortWrite", label, err)
+		if err := EncodeV2(&shortWriter{limit: limit}, tr); !errors.Is(err, io.ErrShortWrite) {
+			t.Fatalf("short limit=%d: EncodeV2 error = %v, want io.ErrShortWrite", limit, err)
 		}
 	}
 	waitNoEncodeGoroutines(t, before)

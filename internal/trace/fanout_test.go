@@ -41,9 +41,10 @@ func waitGoroutines(t *testing.T, before int) {
 }
 
 // TestDecodeFanOutReportsLowestBlock corrupts the payloads of blocks 3
-// and 7: the random-access Decode, which fans the blocks out over its
-// workers, must report block 3 every time, whichever worker meets a bad
-// block first, as the in-order stream decode does.
+// and 7: the stream decode, NextRank on a random-access input and the
+// random-access Decode, which fans the blocks out over its workers, must
+// all report block 3 in the same words — the fan-out every time,
+// whichever worker meets a bad block first.
 func TestDecodeFanOutReportsLowestBlock(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
@@ -52,16 +53,23 @@ func TestDecodeFanOutReportsLowestBlock(t *testing.T) {
 	for _, k := range []int{3, 7} {
 		data[l.entries[k].Offset+blockHeaderSize] ^= 0xff
 	}
-	if _, err := Decode(streamOnly{bytes.NewReader(data)}); err == nil || !strings.Contains(err.Error(), "rank 3 block checksum") {
-		t.Fatalf("stream decode error = %v, want rank 3's checksum", err)
+	_, want := Decode(streamOnly{bytes.NewReader(data)})
+	if want == nil || !strings.HasPrefix(want.Error(), "trace: rank 3 block checksum") {
+		t.Fatalf("stream decode error = %v, want rank 3's checksum", want)
 	}
-	_, first := Decode(bytes.NewReader(data))
-	if first == nil || !strings.HasPrefix(first.Error(), "trace: rank 3 block checksum") {
-		t.Fatalf("random-access decode error = %v, want rank 3's checksum", first)
+	d, err := NewDecoder(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for err == nil {
+		_, err = d.NextRank()
+	}
+	if err.Error() != want.Error() {
+		t.Fatalf("random-access NextRank error = %v, want %q", err, want)
 	}
 	for rep := 0; rep < 100; rep++ {
-		if _, err := Decode(bytes.NewReader(data)); err == nil || err.Error() != first.Error() {
-			t.Fatalf("run %d: random-access decode error = %v, want %q", rep, err, first)
+		if _, err := Decode(bytes.NewReader(data)); err == nil || err.Error() != want.Error() {
+			t.Fatalf("run %d: random-access decode error = %v, want %q", rep, err, want)
 		}
 	}
 }
@@ -126,7 +134,9 @@ func (c cancelOnBlock) ReadAt(p []byte, off int64) (int, error) {
 func TestReadAllCancel(t *testing.T) {
 	data := encodeV2Bytes(t, fanOutTrace(12))
 	at := int64(layoutV2(t, data, traceMagicV2).entries[4].Offset)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, 4} {
+		runtime.GOMAXPROCS(workers)
 		for _, pre := range []bool{false, true} {
 			before := runtime.NumGoroutine()
 			ctx, cancel := context.WithCancel(context.Background())
@@ -134,7 +144,7 @@ func TestReadAllCancel(t *testing.T) {
 				cancel()
 			}
 			var r io.Reader = cancelOnBlock{bytes.NewReader(data), at, cancel}
-			d, err := NewDecoderWith(r, DecoderOptions{Workers: workers, Ctx: ctx})
+			d, err := NewDecoderWith(r, DecoderOptions{Ctx: ctx})
 			if err != nil {
 				t.Fatal(err)
 			}

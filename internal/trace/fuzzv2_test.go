@@ -41,7 +41,7 @@ func hostileV2Seeds(valid []byte) [][]byte {
 //	go test -fuzz=FuzzDecodeV2RoundTrip -fuzztime=10s ./internal/trace
 func FuzzDecodeV2RoundTrip(f *testing.F) {
 	var seed bytes.Buffer
-	if err := EncodeV2With(&seed, fuzzSeedTrace(), EncoderOptions{Workers: 1}); err != nil {
+	if err := EncodeV2(&seed, fuzzSeedTrace()); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed.Bytes())
@@ -49,7 +49,7 @@ func FuzzDecodeV2RoundTrip(f *testing.F) {
 	f.Add([]byte(traceMagicV2))               // bare magic
 	f.Add([]byte{})
 	var empty bytes.Buffer
-	if err := EncodeV2With(&empty, New("empty", 0), EncoderOptions{Workers: 1}); err != nil {
+	if err := EncodeV2(&empty, New("empty", 0)); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(empty.Bytes())
@@ -69,11 +69,11 @@ func FuzzDecodeV2RoundTrip(f *testing.F) {
 			return // invalid input is fine; not crashing is the property
 		}
 		var enc1 bytes.Buffer
-		if err := EncodeV2With(&enc1, t1, EncoderOptions{Workers: 1}); err != nil {
+		if err := EncodeV2(&enc1, t1); err != nil {
 			t.Fatalf("re-encoding decoded trace: %v", err)
 		}
 		var encSeq bytes.Buffer
-		if err := EncodeV2With(&encSeq, t1Seq, EncoderOptions{Workers: 1}); err != nil {
+		if err := EncodeV2(&encSeq, t1Seq); err != nil {
 			t.Fatalf("re-encoding stream-decoded trace: %v", err)
 		}
 		if !bytes.Equal(enc1.Bytes(), encSeq.Bytes()) {
@@ -84,7 +84,7 @@ func FuzzDecodeV2RoundTrip(f *testing.F) {
 			t.Fatalf("decoding re-encoded trace: %v", err)
 		}
 		var enc2 bytes.Buffer
-		if err := EncodeV2With(&enc2, t2, EncoderOptions{Workers: 1}); err != nil {
+		if err := EncodeV2(&enc2, t2); err != nil {
 			t.Fatalf("third encode: %v", err)
 		}
 		if !bytes.Equal(enc1.Bytes(), enc2.Bytes()) {
@@ -106,7 +106,7 @@ func FuzzDecodeAnyVersion(f *testing.F) {
 	if err := Encode(&v1, fuzzSeedTrace()); err != nil {
 		f.Fatal(err)
 	}
-	if err := EncodeV2With(&v2, fuzzSeedTrace(), EncoderOptions{Workers: 1}); err != nil {
+	if err := EncodeV2(&v2, fuzzSeedTrace()); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(v1.Bytes())
@@ -123,7 +123,7 @@ func FuzzDecodeAnyVersion(f *testing.F) {
 		if err := Encode(&a, tr); err != nil {
 			t.Fatalf("v1 re-encode: %v", err)
 		}
-		if err := EncodeV2With(&b, tr, EncoderOptions{Workers: 1}); err != nil {
+		if err := EncodeV2(&b, tr); err != nil {
 			t.Fatalf("v2 re-encode: %v", err)
 		}
 		ta, err := Decode(bytes.NewReader(a.Bytes()))

@@ -90,7 +90,7 @@ func TestGoldenTRC1(t *testing.T) {
 
 func TestGoldenTRC2(t *testing.T) {
 	var enc bytes.Buffer
-	if err := EncodeV2With(&enc, goldenTrace(), EncoderOptions{Workers: 1}); err != nil {
+	if err := EncodeV2(&enc, goldenTrace()); err != nil {
 		t.Fatal(err)
 	}
 	data := checkGolden(t, filepath.Join("testdata", "golden.trc2"), enc.Bytes(), *updateGolden)

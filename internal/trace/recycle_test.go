@@ -33,7 +33,7 @@ func TestDecoderRecycleSafety(t *testing.T) {
 
 // TestDecodeWithRecycleParity: recycling each rank as soon as it is
 // consumed must not change what later NextRank calls return, on all
-// three decode paths (v1, v2 parallel, v2 sequential).
+// three decode paths (v1, v2 random-access, v2 sequential).
 func TestDecodeWithRecycleParity(t *testing.T) {
 	want := v2TestTrace()
 	var v1buf bytes.Buffer
@@ -42,13 +42,13 @@ func TestDecodeWithRecycleParity(t *testing.T) {
 	}
 	v2data := encodeV2Bytes(t, want)
 	for name, open := range map[string]func() io.Reader{
-		"v1":            func() io.Reader { return bytes.NewReader(v1buf.Bytes()) },
-		"v2-parallel":   func() io.Reader { return bytes.NewReader(v2data) },
-		"v2-sequential": func() io.Reader { return streamOnly{bytes.NewReader(v2data)} },
+		"v1":               func() io.Reader { return bytes.NewReader(v1buf.Bytes()) },
+		"v2-random-access": func() io.Reader { return bytes.NewReader(v2data) },
+		"v2-sequential":    func() io.Reader { return streamOnly{bytes.NewReader(v2data)} },
 	} {
-		d, err := NewDecoderWith(open(), DecoderOptions{Workers: 2})
+		d, err := NewDecoder(open())
 		if err != nil {
-			t.Fatalf("%s: NewDecoderWith: %v", name, err)
+			t.Fatalf("%s: NewDecoder: %v", name, err)
 		}
 		got := &Trace{Name: d.Name()}
 		for {
@@ -75,7 +75,7 @@ func TestDecodeWithRecycleParity(t *testing.T) {
 	}
 }
 
-// TestDecodeRecycleReusesStorage: on the sequential paths the next rank
+// TestDecodeRecycleReusesStorage: on every decode path the next rank
 // must land in the storage just recycled, not a fresh allocation. The
 // race detector drops pooled buffers at random, so only the reuse
 // assertion is skipped there.
@@ -87,12 +87,13 @@ func TestDecodeRecycleReusesStorage(t *testing.T) {
 	}
 	v2data := encodeV2Bytes(t, want)
 	for name, open := range map[string]func() io.Reader{
-		"v1":            func() io.Reader { return bytes.NewReader(v1buf.Bytes()) },
-		"v2-sequential": func() io.Reader { return streamOnly{bytes.NewReader(v2data)} },
+		"v1":               func() io.Reader { return bytes.NewReader(v1buf.Bytes()) },
+		"v2-random-access": func() io.Reader { return bytes.NewReader(v2data) },
+		"v2-sequential":    func() io.Reader { return streamOnly{bytes.NewReader(v2data)} },
 	} {
-		d, err := NewDecoderWith(open(), DecoderOptions{Workers: 1})
+		d, err := NewDecoder(open())
 		if err != nil {
-			t.Fatalf("%s: NewDecoderWith: %v", name, err)
+			t.Fatalf("%s: NewDecoder: %v", name, err)
 		}
 		first, err := d.NextRank()
 		if err != nil {
@@ -113,7 +114,7 @@ func TestDecodeRecycleReusesStorage(t *testing.T) {
 
 // TestRecycleCrossesDecoders: storage recycled from one decoder's ranks
 // is drawn by another decoder's next rank of the same size, on every
-// sequential decode path, because the pool is process-wide.
+// decode path, because the pool is process-wide.
 func TestRecycleCrossesDecoders(t *testing.T) {
 	want := v2TestTrace()
 	var v1buf bytes.Buffer
@@ -122,12 +123,13 @@ func TestRecycleCrossesDecoders(t *testing.T) {
 	}
 	v2data := encodeV2Bytes(t, want)
 	open := map[string]func() io.Reader{
-		"v1":            func() io.Reader { return bytes.NewReader(v1buf.Bytes()) },
-		"v2-sequential": func() io.Reader { return streamOnly{bytes.NewReader(v2data)} },
+		"v1":               func() io.Reader { return bytes.NewReader(v1buf.Bytes()) },
+		"v2-random-access": func() io.Reader { return bytes.NewReader(v2data) },
+		"v2-sequential":    func() io.Reader { return streamOnly{bytes.NewReader(v2data)} },
 	}
 	for from, openA := range open {
 		for to, openB := range open {
-			a, err := NewDecoderWith(openA(), DecoderOptions{Workers: 1})
+			a, err := NewDecoder(openA())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +140,7 @@ func TestRecycleCrossesDecoders(t *testing.T) {
 			p0 := &rt.Events[0]
 			a.Recycle(rt)
 			a.Close()
-			b, err := NewDecoderWith(openB(), DecoderOptions{Workers: 1})
+			b, err := NewDecoder(openB())
 			if err != nil {
 				t.Fatal(err)
 			}

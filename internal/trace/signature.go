@@ -37,11 +37,11 @@ func ParseSignature(text string) (Signature, error) {
 }
 
 // SignatureOfWith decodes the trace readable from r (either container
-// version) under opts (worker count, allocation caps, cancellation) and
-// returns its content signature. The hash covers the workload name and
-// every rank's events in rank order — name strings rather than
-// name-table ids, so table layout differences between encodings cannot
-// change the signature.
+// version) under opts (allocation caps, cancellation) and returns its
+// content signature, reading one rank at a time on the caller's
+// goroutine. The hash covers the workload name and every rank's events
+// in rank order — name strings rather than name-table ids, so table
+// layout differences between encodings cannot change the signature.
 //
 // The hashed stream is little-endian uint64 fields and length-prefixed
 // strings, laid out as docs/SERVICE.md specifies: the workload name and
@@ -53,7 +53,6 @@ func SignatureOfWith(r io.Reader, opts DecoderOptions) (Signature, error) {
 	if err != nil {
 		return sig, err
 	}
-	defer d.Close()
 	s := signer{h: sha256.New(), buf: make([]byte, 0, signBufSize)}
 	s.str(d.Name())
 	s.u64(uint64(d.NumRanks()))

@@ -80,11 +80,11 @@ func TestSignatureMatchesReferenceStream(t *testing.T) {
 	}
 	v2 := encodeV2Bytes(t, tr)
 	for name, r := range map[string]io.Reader{
-		"v1":            bytes.NewReader(v1.Bytes()),
-		"v2-parallel":   bytes.NewReader(v2),
-		"v2-sequential": streamOnly{bytes.NewReader(v2)},
+		"v1":               bytes.NewReader(v1.Bytes()),
+		"v2-random-access": bytes.NewReader(v2),
+		"v2-sequential":    streamOnly{bytes.NewReader(v2)},
 	} {
-		got, err := SignatureOfWith(r, DecoderOptions{Workers: 2})
+		got, err := SignatureOfWith(r, DecoderOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -108,8 +108,8 @@ func TestSignatureAllocsFlatInEvents(t *testing.T) {
 		open   func([]byte) io.Reader
 	}{
 		{"v1", Encode, func(p []byte) io.Reader { return bytes.NewReader(p) }},
-		{"v2-sequential", func(w io.Writer, tr *Trace) error { return EncodeV2With(w, tr, EncoderOptions{Workers: 1}) },
-			func(p []byte) io.Reader { return streamOnly{bytes.NewReader(p)} }},
+		{"v2-random-access", EncodeV2, func(p []byte) io.Reader { return bytes.NewReader(p) }},
+		{"v2-sequential", EncodeV2, func(p []byte) io.Reader { return streamOnly{bytes.NewReader(p)} }},
 	}
 	for _, enc := range encodings {
 		allocs := func(tr *Trace) float64 {
@@ -119,7 +119,7 @@ func TestSignatureAllocsFlatInEvents(t *testing.T) {
 			}
 			data := buf.Bytes()
 			return testing.AllocsPerRun(5, func() {
-				if _, err := SignatureOfWith(enc.open(data), DecoderOptions{Workers: 1}); err != nil {
+				if _, err := SignatureOfWith(enc.open(data), DecoderOptions{}); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -45,8 +45,8 @@ func pipelineReduce(t *testing.T, enc []byte, method string, version int) ([]byt
 // requires byte identity with the batch encoding, plus counter agreement
 // in the returned stats.
 func TestPipelineReducedParity(t *testing.T) {
-	// Force a real worker pool so the rank-order registration turnstile
-	// is exercised even on a single-CPU machine.
+	// Force a real worker pool so ranks finish out of turn and are
+	// parked in the encoding sink even on a single-CPU machine.
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	for _, workload := range eval.AllNames() {
@@ -57,7 +57,7 @@ func TestPipelineReducedParity(t *testing.T) {
 			if err := trace.Encode(&v1, full); err != nil {
 				t.Fatal(err)
 			}
-			if err := trace.EncodeV2With(&v2, full, trace.EncoderOptions{}); err != nil {
+			if err := trace.EncodeV2(&v2, full); err != nil {
 				t.Fatal(err)
 			}
 			encoded := map[int][]byte{1: v1.Bytes(), 2: v2.Bytes()}
@@ -103,7 +103,7 @@ func TestRandomAccessDecodeParity(t *testing.T) {
 	for _, workload := range eval.AllNames() {
 		full := parityTrace(t, workload)
 		var enc bytes.Buffer
-		if err := trace.EncodeV2With(&enc, full, trace.EncoderOptions{}); err != nil {
+		if err := trace.EncodeV2(&enc, full); err != nil {
 			t.Fatal(err)
 		}
 		indexed, err := trace.Decode(bytes.NewReader(enc.Bytes()))

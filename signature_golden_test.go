@@ -64,7 +64,7 @@ func TestGoldenCatalogSignatures(t *testing.T) {
 		if err := trace.Encode(&v1, full); err != nil {
 			t.Fatalf("%s: v1 encode: %v", name, err)
 		}
-		if err := trace.EncodeV2With(&v2, full, trace.EncoderOptions{}); err != nil {
+		if err := trace.EncodeV2(&v2, full); err != nil {
 			t.Fatalf("%s: v2 encode: %v", name, err)
 		}
 		paths := []struct {

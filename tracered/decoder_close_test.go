@@ -11,10 +11,9 @@ import (
 )
 
 // TestFailedStreamReductionClosesDecoder: a pipelined reduction that
-// fails stops pulling ranks from its decoder, so it must close the
-// decoder itself. Otherwise a random-access v2 decoder's block workers
-// stay parked on the in-flight window, holding the ranks they decoded
-// ahead, for as long as the process lives.
+// fails, before reading any rank or after reading some, closes its
+// decoder, so a later NextRank fails instead of reading on, and leaves
+// no goroutine behind.
 func TestFailedStreamReductionClosesDecoder(t *testing.T) {
 	full, err := tracered.GenerateWorkload("late_sender")
 	if err != nil {
@@ -37,12 +36,15 @@ func TestFailedStreamReductionClosesDecoder(t *testing.T) {
 	for _, f := range []tracered.Format{tracered.FormatV2, 3} {
 		before := runtime.NumGoroutine()
 		for i := 0; i < 10; i++ {
-			d, err := tracered.NewTraceDecoderWith(bytes.NewReader(file.Bytes()), tracered.DecoderOptions{Workers: 4})
+			d, err := tracered.NewTraceDecoderWith(bytes.NewReader(file.Bytes()), tracered.DecoderOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if _, err := tracered.ReduceStreamToWriterOpts(d, m, io.Discard, f, opts); err == nil {
 				t.Fatalf("%v: failing reduction succeeded", f)
+			}
+			if _, err := d.NextRank(); err == nil {
+				t.Fatalf("%v: the decoder reads on after the failed reduction", f)
 			}
 		}
 		deadline := time.Now().Add(10 * time.Second)

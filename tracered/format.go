@@ -58,13 +58,12 @@ func (f Format) String() string {
 }
 
 // DecoderOptions tunes version-aware trace reading; the zero value is
-// ready to use. Workers bounds the goroutines that decode v2 blocks on
-// random-access inputs (0 means GOMAXPROCS): the batch readers' fan-out
-// and a TraceDecoder's in-order look-ahead. ReduceStreamToWriterOpts
-// decodes such an input on its own workers instead, bounded by
-// StreamOptions.Workers. v1 containers and plain streams decode
-// sequentially regardless. Ctx cancels an in-flight decode; Limits
-// tightens the hostile-input allocation caps for untrusted inputs.
+// ready to use. Ctx cancels an in-flight decode; Limits tightens the
+// hostile-input allocation caps for untrusted inputs. Workers is
+// ignored: the batch readers decode a random-access v2 input on
+// GOMAXPROCS goroutines, a TraceDecoder reads on its caller's goroutine,
+// and ReduceStreamToWriterOpts decodes such an input on its own workers,
+// bounded by StreamOptions.Workers.
 type DecoderOptions = trace.DecoderOptions
 
 // DecodeLimits bound what a decoder accepts from a container header
@@ -78,17 +77,19 @@ type DecodeLimits = trace.DecodeLimits
 //
 // Deprecated: no tracered writer takes options; perfbench is the last
 // caller.
-type EncoderOptions = trace.EncoderOptions
+type EncoderOptions struct {
+	// Workers is ignored.
+	Workers int
+}
 
-// WriteTraceFormat stores a trace in the requested container format.
-// Version-2 blocks are encoded on a GOMAXPROCS worker pool; the bytes
-// are the same at every pool size.
+// WriteTraceFormat stores a trace in the requested container format,
+// encoding each rank on the caller's goroutine.
 func WriteTraceFormat(w io.Writer, t *Trace, f Format) error {
 	switch f {
 	case FormatV1:
 		return trace.Encode(w, t)
 	case FormatV2:
-		return trace.EncodeV2With(w, t, trace.EncoderOptions{})
+		return trace.EncodeV2(w, t)
 	default:
 		return fmt.Errorf("tracered: unknown trace format %v", f)
 	}
@@ -113,10 +114,9 @@ func WriteReducedFormatWith(w io.Writer, red *Reduced, f Format, opts EncoderOpt
 }
 
 // NewTraceDecoderWith opens a binary trace stream of either container
-// version for rank-at-a-time decoding: on a random-access v2 container
-// NextRank streams ranks in order while up to opts.Workers goroutines
-// decode blocks ahead, and ReduceStreamToWriterOpts reads the blocks by
-// index on its own workers.
+// version for rank-at-a-time decoding: NextRank decodes one rank per
+// call on the caller's goroutine, and on a random-access v2 container
+// ReduceStreamToWriterOpts reads the blocks by index on its own workers.
 func NewTraceDecoderWith(r io.Reader, opts DecoderOptions) (*TraceDecoder, error) {
 	return trace.NewDecoderWith(r, opts)
 }

@@ -211,9 +211,9 @@ type Signature = trace.Signature
 func ParseSignature(s string) (Signature, error) { return trace.ParseSignature(s) }
 
 // TraceSignatureWith decodes the trace readable from r (either container
-// version) under opts (worker count, allocation caps, cancellation) and
-// returns its content signature — the key the serving layer's
-// representative cache is addressed by.
+// version) under opts (allocation caps, cancellation) and returns its
+// content signature — the key the serving layer's representative cache
+// is addressed by.
 func TraceSignatureWith(r io.Reader, opts DecoderOptions) (Signature, error) {
 	return trace.SignatureOfWith(r, opts)
 }
