@@ -31,6 +31,11 @@ import (
 
 const reducedMagic = "TRR1"
 
+// reducedFamily is TRR1/TRR2, whose header carries the workload name and
+// the method. internal/trace writes and opens its containers; this
+// package supplies only the rank section grammar.
+var reducedFamily = trace.Family{V1: reducedMagic, V2: reducedMagicV2, Strings: 2}
+
 // ExecRecordSize is the encoded size of one segment-execution record.
 const ExecRecordSize = 4 + 8
 
@@ -39,11 +44,7 @@ const ExecRecordSize = 4 + 8
 // distinct name once, then 12 header bytes per rank, 20 per stored
 // segment, EventRecordSize per stored event and ExecRecordSize per exec.
 func EncodedReducedSize(r *Reduced) int64 {
-	size := int64(len(reducedMagic)) + 4 + int64(len(r.Name)) + 4 + int64(len(r.Method)) + 4
-	for _, name := range reducedNameTable(r).Names() {
-		size += 4 + int64(len(name))
-	}
-	size += 4 // rank count
+	size := trace.HeaderSize([]string{r.Name, r.Method}, reducedNameTable(r).Names())
 	for i := range r.Ranks {
 		size += rankReducedV1Size(&r.Ranks[i])
 	}
@@ -71,7 +72,7 @@ func EncodeReduced(w io.Writer, r *Reduced, version int) error {
 	}
 	nt := reducedNameTable(r)
 	var chunk []byte
-	return writeReduced(w, version, r.Name, r.Method, nt, len(r.Ranks), func(i int) (uint32, uint32, []byte) {
+	return reducedFamily.Write(w, version, []string{r.Name, r.Method}, nt.Names(), len(r.Ranks), func(i int) (uint32, uint32, []byte) {
 		rr := &r.Ranks[i]
 		chunk = appendRankReduced(chunk[:0], version, nt, rr)
 		return uint32(rr.Rank), rankRecords(rr), chunk
@@ -87,39 +88,6 @@ func checkReducedVersion(version int) error {
 	return nil
 }
 
-// writeReduced writes a reduced container of the given version: the
-// header, the n rank chunks in file order, and for TRR2 the block footer.
-// chunk(i) returns rank i's encoded chunk with the rank id and record
-// count a TRR2 block header carries; the chunk is written before the
-// next call. The batch encoder and the pipelined reduce-to-writer both
-// write through here.
-func writeReduced(w io.Writer, version int, name, method string, nt *trace.NameTable, n int,
-	chunk func(i int) (rank, records uint32, payload []byte)) error {
-	if version == 2 {
-		bw := trace.NewBlockWriter(w)
-		if err := writeReducedHeader(bw, reducedMagicV2, name, method, nt, n); err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			if err := bw.WriteBlock(chunk(i)); err != nil {
-				return err
-			}
-		}
-		return bw.Finish(reducedMagicV2)
-	}
-	bw := bufio.NewWriter(w)
-	if err := writeReducedHeader(bw, reducedMagic, name, method, nt, n); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		_, _, payload := chunk(i)
-		if _, err := bw.Write(payload); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // rankRecords is the record count of rank rr's TRR2 block: its stored
 // segments plus its executions.
 func rankRecords(rr *RankReduced) uint32 { return uint32(len(rr.Stored) + len(rr.Execs)) }
@@ -131,30 +99,6 @@ func appendRankReduced(dst []byte, version int, nt trace.NameIDs, rr *RankReduce
 		return appendRankReducedV2(dst, nt, rr)
 	}
 	return appendRankReducedV1(dst, nt, rr)
-}
-
-// writeReducedHeader writes the header both reduced container versions
-// share: magic, workload name, method, name table, rank count.
-func writeReducedHeader(w io.Writer, magic, name, method string, nt *trace.NameTable, nRanks int) error {
-	if _, err := io.WriteString(w, magic); err != nil {
-		return err
-	}
-	if err := trace.WriteString(w, name); err != nil {
-		return err
-	}
-	if err := trace.WriteString(w, method); err != nil {
-		return err
-	}
-	le := binary.LittleEndian
-	if err := binary.Write(w, le, uint32(len(nt.Names()))); err != nil {
-		return err
-	}
-	for _, s := range nt.Names() {
-		if err := trace.WriteString(w, s); err != nil {
-			return err
-		}
-	}
-	return binary.Write(w, le, uint32(nRanks))
 }
 
 // appendRankReducedV1 appends one rank's TRR1 section — rank header,
@@ -200,65 +144,15 @@ func DecodeReduced(rd io.Reader) (*Reduced, error) {
 // random-access TRR2 input is fanned out over GOMAXPROCS goroutines;
 // opts.Workers is ignored.
 func DecodeReducedWith(rd io.Reader, opts trace.DecoderOptions) (*Reduced, error) {
-	opts = opts.Resolve()
-	c, err := trace.OpenContainer(rd, reducedMagicV2)
+	c, err := trace.Open(rd, reducedFamily, opts, readRankReducedV1, parseRankReducedV2)
 	if err != nil {
 		return nil, err
 	}
-	if c.Magic != reducedMagic && c.Magic != reducedMagicV2 {
-		return nil, fmt.Errorf("core: bad magic %q", c.Magic)
-	}
-	hdr, names, nRanks, err := trace.ReadHeader(c.Header, opts.Limits, 2)
+	ranks, err := c.All()
 	if err != nil {
 		return nil, err
 	}
-	// The declared rank count only caps the initial capacity: a hostile
-	// header can promise a million ranks in a few bytes.
-	r := &Reduced{Name: hdr[0], Method: hdr[1], Ranks: make([]RankReduced, 0, min(nRanks, 1<<12))}
-	if c.Magic == reducedMagic {
-		for i := 0; i < nRanks; i++ {
-			if err := opts.Ctx.Err(); err != nil {
-				return nil, err
-			}
-			rr, err := readRankReducedV1(c.Header, names)
-			if err == io.EOF {
-				// The header promised this rank: the file is truncated,
-				// not cleanly ended.
-				err = io.ErrUnexpectedEOF
-			}
-			if err != nil {
-				return nil, fmt.Errorf("core: rank %d of %d: %w", i, nRanks, err)
-			}
-			r.Ranks = append(r.Ranks, rr)
-		}
-		return r, nil
-	}
-	blocks, err := trace.NewBlockReader(c, nRanks, opts,
-		func(e trace.BlockEntry, payload []byte) (RankReduced, error) {
-			return parseRankReducedV2(e, payload, names)
-		})
-	if err != nil {
-		return nil, err
-	}
-	if blocks.RandomAccess() {
-		// The block index has been checked against the container's size,
-		// so every declared rank is backed by a block.
-		r.Ranks = make([]RankReduced, nRanks)
-		if err := blocks.ReadAll(func(i int, rr RankReduced) { r.Ranks[i] = rr }); err != nil {
-			return nil, err
-		}
-		return r, nil
-	}
-	for {
-		rr, err := blocks.Next()
-		if err == io.EOF {
-			return r, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		r.Ranks = append(r.Ranks, rr)
-	}
+	return &Reduced{Name: c.Header[0], Method: c.Header[1], Ranks: ranks}, nil
 }
 
 // readRankReducedV1 reads one rank's TRR1 section.

@@ -282,30 +282,20 @@ func TestDecodeReducedFanOut(t *testing.T) {
 }
 
 // nextReducedErr reads the TRR2 container data in order through the
-// block reader's Next on a random-access input, and returns the first
+// container's Next on a random-access input, and returns the first
 // error, io.EOF when every block reads.
 func nextReducedErr(t *testing.T, data []byte) error {
 	t.Helper()
-	c, err := trace.OpenContainer(bytes.NewReader(data), reducedMagicV2)
+	c, err := trace.Open(bytes.NewReader(data), reducedFamily, trace.DecoderOptions{},
+		readRankReducedV1, parseRankReducedV2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, names, nRanks, err := trace.ReadHeader(c.Header, trace.DecoderOptions{}.Resolve().Limits, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks, err := trace.NewBlockReader(c, nRanks, trace.DecoderOptions{},
-		func(e trace.BlockEntry, payload []byte) (RankReduced, error) {
-			return parseRankReducedV2(e, payload, names)
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !blocks.RandomAccess() {
-		t.Fatal("block reader over a bytes.Reader is not random-access")
+	if c.RankAt() == nil {
+		t.Fatal("container over a bytes.Reader is not random-access")
 	}
 	for {
-		if _, err := blocks.Next(); err != nil {
+		if _, err := c.Next(); err != nil {
 			return err
 		}
 	}

@@ -17,8 +17,9 @@ import (
 // block is encoded by a worker as soon as the rank's names are
 // registered, while other workers keep reducing; only the final
 // container assembly (header + spooled blocks + footer) is serial, and
-// it goes through the batch encoder's writeReduced. The output is
-// byte-identical to EncodeReduced of the batch Reduce result.
+// it goes through reducedFamily.Write, the container writer the batch
+// encoder uses. The output is byte-identical to EncodeReduced of the
+// batch Reduce result.
 //
 // Byte identity hinges on the name table: the batch encoders assign ids
 // in first-use order scanning ranks 0,1,2,…, so the ids a rank's block
@@ -257,12 +258,12 @@ func (s *encodeSink) release() {
 	}
 }
 
-// write assembles the container through writeReduced once the name
-// table is complete.
+// write assembles the container through reducedFamily.Write once the
+// name table is complete.
 func (s *encodeSink) write(w io.Writer) (*StreamStats, error) {
 	s.stats.Ranks = len(s.slots)
 	cw := &passthroughCounter{w: w}
-	err := writeReduced(cw, s.version, s.stats.Name, s.stats.Method, s.nt, len(s.slots),
+	err := reducedFamily.Write(cw, s.version, []string{s.stats.Name, s.stats.Method}, s.nt.Names(), len(s.slots),
 		func(i int) (uint32, uint32, []byte) {
 			sl := &s.slots[i]
 			return sl.rank, sl.records, sl.chunk

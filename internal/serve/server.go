@@ -441,8 +441,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	req := r.Clone(r.Context())
-	params, err := parseReduceParams(req)
+	params, err := parseReduceParams(r)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, err)
 		return

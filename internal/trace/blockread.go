@@ -15,59 +15,119 @@ import (
 	"repro/internal/bufpool"
 )
 
-// The read side of the v2 block containers, shared by TRC2 and the TRR2
-// reduced container (internal/core): OpenContainer sniffs the magic and
-// chooses the access path, the caller reads its own header from
-// Container.Header, and a BlockReader then yields the verified blocks,
-// each parsed by a caller-supplied payload parser: in file order, or on a
-// random-access container by index. This file is the only place that
-// knows how v2 blocks are fetched and checked.
+// The read side of every container, the trace containers TRC1/TRC2 and
+// the reduced containers TRR1/TRR2 (internal/core) alike: Open sniffs the
+// magic, reads the header and chooses the access path, and the Container
+// it returns then yields the rank sections, each read or parsed by the
+// family's own section grammar: in file order, or on a random-access
+// version-2 container by index. This file is the only place that knows
+// how a container is opened and how v2 blocks are fetched and checked.
 
-// Container is a trace or reduced-trace container opened for reading:
-// its leading magic has been consumed and Header is positioned at the
-// header that follows.
-type Container struct {
-	// Magic is the container's leading 4-byte magic.
-	Magic string
-	// Header reads the container header, then (for v1 containers and
-	// for v2 on a plain stream) the body.
-	Header *bufio.Reader
-	cr     *countingReader
-	// sr spans the whole container when the input is random-access and
-	// holds the v2 magic OpenContainer was given; nil otherwise.
-	sr *io.SectionReader
+// Container is a container opened for reading by Open: its header has
+// been read, and its rank sections are read through Next, All, or the
+// reader RankAt returns.
+//
+// A version-1 container, and a version-2 one on a plain stream, is read
+// in order. On a random-access version-2 container the footer index is
+// validated up front, and any block can then be read by index on the
+// caller's goroutine, so callers that decode many blocks at once (All,
+// the reduction pipeline) do it on their own workers; Next reads the
+// next block the same way. A plain-stream read checks the footer against
+// the blocks it read after the last one, so both paths are equally
+// strict. Apart from All, which joins its workers before it returns, no
+// call starts a goroutine.
+//
+// Next's first error is latched: every later Next returns it. A corrupt
+// block reads the same from every path; only the errors a plain stream
+// alone can meet, such as truncation, name the block's index.
+type Container[T any] struct {
+	// Header holds the header strings that follow the magic: the
+	// workload name, then for a reduced container the method.
+	Header []string
+	// Names is the name table.
+	Names []string
+	// Ranks is the rank count the header declares.
+	Ranks int
+	// Version is the container version, 1 or 2.
+	Version int
+
+	magic   string
+	readV1  func(*bufio.Reader, []string) (T, error)
+	parseV2 func(BlockEntry, []byte, []string) (T, error)
+	ctx     context.Context
+	br      *bufio.Reader
+	cr      *countingReader
+	next    int
+	fail    error
+	closed  atomic.Bool
+
+	// Plain-stream version 2: the reused payload buffer and the blocks
+	// read so far, checked against the footer at the end.
+	buf      []byte
+	observed []BlockEntry
+
+	// Random-access version 2: the container and its validated index.
+	sr      *io.SectionReader
+	entries []BlockEntry
 }
 
-// OpenContainer reads the magic from r. When r is random-access
-// (io.ReaderAt + io.Seeker) and the container carries v2magic, later
-// block reads go through r's ReaderAt, by index; anything else (every
-// v1 container, and v2 on a plain stream) is read sequentially through
-// Container.Header.
-func OpenContainer(r io.Reader, v2magic string) (*Container, error) {
+// Open reads the magic and the header of a container of family fam from
+// r, and returns the container positioned at its first rank section; the
+// magic selects the version. readV1 reads one version-1 section from the
+// buffered input. parseV2 turns one version-2 block payload, verified
+// against its header and checksum, into a T; the payload is only valid
+// during the call. Both get the name table. On a random-access input
+// (io.ReaderAt + io.Seeker) parseV2 runs concurrently: on the GOMAXPROCS
+// goroutines of All, and on every caller of the reader RankAt returns.
+func Open[T any](r io.Reader, fam Family, opts DecoderOptions,
+	readV1 func(*bufio.Reader, []string) (T, error),
+	parseV2 func(BlockEntry, []byte, []string) (T, error)) (*Container[T], error) {
+	opts = opts.resolve()
 	sr, ok, err := sectionFor(r)
 	if err != nil {
 		return nil, err
 	}
-	c := &Container{}
+	c := &Container[T]{readV1: readV1, parseV2: parseV2, ctx: opts.Ctx}
 	// Anything else, including a random-access input too short to tell,
 	// is read as a stream: sectionFor restored r's position, so the
-	// stream sees the file from the start.
-	if ok && peekMagic(sr) == v2magic {
+	// stream sees the container from the start.
+	if ok && peekMagic(sr) == fam.V2 {
 		c.sr = sr
 		r = io.NewSectionReader(sr, 0, sr.Size())
 	}
 	c.cr = &countingReader{r: r}
-	c.Header = bufio.NewReader(c.cr)
-	var magic [4]byte
-	if _, err := io.ReadFull(c.Header, magic[:]); err != nil {
+	c.br = bufio.NewReader(c.cr)
+	var magic [magicSize]byte
+	if _, err := io.ReadFull(c.br, magic[:]); err != nil {
 		return nil, fmt.Errorf("trace: reading magic: %w", err)
 	}
-	c.Magic = string(magic[:])
+	c.magic = string(magic[:])
+	switch c.magic {
+	case fam.V1:
+		c.Version = 1
+	case fam.V2:
+		c.Version = 2
+	default:
+		return nil, fmt.Errorf("trace: bad magic %q", c.magic)
+	}
+	if c.Header, c.Names, c.Ranks, err = readHeader(c.br, opts.Limits, fam.Strings); err != nil {
+		return nil, err
+	}
+	if c.sr == nil {
+		return c, nil
+	}
+	if c.entries, err = readBlockIndex(c.sr, c.sr.Size(), c.magic, c.pos(), opts.Limits.MaxRanks); err != nil {
+		return nil, err
+	}
+	if len(c.entries) != c.Ranks {
+		return nil, fmt.Errorf("trace: %s: %d blocks indexed for %d ranks", c.magic, len(c.entries), c.Ranks)
+	}
 	return c, nil
 }
 
-// pos returns the container offset Header has consumed up to.
-func (c *Container) pos() uint64 { return uint64(c.cr.n) - uint64(c.Header.Buffered()) }
+// pos returns the container offset the buffered reader has consumed up
+// to.
+func (c *Container[T]) pos() uint64 { return uint64(c.cr.n) - uint64(c.br.Buffered()) }
 
 // countingReader counts consumed bytes so positions can be recovered
 // under a bufio.Reader (position = count - buffered).
@@ -127,188 +187,158 @@ func peekMagic(sr *io.SectionReader) string {
 	return string(magic[:])
 }
 
-// BlockReader yields the blocks of a v2 container, each verified against
-// its inline header, its checksum, and the footer index, and handed to
-// the caller's payload parser.
-//
-// On a random-access container it validates the footer index up front.
-// At then reads and parses any block by index on the caller's goroutine,
-// so callers that decode many blocks at once (ReadAll, the reduction
-// pipeline) do it on their own workers, and Next reads the next block
-// through At. On a plain stream Next reads blocks through their inline
-// headers into one reused payload buffer and checks the footer against
-// them after the last block, so both paths are equally strict. Apart
-// from ReadAll, which joins its workers before it returns, no call
-// starts a goroutine.
-//
-// Next's first error is latched: every later Next returns it. A corrupt
-// block reads the same from every path; only the errors a plain stream
-// alone can meet, such as truncation, name the block's index.
-type BlockReader[T any] struct {
-	c      *Container
-	n      int
-	ctx    context.Context
-	parse  func(BlockEntry, []byte) (T, error)
-	next   int
-	fail   error
-	closed atomic.Bool
-
-	// Plain stream: the reused payload buffer and the blocks read so
-	// far, checked against the footer at the end.
-	buf      []byte
-	observed []BlockEntry
-
-	// Random access: the validated index.
-	entries []BlockEntry
-}
-
-// errBlockReaderClosed is the terminal error of a closed reader.
-var errBlockReaderClosed = errors.New("trace: decoder closed")
+// errClosed is the terminal error of a closed container.
+var errClosed = errors.New("trace: decoder closed")
 
 // blockReads holds the random-access block read buffers of every reader.
 // Parsers copy what they keep out of the payload (names come from the
 // header's table), so a buffer is free once its block has been parsed.
 var blockReads bufpool.Pool[byte]
 
-// NewBlockReader returns a reader over the n blocks of c, a v2
-// container whose header the caller has read from c.Header. parse turns
-// one verified payload into a T; the payload is only valid during the
-// call. On a random-access container parse runs concurrently: on the
-// GOMAXPROCS goroutines of ReadAll, and on every caller of At. The
-// footer index is checked here against n.
-func NewBlockReader[T any](c *Container, n int, opts DecoderOptions, parse func(BlockEntry, []byte) (T, error)) (*BlockReader[T], error) {
-	opts = opts.Resolve()
-	b := &BlockReader[T]{c: c, n: n, ctx: opts.Ctx, parse: parse}
-	if c.sr == nil {
-		return b, nil
-	}
-	entries, err := readBlockIndex(c.sr, c.sr.Size(), c.Magic, c.pos(), opts.Limits.MaxRanks)
-	if err != nil {
-		return nil, err
-	}
-	if len(entries) != n {
-		return nil, fmt.Errorf("trace: %s: %d blocks indexed for %d ranks", c.Magic, len(entries), n)
-	}
-	b.entries = entries
-	return b, nil
-}
-
-// Next returns the next block's parsed payload, or io.EOF after the last
-// block (on a plain stream, once the footer has been verified).
-func (b *BlockReader[T]) Next() (T, error) {
+// Next returns the next rank section, or io.EOF after the last one (on a
+// plain version-2 stream, once the footer has been verified). Once the
+// context is done it returns ctx.Err(). The header promised every
+// section, so a version-1 section cut short is io.ErrUnexpectedEOF, not
+// a clean end.
+func (c *Container[T]) Next() (T, error) {
 	var zero T
-	if b.fail != nil {
-		return zero, b.fail
+	if c.fail != nil {
+		return zero, c.fail
 	}
-	if err := b.ctx.Err(); err != nil {
-		return zero, b.latch(err)
+	if err := c.ctx.Err(); err != nil {
+		return zero, c.latch(err)
 	}
-	if b.c.sr == nil {
-		return b.nextStream()
-	}
-	if b.next == len(b.entries) {
-		return zero, b.latch(io.EOF)
-	}
-	v, err := b.At(b.next)
-	b.next++
-	if err != nil {
-		return zero, b.latch(err)
-	}
-	return v, nil
-}
-
-// nextStream reads the next block through its inline header.
-func (b *BlockReader[T]) nextStream() (T, error) {
-	var zero T
-	if b.next == b.n {
-		if err := checkBlockFooter(b.c.Header, b.c.Magic, b.observed, b.c.pos()); err != nil {
-			return zero, b.latch(err)
+	i := c.next
+	if i == c.Ranks {
+		if c.Version == 2 && c.sr == nil {
+			if err := checkBlockFooter(c.br, c.magic, c.observed, c.pos()); err != nil {
+				return zero, c.latch(err)
+			}
 		}
-		return zero, b.latch(io.EOF)
+		return zero, c.latch(io.EOF)
 	}
-	e, payload, err := readBlock(b.c.Header, b.c.pos(), b.buf)
+	c.next++
+	var v T
+	var err error
+	switch {
+	case c.Version == 1:
+		if v, err = c.readV1(c.br, c.Names); err != nil {
+			err = fmt.Errorf("%s rank %d of %d: %w", c.magic, i, c.Ranks, noEOF(err))
+		}
+	case c.sr != nil:
+		v, err = c.at(i)
+	default:
+		v, err = c.nextBlock(i)
+	}
 	if err != nil {
-		return zero, b.latch(fmt.Errorf("trace: rank %d of %d block: %w", b.next, b.n, err))
-	}
-	b.buf = payload
-	b.next++
-	b.observed = append(b.observed, e)
-	if err := checkPayload(e, payload); err != nil {
-		return zero, b.latch(err)
-	}
-	v, err := b.parse(e, payload)
-	if err != nil {
-		return zero, b.latch(err)
+		return zero, c.latch(err)
 	}
 	return v, nil
 }
 
-// latch records err as the reader's terminal state.
-func (b *BlockReader[T]) latch(err error) error {
-	b.fail = err
+// nextBlock reads block i of a plain version-2 stream through its inline
+// header.
+func (c *Container[T]) nextBlock(i int) (T, error) {
+	var zero T
+	e, payload, err := readBlock(c.br, c.pos(), c.buf)
+	if err != nil {
+		return zero, fmt.Errorf("trace: rank %d of %d block: %w", i, c.Ranks, err)
+	}
+	c.buf = payload
+	c.observed = append(c.observed, e)
+	if err := checkPayload(e, payload); err != nil {
+		return zero, err
+	}
+	return c.parseV2(e, payload, c.Names)
+}
+
+// latch records err as the container's terminal state.
+func (c *Container[T]) latch(err error) error {
+	c.fail = err
 	return err
 }
 
-// Close makes every later Next and At fail. A reader holds no goroutine
-// and no pooled buffer between calls, so Close frees nothing and is
-// never required.
-func (b *BlockReader[T]) Close() {
-	if b.fail == nil {
-		b.fail = errBlockReaderClosed
+// Close makes every later Next fail, and every read through a reader
+// RankAt returned. A container holds no goroutine and no pooled buffer
+// between calls, so Close frees nothing and is never required.
+func (c *Container[T]) Close() {
+	if c.fail == nil {
+		c.fail = errClosed
 	}
-	b.closed.Store(true)
+	c.closed.Store(true)
 }
 
-// RandomAccess reports whether the container is read through its
-// io.ReaderAt, so that At and ReadAll may be called.
-func (b *BlockReader[T]) RandomAccess() bool { return b.c.sr != nil }
-
-// At reads block i of a random-access container, verifies it against its
-// index entry and its checksum, and parses it, all on the caller's
-// goroutine. It is safe for concurrent use and independent of Next: it
-// claims and latches nothing. Once the reader's context is done it
-// returns ctx.Err(), and once the reader is closed an error.
-func (b *BlockReader[T]) At(i int) (T, error) {
-	var v T
-	if b.closed.Load() {
-		return v, errBlockReaderClosed
+// RankAt returns a reader of c's rank sections by index when c is a
+// version-2 container on a random-access input that has not been read
+// through Next or closed, and nil otherwise. The reader reads, verifies
+// and parses the i-th of c.Ranks blocks on the caller's goroutine, and
+// is safe for concurrent use: it claims and latches nothing. Once c's
+// context is done it returns ctx.Err(), and once c is closed an error.
+func (c *Container[T]) RankAt() func(i int) (T, error) {
+	if c.sr == nil || c.next > 0 || c.fail != nil {
+		return nil
 	}
-	if err := b.ctx.Err(); err != nil {
+	return c.at
+}
+
+// at reads block i of a random-access container, verifies it against its
+// index entry and its checksum, and parses it.
+func (c *Container[T]) at(i int) (T, error) {
+	var v T
+	if c.closed.Load() {
+		return v, errClosed
+	}
+	if err := c.ctx.Err(); err != nil {
 		return v, err
 	}
-	e := b.entries[i]
+	e := c.entries[i]
 	// The index check bounded the block by the container's size.
 	buf := blockReads.Get(blockHeaderSize + int(e.Length))
-	payload, buf, err := readBlockAt(b.c.sr, e, buf)
+	payload, buf, err := readBlockAt(c.sr, e, buf)
 	if err == nil {
-		v, err = b.parse(e, payload)
+		v, err = c.parseV2(e, payload, c.Names)
 	}
 	blockReads.Put(buf)
 	return v, err
 }
 
-// ReadAll decodes every block of a random-access container and hands
-// block i's value to put(i, v), fanned out by index over GOMAXPROCS
-// goroutines, the caller's among them: put runs concurrently for
-// distinct i. It returns the error of the lowest failing block, the one
-// Next would have reported first, or else ctx.Err() when the context
-// was done before ReadAll returns, as a read through Next would; no
+// All reads every rank section and returns them in file order. A
+// random-access version-2 container is fanned out by index over
+// GOMAXPROCS goroutines, the caller's among them; anything else is read
+// through Next. It returns the error of the lowest failing section, the
+// one Next would have reported first, or else ctx.Err() when the context
+// was done before All returns, as a read through Next would; no
 // goroutine outlives the call.
-func (b *BlockReader[T]) ReadAll(put func(i int, v T)) error {
-	if err := b.ctx.Err(); err != nil {
-		return err
-	}
-	err := fanOut(runtime.GOMAXPROCS(0), len(b.entries), func(i int) error {
-		v, err := b.At(i)
+func (c *Container[T]) All() ([]T, error) {
+	if at := c.RankAt(); at != nil {
+		// The block index has been checked against the container's
+		// size, so every declared rank is backed by a block.
+		vs := make([]T, c.Ranks)
+		err := fanOut(runtime.GOMAXPROCS(0), c.Ranks, func(i int) (err error) {
+			vs[i], err = at(i)
+			return err
+		})
 		if err == nil {
-			put(i, v)
+			err = c.ctx.Err()
 		}
-		return err
-	})
-	if err == nil {
-		err = b.ctx.Err()
+		if err != nil {
+			return nil, err
+		}
+		return vs, nil
 	}
-	return err
+	// The declared rank count only caps the initial capacity: a hostile
+	// header can promise a million ranks in a few bytes.
+	vs := make([]T, 0, min(c.Ranks, 1<<12))
+	for {
+		v, err := c.Next()
+		if err == io.EOF {
+			return vs, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		vs = append(vs, v)
+	}
 }
 
 // fanOut runs fn(0), ..., fn(n-1) on up to workers goroutines, the

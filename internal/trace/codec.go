@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/bufpool"
 )
@@ -33,10 +34,11 @@ const EventRecordSize = 4 + 1 + 8 + 8 + 4 + 4 + 8 + 4
 
 // EncodedSize returns the number of bytes Encode would write for t,
 // computed from the distinct names and the event counts instead of by
-// encoding: magic, workload name, name count, each distinct name once,
-// rank count, then 8 header bytes per rank and EventRecordSize per event.
+// encoding: the header with each distinct name once, then 8 header
+// bytes per rank and EventRecordSize per event.
 func EncodedSize(t *Trace) int64 {
-	size := int64(len(traceMagic)) + 4 + int64(len(t.Name)) + 4 + 4
+	var size int64
+	var names []string
 	seen := map[string]struct{}{}
 	// counted is a direct-mapped cache in front of seen: slot
 	// nameSlot(s) holds the last name counted or found there, and bit k of
@@ -57,11 +59,11 @@ func EncodedSize(t *Trace) int64 {
 			filled |= 1 << k
 			if _, ok := seen[name]; !ok {
 				seen[name] = struct{}{}
-				size += 4 + int64(len(name))
+				names = append(names, name)
 			}
 		}
 	}
-	return size
+	return HeaderSize([]string{t.Name}, names) + size
 }
 
 // nameSlot keys a name into EncodedSize's 32-slot cache by its length,
@@ -98,90 +100,84 @@ func (nt *NameTable) ID(name string) uint32 {
 // modify the returned slice.
 func (nt *NameTable) Names() []string { return nt.names }
 
-// WriteString writes a u32-length-prefixed string.
-func WriteString(w io.Writer, s string) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(s))); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
-}
-
-// ReadString reads a u32-length-prefixed string written by WriteString,
-// under the default string-length cap.
-func ReadString(r io.Reader) (string, error) {
-	return ReadStringLimit(r, defaultMaxStringLen)
-}
-
-// ReadStringLimit is ReadString with an explicit length cap: a declared
-// length above max is rejected before any allocation.
-func ReadStringLimit(r io.Reader, max uint32) (string, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return "", err
-	}
-	if n > max {
-		return "", fmt.Errorf("trace: string length %d exceeds the %d-byte cap", n, max)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
 // Encode writes t to w in the binary trace format.
-func Encode(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriter(w)
-	nt, err := writeTraceHeader(bw, traceMagic, t)
-	if err != nil {
-		return err
-	}
-	var rec [EventRecordSize]byte
-	for i := range t.Ranks {
-		rt := &t.Ranks[i]
-		if err := binary.Write(bw, binary.LittleEndian, uint32(rt.Rank)); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(rt.Events))); err != nil {
-			return err
-		}
-		for _, e := range rt.Events {
-			PutEventRecord(rec[:], nt.ID(e.Name), e)
-			if _, err := bw.Write(rec[:]); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
+func Encode(w io.Writer, t *Trace) error { return encode(w, t, 1) }
 
-// writeTraceHeader writes the header both trace container versions
-// share — magic, workload name, name table, rank count — and returns
-// the table. Ids are assigned in first-use order across ranks, so the
-// table is complete before any rank is encoded.
-func writeTraceHeader(w io.Writer, magic string, t *Trace) (*NameTable, error) {
-	if _, err := io.WriteString(w, magic); err != nil {
-		return nil, err
-	}
-	if err := WriteString(w, t.Name); err != nil {
-		return nil, err
-	}
+// encode writes t as a TRC container of the given version. Name ids are
+// assigned in first-use order across ranks, so the table is complete
+// before any rank is encoded; each rank's section is encoded on the
+// caller's goroutine into one reused buffer.
+func encode(w io.Writer, t *Trace, version int) error {
 	nt := NewNameTable()
 	for i := range t.Ranks {
 		for _, e := range t.Ranks[i].Events {
 			nt.ID(e.Name)
 		}
 	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(nt.names))); err != nil {
+	var section []byte
+	return traceFamily.Write(w, version, []string{t.Name}, nt.names, len(t.Ranks), func(i int) (uint32, uint32, []byte) {
+		rt := &t.Ranks[i]
+		if version == 2 {
+			section = AppendEventsV2(section[:0], nt, rt.Events)
+		} else {
+			section = appendRankV1(section[:0], nt, rt)
+		}
+		return uint32(rt.Rank), uint32(len(rt.Events)), section
+	})
+}
+
+// appendRankV1 appends rank rt's TRC1 section — rank id, event count,
+// then one fixed-width record per event — to dst and returns the
+// extended slice.
+func appendRankV1(dst []byte, nt *NameTable, rt *RankTrace) []byte {
+	le := binary.LittleEndian
+	dst = slices.Grow(dst, 8+len(rt.Events)*EventRecordSize)
+	dst = le.AppendUint32(dst, uint32(rt.Rank))
+	dst = le.AppendUint32(dst, uint32(len(rt.Events)))
+	var rec [EventRecordSize]byte
+	for _, e := range rt.Events {
+		PutEventRecord(rec[:], nt.ID(e.Name), e)
+		dst = append(dst, rec[:]...)
+	}
+	return dst
+}
+
+// readRankV1 reads one TRC1 rank section.
+func readRankV1(br *bufio.Reader, names []string) (*RankTrace, error) {
+	var hdr [8]byte // rank, nevents
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, err
 	}
-	for _, name := range nt.names {
-		if err := WriteString(w, name); err != nil {
+	le := binary.LittleEndian
+	nEvents := le.Uint32(hdr[4:])
+	// A hostile or corrupt header can declare billions of events, but
+	// each one still costs EventRecordSize bytes of input, so the first
+	// draw is capped and the buffer grows through the pool as records
+	// arrive: memory stays bounded by the stream's actual size, and the
+	// final buffer is at most its class's 25 % over the rank.
+	rt := &RankTrace{Rank: int(le.Uint32(hdr[0:])), Events: eventBufs.Get(int(min(nEvents, 1<<16)))}
+	for j := uint32(0); j < nEvents; j++ {
+		// Peek hands out the record in place, so reading one copies and
+		// allocates nothing.
+		rec, err := br.Peek(EventRecordSize)
+		if err != nil {
+			eventBufs.Put(rt.Events)
+			return nil, fmt.Errorf("event %d: %w", j, noEOF(err))
+		}
+		e, err := GetEventRecord(rec, names)
+		if err != nil {
+			eventBufs.Put(rt.Events)
 			return nil, err
 		}
+		br.Discard(EventRecordSize)
+		if len(rt.Events) == cap(rt.Events) {
+			grown := append(eventBufs.Get(int(min(uint64(nEvents), 2*uint64(j)))), rt.Events...)
+			eventBufs.Put(rt.Events)
+			rt.Events = grown
+		}
+		rt.Events = append(rt.Events, e)
 	}
-	return nt, binary.Write(w, binary.LittleEndian, uint32(len(t.Ranks)))
+	return rt, nil
 }
 
 // PutEventRecord encodes e into rec, which must be at least
@@ -235,7 +231,9 @@ func noEOF(err error) error {
 // that processes ranks independently (the streaming reduction pipeline)
 // never holds more than one rank's events in memory. NewDecoder sniffs
 // the magic and reads the header of either container version; each
-// NextRank call yields the next rank's stream.
+// NextRank call yields the next rank's stream. It reads through a
+// Container, so it shares the framing, the error latch and Close with
+// every other container reader.
 //
 // For version-2 (TRC2) files on a random-access input (io.ReaderAt +
 // io.Seeker, e.g. *os.File or bytes.Reader), every rank block can also
@@ -246,14 +244,7 @@ func noEOF(err error) error {
 // validation. Version-1 files always decode sequentially. A Decoder
 // starts no goroutine.
 type Decoder struct {
-	name    string
-	names   []string
-	nRanks  int
-	version int
-	next    func() (*RankTrace, error)
-	// blocks reads the rank blocks of a version-2 container; nil for
-	// version 1.
-	blocks *BlockReader[*RankTrace]
+	c *Container[*RankTrace]
 }
 
 // eventBufs holds the rank event buffers of every decoder in the
@@ -337,10 +328,9 @@ func (l DecodeLimits) withDefaults() DecodeLimits {
 	return l
 }
 
-// Resolve returns the options with defaults applied: limits filled in
-// and a non-nil context. Decoder entry points in other packages (the
-// reduced-trace codec) call it once up front.
-func (o DecoderOptions) Resolve() DecoderOptions {
+// resolve returns the options with defaults applied: limits filled in
+// and a non-nil context.
+func (o DecoderOptions) resolve() DecoderOptions {
 	if o.Ctx == nil {
 		o.Ctx = context.Background()
 	}
@@ -357,38 +347,21 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 
 // NewDecoderWith is NewDecoder with explicit options.
 func NewDecoderWith(r io.Reader, opts DecoderOptions) (*Decoder, error) {
-	opts = opts.Resolve()
-	c, err := OpenContainer(r, traceMagicV2)
+	c, err := Open(r, traceFamily, opts, readRankV1, parseRankV2)
 	if err != nil {
 		return nil, err
 	}
-	if c.Magic != traceMagic && c.Magic != traceMagicV2 {
-		return nil, fmt.Errorf("trace: bad magic %q", c.Magic)
-	}
-	hdr, names, nRanks, err := ReadHeader(c.Header, opts.Limits, 1)
-	if err != nil {
-		return nil, err
-	}
-	d := &Decoder{name: hdr[0], names: names, nRanks: nRanks}
-	if c.Magic == traceMagicV2 {
-		if err := newV2Decoder(c, d, opts); err != nil {
-			return nil, err
-		}
-		return d, nil
-	}
-	v1 := &v1decoder{br: c.Header, names: names, nRanks: nRanks, ctx: opts.Ctx}
-	d.version, d.next = 1, v1.nextRank
-	return d, nil
+	return &Decoder{c: c}, nil
 }
 
-// ReadHeader reads the header fields every container version shares
-// after the magic — nStrings length-prefixed strings (the workload name,
-// then for the reduced containers the method), the name table, and the
-// rank count — under the given allocation caps.
-func ReadHeader(br *bufio.Reader, lim DecodeLimits, nStrings int) (strs, names []string, nRanks int, err error) {
+// readHeader reads the header fields every container shares after the
+// magic — nStrings length-prefixed strings (the workload name, then for
+// the reduced containers the method), the name table, and the rank
+// count — under the given allocation caps.
+func readHeader(br *bufio.Reader, lim DecodeLimits, nStrings int) (strs, names []string, nRanks int, err error) {
 	strs = make([]string, nStrings)
 	for i := range strs {
-		if strs[i], err = ReadStringLimit(br, lim.MaxStringLen); err != nil {
+		if strs[i], err = readString(br, lim.MaxStringLen); err != nil {
 			return nil, nil, 0, fmt.Errorf("trace: reading header: %w", err)
 		}
 	}
@@ -401,7 +374,7 @@ func ReadHeader(br *bufio.Reader, lim DecodeLimits, nStrings int) (strs, names [
 	}
 	names = make([]string, 0, min(nNames, 1<<12))
 	for i := uint32(0); i < nNames; i++ {
-		s, err := ReadStringLimit(br, lim.MaxStringLen)
+		s, err := readString(br, lim.MaxStringLen)
 		if err != nil {
 			return nil, nil, 0, fmt.Errorf("trace: reading name table: %w", err)
 		}
@@ -417,18 +390,36 @@ func ReadHeader(br *bufio.Reader, lim DecodeLimits, nStrings int) (strs, names [
 	return strs, names, int(n), nil
 }
 
+// readString reads a u32-length-prefixed string. A declared length above
+// max is rejected before any allocation.
+func readString(r io.Reader, max uint32) (string, error) {
+	var n uint32
+	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+		return "", err
+	}
+	if n > max {
+		return "", fmt.Errorf("trace: string length %d exceeds the %d-byte cap", n, max)
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return "", err
+	}
+	return string(buf), nil
+}
+
 // Name returns the workload name from the trace header.
-func (d *Decoder) Name() string { return d.name }
+func (d *Decoder) Name() string { return d.c.Header[0] }
 
 // NumRanks returns the number of ranks the file declares.
-func (d *Decoder) NumRanks() int { return d.nRanks }
+func (d *Decoder) NumRanks() int { return d.c.Ranks }
 
 // Version returns the container version being decoded (1 or 2).
-func (d *Decoder) Version() int { return d.version }
+func (d *Decoder) Version() int { return d.c.Version }
 
 // NextRank decodes the next rank's event stream. It returns io.EOF after
-// the last rank.
-func (d *Decoder) NextRank() (*RankTrace, error) { return d.next() }
+// the last rank. Its first error is latched: every later call returns
+// it.
+func (d *Decoder) NextRank() (*RankTrace, error) { return d.c.Next() }
 
 // RankAt returns a reader of d's ranks by index when d decodes a
 // version-2 container from a random-access input and NextRank has not
@@ -439,113 +430,30 @@ func (d *Decoder) NextRank() (*RankTrace, error) { return d.next() }
 // through it or through NextRank, not both. Each rank it returns goes
 // back through d.Recycle like one NextRank returned. It is a function
 // rather than a method so that the public Decoder type gains no method.
-func RankAt(d *Decoder) func(i int) (*RankTrace, error) {
-	b := d.blocks
-	if b == nil || !b.RandomAccess() || b.next > 0 || b.fail != nil {
-		return nil
-	}
-	return b.At
-}
+func RankAt(d *Decoder) func(i int) (*RankTrace, error) { return d.c.RankAt() }
 
-// Close makes every later NextRank of a version-2 decoder fail, and
-// every read through a reader RankAt returned. It frees nothing: a
-// decoder holds no goroutine between calls, so one dropped without Close
-// leaks nothing.
-func (d *Decoder) Close() {
-	if d.blocks != nil {
-		d.blocks.Close()
-	}
-}
-
-// v1decoder is the sequential TRC1 rank reader.
-type v1decoder struct {
-	br     *bufio.Reader
-	names  []string
-	nRanks int
-	next   int
-	ctx    context.Context
-	rec    []byte
-}
-
-func (d *v1decoder) nextRank() (*RankTrace, error) {
-	if err := d.ctx.Err(); err != nil {
-		return nil, err
-	}
-	if d.next >= d.nRanks {
-		return nil, io.EOF
-	}
-	d.next++
-	// The header declared d.nRanks ranks, so running out of bytes here is
-	// a truncated file, not a clean end of stream: never surface bare
-	// io.EOF, which consumers take to mean "all declared ranks read".
-	var rank, nEvents uint32
-	if err := binary.Read(d.br, binary.LittleEndian, &rank); err != nil {
-		return nil, fmt.Errorf("trace: rank %d of %d header: %w", d.next-1, d.nRanks, noEOF(err))
-	}
-	if err := binary.Read(d.br, binary.LittleEndian, &nEvents); err != nil {
-		return nil, fmt.Errorf("trace: rank %d of %d header: %w", d.next-1, d.nRanks, noEOF(err))
-	}
-	// A hostile or corrupt header can declare billions of events, but
-	// each one still costs EventRecordSize bytes of input, so the first
-	// draw is capped and the buffer grows through the pool as records
-	// arrive: memory stays bounded by the stream's actual size, and the
-	// final buffer is at most its class's 25 % over the rank.
-	rt := &RankTrace{Rank: int(rank), Events: eventBufs.Get(int(min(nEvents, 1<<16)))}
-	if d.rec == nil {
-		d.rec = make([]byte, EventRecordSize)
-	}
-	rec := d.rec
-	for j := uint32(0); j < nEvents; j++ {
-		if _, err := io.ReadFull(d.br, rec); err != nil {
-			eventBufs.Put(rt.Events)
-			return nil, fmt.Errorf("trace: rank %d event %d: %w", rank, j, err)
-		}
-		e, err := GetEventRecord(rec, d.names)
-		if err != nil {
-			eventBufs.Put(rt.Events)
-			return nil, err
-		}
-		if len(rt.Events) == cap(rt.Events) {
-			grown := append(eventBufs.Get(int(min(uint64(nEvents), 2*uint64(j)))), rt.Events...)
-			eventBufs.Put(rt.Events)
-			rt.Events = grown
-		}
-		rt.Events = append(rt.Events, e)
-	}
-	return rt, nil
-}
+// Close makes every later NextRank fail, and every read through a reader
+// RankAt returned. It frees nothing: a decoder holds no goroutine
+// between calls, so one dropped without Close leaks nothing.
+func (d *Decoder) Close() { d.c.Close() }
 
 // Decode reads a trace in the binary format from r (either container
 // version; the magic selects the codec). It is the batch form of
-// Decoder: every rank is materialized into one Trace. A version-2
-// container on a random-access input is decoded by index, its blocks
-// fanned out over GOMAXPROCS goroutines into their rank slots; anything
-// else is decoded rank by rank.
+// Decoder: every rank is materialized into one Trace, read through
+// Container.All, which fans a version-2 container on a random-access
+// input out by index and reads anything else rank by rank.
 func Decode(r io.Reader) (*Trace, error) {
 	d, err := NewDecoder(r)
 	if err != nil {
 		return nil, err
 	}
-	if d.blocks != nil && d.blocks.RandomAccess() {
-		// The block index has been checked against the container's
-		// size, so every declared rank is backed by a block.
-		t := &Trace{Name: d.Name(), Ranks: make([]RankTrace, d.NumRanks())}
-		if err := d.blocks.ReadAll(func(i int, rt *RankTrace) { t.Ranks[i] = *rt }); err != nil {
-			return nil, err
-		}
-		return t, nil
+	ranks, err := d.c.All()
+	if err != nil {
+		return nil, err
 	}
-	// The declared rank count only caps the initial capacity: a hostile
-	// header can promise a million ranks in a few bytes.
-	t := &Trace{Name: d.Name(), Ranks: make([]RankTrace, 0, min(d.NumRanks(), 1<<12))}
-	for {
-		rt, err := d.NextRank()
-		if err == io.EOF {
-			return t, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		t.Ranks = append(t.Ranks, *rt)
+	t := &Trace{Name: d.Name(), Ranks: make([]RankTrace, len(ranks))}
+	for i, rt := range ranks {
+		t.Ranks[i] = *rt
 	}
+	return t, nil
 }

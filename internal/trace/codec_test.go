@@ -107,12 +107,10 @@ func TestWriteReadString(t *testing.T) {
 	var buf bytes.Buffer
 	for _, s := range []string{"", "x", "hello world", strings.Repeat("z", 1000)} {
 		buf.Reset()
-		if err := WriteString(&buf, s); err != nil {
-			t.Fatalf("WriteString(%q): %v", s, err)
-		}
-		got, err := ReadString(&buf)
+		buf.Write(appendString(nil, s))
+		got, err := readString(&buf, defaultMaxStringLen)
 		if err != nil {
-			t.Fatalf("ReadString(%q): %v", s, err)
+			t.Fatalf("readString(%q): %v", s, err)
 		}
 		if got != s {
 			t.Errorf("roundtrip %q -> %q", s, got)

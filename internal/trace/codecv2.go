@@ -33,8 +33,9 @@ import (
 //	    u32 rank, u32 records, u32 CRC32-C   (24 bytes each)
 //	  u64 index offset, 4 × u8 trailing magic "TRC2"
 //
-// The same block/footer machinery is shared with the TRR2 reduced
-// container (internal/core); only the header and payload grammar differ.
+// Family.Write and Open frame the TRR2 reduced container
+// (internal/core) with the same blocks and footer; only the header
+// strings and the payload grammar differ.
 
 const traceMagicV2 = "TRC2"
 
@@ -79,29 +80,114 @@ type BlockEntry struct {
 	CRC uint32
 }
 
-// BlockWriter writes a v2 block container: header bytes through Write,
-// then one WriteBlock per rank, then Finish for the footer. It tracks
-// offsets and accumulates the footer index as blocks are written.
+// Family is a container family: the magics of its two versions and how
+// many length-prefixed strings its header carries after the magic. Both
+// versions of a family share the header (magic, header strings, name
+// table, rank count) and differ in how the rank sections that follow it
+// are framed: back to back in version 1, as checksummed blocks indexed
+// by a footer in version 2. Write and Open are the only code that knows
+// this framing; each family's codec supplies its rank section grammar.
+type Family struct {
+	// V1 and V2 are the magics of versions 1 and 2.
+	V1, V2 string
+	// Strings counts the header strings that follow the magic.
+	Strings int
+}
+
+// traceFamily is TRC1/TRC2, whose header carries the workload name.
+var traceFamily = Family{V1: traceMagic, V2: traceMagicV2, Strings: 1}
+
+// magicSize is the length of every container magic.
+const magicSize = 4
+
+// HeaderSize returns the bytes Write spends before the first rank
+// section: the magic, each header string and each table name behind its
+// u32 length, the name count and the rank count.
+func HeaderSize(header, names []string) int64 {
+	n := int64(magicSize + 4 + 4)
+	for _, s := range header {
+		n += 4 + int64(len(s))
+	}
+	for _, s := range names {
+		n += 4 + int64(len(s))
+	}
+	return n
+}
+
+// Write writes a container of family f in the given version, 1 or 2, to
+// w: the header — the version's magic, the header strings, names as the
+// name table and n as the rank count — then the rank sections
+// section(0), …, section(n-1) in file order. Version 1 writes each
+// payload as it is. Version 2 writes it as a block behind an inline
+// header carrying rank, records, the payload length and its checksum,
+// and after the last block the footer index. Each payload is written
+// before the next section call, so the caller may reuse one buffer. The
+// first error ends the write and is returned.
+func (f Family) Write(w io.Writer, version int, header, names []string, n int,
+	section func(i int) (rank, records uint32, payload []byte)) error {
+	magic := f.V1
+	if version == 2 {
+		magic = f.V2
+	}
+	le := binary.LittleEndian
+	hdr := append(make([]byte, 0, HeaderSize(header, names)), magic...)
+	for _, s := range header {
+		hdr = appendString(hdr, s)
+	}
+	hdr = le.AppendUint32(hdr, uint32(len(names)))
+	for _, s := range names {
+		hdr = appendString(hdr, s)
+	}
+	hdr = le.AppendUint32(hdr, uint32(n))
+	bw := newBlockWriter(w)
+	if _, err := bw.Write(hdr); err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
+		rank, records, payload := section(i)
+		var err error
+		if version == 2 {
+			err = bw.writeBlock(rank, records, payload)
+		} else {
+			_, err = bw.Write(payload)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if version == 2 {
+		return bw.finish(magic)
+	}
+	return bw.flush()
+}
+
+// appendString appends s to dst behind its u32 length.
+func appendString(dst []byte, s string) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
+	return append(dst, s...)
+}
+
+// blockWriter is Write's buffered destination. It tracks the running
+// offset and the footer index of the version-2 blocks written so far.
 //
 // The first error — from the underlying writer or from an oversized
-// payload — is latched: every subsequent Write, WriteBlock, or Finish
-// call returns it, so a failing or short destination cannot leave a
+// payload — is latched: every later Write, writeBlock, finish or flush
+// returns it, so a failing or short destination cannot leave a
 // partially-consistent container behind a later nil return.
-type BlockWriter struct {
+type blockWriter struct {
 	bw      *bufio.Writer
 	off     uint64
 	entries []BlockEntry
 	fail    error
 }
 
-// NewBlockWriter returns a BlockWriter emitting to w.
-func NewBlockWriter(w io.Writer) *BlockWriter {
-	return &BlockWriter{bw: bufio.NewWriter(w)}
+// newBlockWriter returns a blockWriter emitting to w.
+func newBlockWriter(w io.Writer) *blockWriter {
+	return &blockWriter{bw: bufio.NewWriter(w)}
 }
 
-// Write implements io.Writer for the container header, tracking the
-// running offset.
-func (b *BlockWriter) Write(p []byte) (int, error) {
+// Write implements io.Writer, tracking the running offset.
+func (b *blockWriter) Write(p []byte) (int, error) {
 	if b.fail != nil {
 		return 0, b.fail
 	}
@@ -113,12 +199,9 @@ func (b *BlockWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Err returns the latched first error, if any.
-func (b *BlockWriter) Err() error { return b.fail }
-
-// WriteBlock writes one block (inline header + payload) and records its
+// writeBlock writes one block (inline header + payload) and records its
 // footer index entry.
-func (b *BlockWriter) WriteBlock(rank, records uint32, payload []byte) error {
+func (b *blockWriter) writeBlock(rank, records uint32, payload []byte) error {
 	if b.fail != nil {
 		return b.fail
 	}
@@ -148,9 +231,9 @@ func (b *BlockWriter) WriteBlock(rank, records uint32, payload []byte) error {
 	return err
 }
 
-// Finish writes the footer block index and trailer (index offset +
+// finish writes the footer block index and trailer (index offset +
 // magic) and flushes.
-func (b *BlockWriter) Finish(magic string) error {
+func (b *blockWriter) finish(magic string) error {
 	if b.fail != nil {
 		return b.fail
 	}
@@ -178,11 +261,15 @@ func (b *BlockWriter) Finish(magic string) error {
 	if _, err := b.Write(tail[:]); err != nil {
 		return err
 	}
-	if err := b.bw.Flush(); err != nil {
-		b.fail = err
-		return err
+	return b.flush()
+}
+
+// flush writes the buffered bytes through to the destination.
+func (b *blockWriter) flush() error {
+	if b.fail == nil {
+		b.fail = b.bw.Flush()
 	}
-	return nil
+	return b.fail
 }
 
 // Cursor walks a varint-encoded block payload with bounds checking.
@@ -362,30 +449,22 @@ func int32Overflow(peer, tag, root uint64) error {
 	return fmt.Errorf("trace: %s value %d overflows int32", field, unzigzag(u))
 }
 
-// newV2Decoder points d at the TRC2 rank blocks of c, whose header d
-// holds: each block payload becomes one rank, parsed into a buffer
-// drawn from the event pool once the block's record count has been
-// checked against its payload bytes.
-func newV2Decoder(c *Container, d *Decoder, opts DecoderOptions) error {
-	blocks, err := NewBlockReader(c, d.nRanks, opts, func(e BlockEntry, payload []byte) (*RankTrace, error) {
-		cur := NewCursor(payload)
-		if err := checkEventsV2(cur, e.Records); err != nil {
-			return nil, fmt.Errorf("trace: rank %d block: %w", e.Rank, err)
-		}
-		buf := eventBufs.Get(int(e.Records))
-		events, err := ParseEventsV2Into(cur, d.names, e.Records, buf)
-		if err == nil {
-			err = cur.Done()
-		}
-		if err != nil {
-			eventBufs.Put(buf)
-			return nil, fmt.Errorf("trace: rank %d block: %w", e.Rank, err)
-		}
-		return &RankTrace{Rank: int(e.Rank), Events: events}, nil
-	})
-	if err != nil {
-		return err
+// parseRankV2 parses one TRC2 block payload into a rank, its events in
+// a buffer drawn from the event pool once the block's record count has
+// been checked against its payload bytes.
+func parseRankV2(e BlockEntry, payload []byte, names []string) (*RankTrace, error) {
+	cur := NewCursor(payload)
+	if err := checkEventsV2(cur, e.Records); err != nil {
+		return nil, fmt.Errorf("trace: rank %d block: %w", e.Rank, err)
 	}
-	d.version, d.next, d.blocks = 2, blocks.Next, blocks
-	return nil
+	buf := eventBufs.Get(int(e.Records))
+	events, err := ParseEventsV2Into(cur, names, e.Records, buf)
+	if err == nil {
+		err = cur.Done()
+	}
+	if err != nil {
+		eventBufs.Put(buf)
+		return nil, fmt.Errorf("trace: rank %d block: %w", e.Rank, err)
+	}
+	return &RankTrace{Rank: int(e.Rank), Events: events}, nil
 }

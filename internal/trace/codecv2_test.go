@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -191,42 +192,74 @@ func TestV2SequentialParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestDecodeV2NextRankAfterError pins the error latch: once a
-// random-access decode fails, every further NextRank call returns the
-// same error.
-func TestDecodeV2NextRankAfterError(t *testing.T) {
-	data := encodeV2Bytes(t, v2TestTrace())
-	l := layoutV2(t, data, traceMagicV2)
-	corrupt := append([]byte{}, data...)
-	corrupt[l.entries[0].Offset+blockHeaderSize] ^= 0x40 // break block 0's checksum
-	d, err := NewDecoder(bytes.NewReader(corrupt))
-	if err != nil {
-		t.Fatalf("NewDecoder: %v", err)
+// latchCase is one encoding of v2TestTrace, and a copy whose rank 0
+// fails to decode.
+type latchCase struct {
+	name      string
+	good, bad []byte
+}
+
+// latchCases returns the TRC1 and TRC2 latch cases: the corrupt TRC1
+// copy's first record names an id past the name table, and the corrupt
+// TRC2 copy's first block fails its checksum.
+func latchCases(t *testing.T) []latchCase {
+	t.Helper()
+	tr := v2TestTrace()
+	var v1 bytes.Buffer
+	if err := Encode(&v1, tr); err != nil {
+		t.Fatal(err)
 	}
-	_, first := d.NextRank()
-	if first == nil {
-		t.Fatal("NextRank accepted a corrupt block")
+	rank0 := v1.Len()
+	for _, rt := range tr.Ranks {
+		rank0 -= 8 + len(rt.Events)*EventRecordSize
 	}
-	for i := 0; i < 3; i++ {
-		if _, err := d.NextRank(); err != first {
-			t.Fatalf("NextRank call %d after failure = %v, want the latched %v", i, err, first)
+	badV1 := append([]byte{}, v1.Bytes()...)
+	binary.LittleEndian.PutUint32(badV1[rank0+8:], 1000)
+	v2 := encodeV2Bytes(t, tr)
+	badV2 := append([]byte{}, v2...)
+	badV2[layoutV2(t, v2, traceMagicV2).entries[0].Offset+blockHeaderSize] ^= 0x40
+	return []latchCase{
+		{"TRC1", v1.Bytes(), badV1},
+		{"TRC2", v2, badV2},
+	}
+}
+
+// TestDecodeNextRankAfterError pins the error latch of both container
+// versions: once a decode fails, every further NextRank call returns the
+// same error instead of reading on.
+func TestDecodeNextRankAfterError(t *testing.T) {
+	for _, tc := range latchCases(t) {
+		d, err := NewDecoder(bytes.NewReader(tc.bad))
+		if err != nil {
+			t.Fatalf("%s: NewDecoder: %v", tc.name, err)
+		}
+		_, first := d.NextRank()
+		if first == nil {
+			t.Fatalf("%s: NextRank accepted a corrupt rank", tc.name)
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := d.NextRank(); err != first {
+				t.Fatalf("%s: NextRank call %d after failure = %v, want the latched %v", tc.name, i, err, first)
+			}
 		}
 	}
 }
 
-// TestDecodeV2NextRankAfterClose: NextRank on a closed decoder errors.
-func TestDecodeV2NextRankAfterClose(t *testing.T) {
-	data := encodeV2Bytes(t, v2TestTrace())
-	d, err := NewDecoder(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.NextRank(); err != nil {
-		t.Fatalf("NextRank: %v", err)
-	}
-	d.Close()
-	if _, err := d.NextRank(); err == nil {
-		t.Fatal("NextRank after Close returned nil error")
+// TestDecodeNextRankAfterClose: NextRank on a closed decoder errors, in
+// both container versions.
+func TestDecodeNextRankAfterClose(t *testing.T) {
+	for _, tc := range latchCases(t) {
+		d, err := NewDecoder(bytes.NewReader(tc.good))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.NextRank(); err != nil {
+			t.Fatalf("%s: NextRank: %v", tc.name, err)
+		}
+		d.Close()
+		if _, err := d.NextRank(); err == nil {
+			t.Fatalf("%s: NextRank after Close returned nil error", tc.name)
+		}
 	}
 }
 

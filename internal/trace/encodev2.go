@@ -7,22 +7,7 @@ import "io"
 // Each rank is encoded on the caller's goroutine into one reused payload
 // buffer. The v1 format remains the default interchange form; see
 // docs/FORMATS.md for when to prefer v2.
-func EncodeV2(w io.Writer, t *Trace) error {
-	bw := NewBlockWriter(w)
-	nt, err := writeTraceHeader(bw, traceMagicV2, t)
-	if err != nil {
-		return err
-	}
-	var payload []byte
-	for i := range t.Ranks {
-		rt := &t.Ranks[i]
-		payload = AppendEventsV2(payload[:0], nt, rt.Events)
-		if err := bw.WriteBlock(uint32(rt.Rank), uint32(len(rt.Events)), payload); err != nil {
-			return err
-		}
-	}
-	return bw.Finish(traceMagicV2)
-}
+func EncodeV2(w io.Writer, t *Trace) error { return encode(w, t, 2) }
 
 // UvarintSize returns len(binary.AppendUvarint(nil, v)) without
 // encoding.

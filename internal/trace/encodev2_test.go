@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -10,7 +11,7 @@ import (
 	"time"
 )
 
-// encodeStressTrace is big enough that the BlockWriter's buffer flushes
+// encodeStressTrace is big enough that the writer's buffer flushes
 // many times mid-encode, so injected write failures surface at different
 // stages (header, blocks, footer) depending on the fault point.
 func encodeStressTrace() *Trace {
@@ -74,46 +75,65 @@ func (w *shortWriter) Write(p []byte) (int, error) {
 	return k, nil
 }
 
+// containerEncoders are the two trace encoders, which write through the
+// same latched container writer.
+var containerEncoders = []struct {
+	name   string
+	encode func(io.Writer, *Trace) error
+}{{"TRC1", Encode}, {"TRC2", EncodeV2}}
+
 // TestEncodeV2FailingWriter sweeps an injected write failure across the
-// whole container: at every fault point the encode must return the
-// injected error and leave no goroutine behind.
+// whole container, in both versions: at every fault point the encode
+// must return the injected error and leave no goroutine behind.
 func TestEncodeV2FailingWriter(t *testing.T) {
 	tr := encodeStressTrace()
-	size := len(encodeV2Bytes(t, tr))
-	before := runtime.NumGoroutine()
-	limits := []int{0, 1, 3}
-	for l := 5; l < size; l += 997 {
-		limits = append(limits, l)
-	}
-	limits = append(limits, size-1)
-	for _, limit := range limits {
-		if err := EncodeV2(&failAfterWriter{limit: limit}, tr); !errors.Is(err, errInjectedWrite) {
-			t.Fatalf("limit=%d: EncodeV2 error = %v, want injected write failure", limit, err)
+	for _, enc := range containerEncoders {
+		var full bytes.Buffer
+		if err := enc.encode(&full, tr); err != nil {
+			t.Fatal(err)
 		}
+		size := full.Len()
+		before := runtime.NumGoroutine()
+		limits := []int{0, 1, 3}
+		for l := 5; l < size; l += 997 {
+			limits = append(limits, l)
+		}
+		limits = append(limits, size-1)
+		for _, limit := range limits {
+			if err := enc.encode(&failAfterWriter{limit: limit}, tr); !errors.Is(err, errInjectedWrite) {
+				t.Fatalf("%s limit=%d: encode error = %v, want injected write failure", enc.name, limit, err)
+			}
+		}
+		waitNoEncodeGoroutines(t, before)
 	}
-	waitNoEncodeGoroutines(t, before)
 }
 
 // TestEncodeV2ShortWriter: a destination that under-reports writes
-// without erroring must still fail the encode (io.ErrShortWrite), not
-// silently truncate the container.
+// without erroring must still fail the encode (io.ErrShortWrite), in
+// both versions, not silently truncate the container.
 func TestEncodeV2ShortWriter(t *testing.T) {
 	tr := encodeStressTrace()
-	size := len(encodeV2Bytes(t, tr))
-	before := runtime.NumGoroutine()
-	for _, limit := range []int{0, 100, size / 2, size - 1} {
-		if err := EncodeV2(&shortWriter{limit: limit}, tr); !errors.Is(err, io.ErrShortWrite) {
-			t.Fatalf("short limit=%d: EncodeV2 error = %v, want io.ErrShortWrite", limit, err)
+	for _, enc := range containerEncoders {
+		var full bytes.Buffer
+		if err := enc.encode(&full, tr); err != nil {
+			t.Fatal(err)
 		}
+		size := full.Len()
+		before := runtime.NumGoroutine()
+		for _, limit := range []int{0, 100, size / 2, size - 1} {
+			if err := enc.encode(&shortWriter{limit: limit}, tr); !errors.Is(err, io.ErrShortWrite) {
+				t.Fatalf("%s short limit=%d: encode error = %v, want io.ErrShortWrite", enc.name, limit, err)
+			}
+		}
+		waitNoEncodeGoroutines(t, before)
 	}
-	waitNoEncodeGoroutines(t, before)
 }
 
 // TestBlockWriterErrorLatch pins the error discipline: after the first
-// failure every subsequent Write, WriteBlock, and Finish must surface
-// the same error rather than a nil or a different one.
+// failure every subsequent Write, writeBlock, finish and flush must
+// surface the same error rather than a nil or a different one.
 func TestBlockWriterErrorLatch(t *testing.T) {
-	bw := NewBlockWriter(&failAfterWriter{limit: 0})
+	bw := newBlockWriter(&failAfterWriter{limit: 0})
 	// The bufio layer absorbs small writes; force the failure through.
 	big := make([]byte, 1<<16)
 	if _, err := bw.Write(big); !errors.Is(err, errInjectedWrite) {
@@ -122,14 +142,14 @@ func TestBlockWriterErrorLatch(t *testing.T) {
 	if _, err := bw.Write([]byte("x")); !errors.Is(err, errInjectedWrite) {
 		t.Errorf("Write after failure = %v, want latched injected error", err)
 	}
-	if err := bw.WriteBlock(0, 0, nil); !errors.Is(err, errInjectedWrite) {
-		t.Errorf("WriteBlock after failure = %v, want latched injected error", err)
+	if err := bw.writeBlock(0, 0, nil); !errors.Is(err, errInjectedWrite) {
+		t.Errorf("writeBlock after failure = %v, want latched injected error", err)
 	}
-	if err := bw.Finish(traceMagicV2); !errors.Is(err, errInjectedWrite) {
-		t.Errorf("Finish after failure = %v, want latched injected error", err)
+	if err := bw.finish(traceMagicV2); !errors.Is(err, errInjectedWrite) {
+		t.Errorf("finish after failure = %v, want latched injected error", err)
 	}
-	if err := bw.Err(); !errors.Is(err, errInjectedWrite) {
-		t.Errorf("Err() = %v, want latched injected error", err)
+	if err := bw.flush(); !errors.Is(err, errInjectedWrite) {
+		t.Errorf("flush after failure = %v, want latched injected error", err)
 	}
 }
 

@@ -129,7 +129,7 @@ func (c cancelOnBlock) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // TestReadAllCancel cancels a fan-out while block 4 is being read, and
-// before it starts: ReadAll must return context.Canceled, and no worker
+// before it starts: All must return context.Canceled, and no worker
 // may outlive the call.
 func TestReadAllCancel(t *testing.T) {
 	data := encodeV2Bytes(t, fanOutTrace(12))
@@ -148,10 +148,10 @@ func TestReadAllCancel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			err = d.blocks.ReadAll(func(int, *RankTrace) {})
+			_, err = d.c.All()
 			cancel()
 			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("workers=%d pre-cancelled=%v: ReadAll = %v, want context.Canceled", workers, pre, err)
+				t.Fatalf("workers=%d pre-cancelled=%v: All = %v, want context.Canceled", workers, pre, err)
 			}
 			waitGoroutines(t, before)
 		}

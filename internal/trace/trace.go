@@ -1,7 +1,9 @@
 // Package trace defines the event-trace data model used throughout the
 // repository: timestamped function entry/exit events with message-passing
 // parameters, per-rank traces, and whole-application traces, plus the
-// TRC1 binary trace codec (byte-level spec in docs/FORMATS.md).
+// TRC1 and TRC2 binary trace codecs and the framing every container
+// shares, the reduced ones included: Family.Write and Open (byte-level
+// spec in docs/FORMATS.md).
 //
 // Times are int64 microseconds from the start of the run. The unit matters
 // only in that the benchmark generators produce ~1 ms (= 1000 unit) work
