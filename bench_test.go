@@ -1,21 +1,18 @@
 // Benchmark harness: BenchmarkStudy times the paper's whole evaluation —
 // the computation `cmd/evalstudy -all` prints, whose output
-// TestStudyGolden pins — and the ablations time what the paper leaves
-// as future or related work. Traces are generated once and shared
+// TestStudyGolden pins — and the ablation times what the paper leaves
+// as future work. Traces are generated once and shared
 // through a package-level runner; the measured work is reduction,
 // analysis and comparison.
 package repro
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/expert"
-	"repro/internal/trace"
 )
 
 var (
@@ -86,44 +83,6 @@ func BenchmarkStudy(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(cells)), "cells")
 	meanMetrics(b, results)
-}
-
-// BenchmarkAblationMinkowskiOrder sweeps the Minkowski order beyond the
-// paper's {1, 2, ∞} on one irregular workload — the design-choice
-// ablation DESIGN.md calls out: higher orders converge to Chebyshev's
-// merge-moderate-differences behaviour.
-func BenchmarkAblationMinkowskiOrder(b *testing.B) {
-	r := sharedRunner(b)
-	full, err := r.Trace("1to1s_1024")
-	if err != nil {
-		b.Fatal(err)
-	}
-	fullDiag, err := r.Diagnosis("1to1s_1024")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, m := range []int{1, 2, 3, 4} {
-		b.Run(fmt.Sprintf("order%d", m), func(b *testing.B) {
-			p, err := core.NewMinkowski(m, 0.2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < b.N; i++ {
-				red, err := core.Reduce(full, p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					res, err := eval.EvaluateReduced(full, fullDiag, red)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(res.PctSize, "%size")
-					b.ReportMetric(float64(res.ApproxDist), "apxdist-us")
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkAblationSamplingVsIterK compares the paper's future-work
@@ -233,43 +192,4 @@ func BenchmarkPipelineStages(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblationInterProcessClustering exercises the related-work
-// axis the paper is orthogonal to (§2: Nickolayev/Lee): cluster the 32
-// ranks of an interference run by execution profile, keep one
-// representative trace per cluster, and compose with intra-process
-// avgWave reduction. Reported metrics: combined size percentage and the
-// clustering's profile RMS error.
-func BenchmarkAblationInterProcessClustering(b *testing.B) {
-	r := sharedRunner(b)
-	full, err := r.Trace("NtoN_1024")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, k := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cred, err := cluster.Reduce(full, k)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i != b.N-1 {
-					continue
-				}
-				// Compose: intra-process reduce the representative subset.
-				sub := &trace.Trace{Name: full.Name, Ranks: cred.Representatives}
-				p, _ := core.NewMethod("avgWave", 0.2)
-				ired, err := core.Reduce(sub, p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				fullBytes := trace.EncodedSize(full)
-				combined := core.EncodedReducedSize(ired) + int64(4*len(cred.Clustering.Assign))
-				b.ReportMetric(100*float64(combined)/float64(fullBytes), "%size-combined")
-				b.ReportMetric(100*float64(cred.EncodedSize())/float64(fullBytes), "%size-cluster-only")
-				b.ReportMetric(cluster.ProfileError(full, cred), "profile-rms")
-			}
-		})
-	}
 }

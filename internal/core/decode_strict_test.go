@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -52,6 +54,86 @@ func TestDecodeReducedV1TruncatedAtRankBoundary(t *testing.T) {
 	_, err := DecodeReduced(bytes.NewReader(cut))
 	if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "rank 1 of 2") {
 		t.Fatalf("DecodeReduced(cut at rank 1) = %v, want io.ErrUnexpectedEOF at rank 1 of 2", err)
+	}
+}
+
+// TestBytesAfterContainerEnd holds all four containers and every read
+// path to one end-of-container rule: a container ends at its last rank
+// section (version 1) or its footer (version 2), and bytes after that are
+// a decode error. Every path names them, except a random-access version-2
+// read, which finds a bad trailer where it expects the footer.
+func TestBytesAfterContainerEnd(t *testing.T) {
+	drain := func(next func() error) error {
+		for {
+			if err := next(); err == io.EOF {
+				return nil
+			} else if err != nil {
+				return err
+			}
+		}
+	}
+	traceReads := map[string]func(io.Reader) error{
+		"Decode": func(r io.Reader) error { _, err := trace.Decode(r); return err },
+		"NextRank": func(r io.Reader) error {
+			d, err := trace.NewDecoder(r)
+			if err != nil {
+				return err
+			}
+			return drain(func() error { _, err := d.NextRank(); return err })
+		},
+		"SignatureOfWith": func(r io.Reader) error {
+			_, err := trace.SignatureOfWith(r, trace.DecoderOptions{})
+			return err
+		},
+		"ReduceStreamToWriterOpts": func(r io.Reader) error {
+			d, err := trace.NewDecoder(r)
+			if err != nil {
+				return err
+			}
+			_, err = ReduceStreamToWriterOpts(d, NewAvgWave(0.2), io.Discard, 1, StreamOptions{})
+			return err
+		},
+	}
+	reducedReads := map[string]func(io.Reader) error{
+		"DecodeReduced": func(r io.Reader) error { _, err := DecodeReduced(r); return err },
+		"Next": func(r io.Reader) error {
+			c, err := trace.Open(r, reducedFamily, trace.DecoderOptions{}, readRankReducedV1, parseRankReducedV2)
+			if err != nil {
+				return err
+			}
+			return drain(func() error { _, err := c.Next(); return err })
+		},
+	}
+	for _, file := range []string{"golden.trc1", "golden.trc2", "golden.trr1", "golden.trr2"} {
+		data, err := os.ReadFile(goldenPath(file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		junk := append(slices.Clip(data), "junk"...)
+		reads := traceReads
+		if strings.HasPrefix(file, "golden.trr") {
+			reads = reducedReads
+		}
+		for _, access := range []string{"stream", "random-access"} {
+			in := func(b []byte) io.Reader {
+				if access == "stream" {
+					return streamOnly{bytes.NewReader(b)}
+				}
+				return bytes.NewReader(b)
+			}
+			want := "bytes after the container's end"
+			if access == "random-access" && strings.HasSuffix(file, "2") {
+				want = "bad trailing magic"
+			}
+			for name, read := range reads {
+				if err := read(in(data)); err != nil {
+					t.Fatalf("%s %s %s: %v", file, access, name, err)
+				}
+				if err := read(in(junk)); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s + junk, %s %s: err = %v, want %q", file, access, name, err, want)
+				}
+			}
+		}
 	}
 }
 

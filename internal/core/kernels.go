@@ -12,10 +12,10 @@ import "math"
 // requirement (it is what keeps the output bytes unchanged), so the
 // kernels respect these rules:
 //
-//   - Sum-accumulating distances (L1, L2, general Lm, and the wavelets'
-//     Euclidean) are order-sensitive under floating point, so the 4-wide
-//     unroll runs ACROSS rows — four independent accumulators, one per
-//     row, each summing coordinates in index order — never within a row.
+//   - Sum-accumulating distances (L1, L2, and the wavelets' Euclidean)
+//     are order-sensitive under floating point, so the 4-wide unroll
+//     runs ACROSS rows — four independent accumulators, one per row,
+//     each summing coordinates in index order — never within a row.
 //   - A pruned row is skipped without consulting its computed distance,
 //     exactly as the old loops did: the match test is
 //     !pruned(lb, bound) && dist <= bound, evaluated per row in order.
@@ -28,9 +28,7 @@ import "math"
 //     distance is past it too, and skipping the rest of the row can
 //     never flip a decision. Rows that survive every checkpoint finish
 //     their accumulation in the unchanged coordinate order, so their
-//     final sums stay bit-identical. The general-Lm kernel takes no
-//     early exit: math.Pow is not guaranteed monotone, so no partial
-//     predicate is provably conservative there.
+//     final sums stay bit-identical.
 //   - Every product is rounded before it is added: an explicit
 //     float64(x*y) conversion, across which the Go spec forbids fusing.
 //     arm64, ppc64le, s390x and riscv64 would otherwise compile x*y+z
@@ -313,64 +311,6 @@ func (c *Class) scanLinf(t float64, cs *RepState) int {
 			}
 		}
 		if !dead && m <= b {
-			return i
-		}
-	}
-	return -1
-}
-
-// scanLm is the general order-m kernel (m >= 3): each row accumulates
-// |d|^m with math.Pow in coordinate order, then takes the m-th root.
-func (c *Class) scanLm(m int, t float64, cs *RepState) int {
-	v := cs.Vec
-	w := c.width
-	n := len(c.norm)
-	data := c.data
-	fm := float64(m)
-	inv := 1 / fm
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		b0, p0 := c.l2Row(t, cs, i)
-		b1, p1 := c.l2Row(t, cs, i+1)
-		b2, p2 := c.l2Row(t, cs, i+2)
-		b3, p3 := c.l2Row(t, cs, i+3)
-		if p0 && p1 && p2 && p3 {
-			continue
-		}
-		r0 := data[i*w : i*w+w]
-		r1 := data[(i+1)*w : (i+1)*w+w]
-		r2 := data[(i+2)*w : (i+2)*w+w]
-		r3 := data[(i+3)*w : (i+3)*w+w]
-		var s0, s1, s2, s3 float64
-		for j := 0; j < w; j++ {
-			x := v[j]
-			s0 += math.Pow(math.Abs(r0[j]-x), fm)
-			s1 += math.Pow(math.Abs(r1[j]-x), fm)
-			s2 += math.Pow(math.Abs(r2[j]-x), fm)
-			s3 += math.Pow(math.Abs(r3[j]-x), fm)
-		}
-		switch {
-		case !p0 && math.Pow(s0, inv) <= b0:
-			return i
-		case !p1 && math.Pow(s1, inv) <= b1:
-			return i + 1
-		case !p2 && math.Pow(s2, inv) <= b2:
-			return i + 2
-		case !p3 && math.Pow(s3, inv) <= b3:
-			return i + 3
-		}
-	}
-	for ; i < n; i++ {
-		b, p := c.l2Row(t, cs, i)
-		if p {
-			continue
-		}
-		row := data[i*w : i*w+w]
-		var s float64
-		for j := 0; j < w; j++ {
-			s += math.Pow(math.Abs(row[j]-v[j]), fm)
-		}
-		if math.Pow(s, inv) <= b {
 			return i
 		}
 	}

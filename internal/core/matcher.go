@@ -49,14 +49,6 @@ func (c *Class) Len() int { return len(c.segs) }
 // Rep returns the i-th representative in collection order.
 func (c *Class) Rep(i int) *segment.Segment { return c.segs[i] }
 
-// Rows returns the number of slab rows (equal to Len for vector
-// policies, 0 for counting policies).
-func (c *Class) Rows() int { return len(c.norm) }
-
-// Row returns the i-th representative's prepared vector — a view into
-// the slab, valid only until the next insertion grows it.
-func (c *Class) Row(i int) []float64 { return c.data[i*c.width : (i+1)*c.width] }
-
 // StoredID returns the i-th representative's index in the owning
 // RankReduced.Stored slice.
 func (c *Class) StoredID(i int) int { return c.ids[i] }

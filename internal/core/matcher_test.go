@@ -35,8 +35,6 @@ func refMatch(name string, threshold float64, a, b *segment.Segment) bool {
 		return refMinkowski(threshold, 2, va, vb)
 	case "chebyshev":
 		return refMinkowski(threshold, 0, va, vb)
-	case "minkowski3":
-		return refMinkowski(threshold, 3, va, vb)
 	case "avgWave":
 		return refWave(threshold, false, a, b)
 	case "haarWave":
@@ -103,16 +101,10 @@ func refMinkowski(t float64, m int, va, vb []float64) bool {
 			dist += d
 		case 2:
 			dist += d * d
-		default:
-			dist += math.Pow(d, float64(m))
 		}
 	}
-	switch m {
-	case 0, 1:
-	case 2:
+	if m == 2 {
 		dist = math.Sqrt(dist)
-	default:
-		dist = math.Pow(dist, 1/float64(m))
 	}
 	return dist <= t*maxVal
 }
@@ -291,7 +283,6 @@ func TestMatcherBruteForceParity(t *testing.T) {
 		{"manhattan", 0.4, func() Policy { return NewManhattan(0.4) }},
 		{"euclidean", 0.2, func() Policy { return NewEuclidean(0.2) }},
 		{"chebyshev", 0.2, func() Policy { return NewChebyshev(0.2) }},
-		{"minkowski3", 0.2, func() Policy { p, _ := NewMinkowski(3, 0.2); return p }},
 		{"avgWave", 0.2, func() Policy { return NewAvgWave(0.2) }},
 		{"haarWave", 0.2, func() Policy { return NewHaarWave(0.2) }},
 		{"iter_k", 10, func() Policy { p, _ := NewIterK(10); return p }},

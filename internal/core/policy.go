@@ -8,7 +8,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/segment"
@@ -161,7 +160,8 @@ func (p *absDiffPolicy) Absorb(*segment.Segment, *segment.Segment) bool { return
 // minkowskiPolicy computes the order-m Minkowski distance between the
 // measurement vectors and accepts when it is at most threshold × the
 // largest measurement in the pair of vectors (paper Eq. 1 and the worked
-// example: max(51) × 0.2 = 10.2). m = 0 selects Chebyshev (m → ∞).
+// example: max(51) × 0.2 = 10.2). m is 1 (Manhattan), 2 (Euclidean) or
+// 0, which selects Chebyshev (m → ∞).
 type minkowskiPolicy struct {
 	name      string
 	threshold float64
@@ -181,16 +181,14 @@ func (p *minkowskiPolicy) Match(cls *Class, cand *segment.Segment, cs *RepState)
 		return cls.scanLinf(p.threshold, cs)
 	case 1:
 		return cls.scanL1(p.threshold, cs)
-	case 2:
-		return cls.scanL2(p.threshold, cs)
 	}
-	return cls.scanLm(p.m, p.threshold, cs)
+	return cls.scanL2(p.threshold, cs)
 }
 
 func (p *minkowskiPolicy) Absorb(*segment.Segment, *segment.Segment) bool { return false }
 
-// minkowskiNorm returns the order-m Minkowski norm of v (m = 0 is the
-// Chebyshev/sup norm).
+// minkowskiNorm returns the order-m Minkowski norm of v for m = 1 or 2
+// (m = 0 is the Chebyshev/sup norm).
 func minkowskiNorm(m int, v []float64) float64 {
 	var n float64
 	switch m {
@@ -200,16 +198,11 @@ func minkowskiNorm(m int, v []float64) float64 {
 		for _, x := range v {
 			n += math.Abs(x)
 		}
-	case 2:
+	default:
 		for _, x := range v {
 			n += float64(x * x)
 		}
 		n = math.Sqrt(n)
-	default:
-		for _, x := range v {
-			n += math.Pow(math.Abs(x), float64(m))
-		}
-		n = math.Pow(n, 1/float64(m))
 	}
 	return n
 }
@@ -290,16 +283,6 @@ func NewEuclidean(threshold float64) Policy {
 // measurement difference).
 func NewChebyshev(threshold float64) Policy {
 	return &minkowskiPolicy{name: "chebyshev", threshold: threshold, m: 0}
-}
-
-// NewMinkowski returns a Minkowski policy of arbitrary order m >= 1; the
-// paper evaluates m = 1, 2 and the Chebyshev limit, but other orders are
-// useful for ablation.
-func NewMinkowski(m int, threshold float64) (Policy, error) {
-	if m < 1 {
-		return nil, fmt.Errorf("core: Minkowski order must be >= 1, got %d", m)
-	}
-	return &minkowskiPolicy{name: fmt.Sprintf("minkowski%d", m), threshold: threshold, m: m}, nil
 }
 
 // NewAvgWave returns the average-wavelet-transform policy.

@@ -140,27 +140,6 @@ func TestMinkowskiDistancesExact(t *testing.T) {
 	}
 }
 
-// TestMinkowskiGeneralOrder: higher orders interpolate between Manhattan
-// and Chebyshev.
-func TestMinkowskiGeneralOrder(t *testing.T) {
-	p3, err := NewMinkowski(3, 0.2)
-	if err != nil {
-		t.Fatalf("NewMinkowski: %v", err)
-	}
-	if got := p3.Name(); got != "minkowski3" {
-		t.Errorf("Name = %q", got)
-	}
-	if matchOne(p3, s1(), s2()) {
-		t.Error("minkowski3(0.2): s2 must not match s1")
-	}
-	if !matchOne(p3, s0(), s2()) {
-		t.Error("minkowski3(0.2): s2 must match s0")
-	}
-	if _, err := NewMinkowski(0, 0.2); err == nil {
-		t.Error("order 0 must be rejected")
-	}
-}
-
 // TestWaveletPaperExample pins Figure 3: the average-transform distance
 // between s0 and s2 is √3.75 ≈ 1.94, within 0.2 × the largest transformed
 // value, so they match; s1 vs s2 must not match at 0.2.

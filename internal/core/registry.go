@@ -96,17 +96,3 @@ func DefaultMethod(name string) (Policy, error) {
 	}
 	return NewMethod(name, t)
 }
-
-// DefaultMethods returns all nine policies at their default thresholds,
-// in MethodNames order.
-func DefaultMethods() []Policy {
-	out := make([]Policy, 0, len(MethodNames))
-	for _, name := range MethodNames {
-		p, err := DefaultMethod(name)
-		if err != nil {
-			panic("core: DefaultMethods: " + err.Error())
-		}
-		out = append(out, p)
-	}
-	return out
-}

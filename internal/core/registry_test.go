@@ -32,13 +32,13 @@ func TestNewMethodUnknown(t *testing.T) {
 }
 
 func TestDefaultMethodsComplete(t *testing.T) {
-	ms := DefaultMethods()
-	if len(ms) != len(MethodNames) {
-		t.Fatalf("DefaultMethods returned %d policies, want %d", len(ms), len(MethodNames))
-	}
-	for i, m := range ms {
-		if m.Name() != MethodNames[i] {
-			t.Errorf("method %d = %q, want %q", i, m.Name(), MethodNames[i])
+	for _, name := range MethodNames {
+		m, err := DefaultMethod(name)
+		if err != nil {
+			t.Fatalf("DefaultMethod(%q): %v", name, err)
+		}
+		if m.Name() != name {
+			t.Errorf("DefaultMethod(%q).Name() = %q", name, m.Name())
 		}
 	}
 }

@@ -16,40 +16,28 @@ import (
 	"repro/internal/expert"
 )
 
-// CompareOptions tunes the retention-of-trends rules.
-type CompareOptions struct {
-	// SignificanceFrac is the fraction of aggregate wall time
+// The paper's retention-of-trends guidelines, as the evaluation applies
+// them.
+const (
+	// significanceFrac is the fraction of aggregate wall time
 	// (NumRanks × WallTime) a cell's |total severity| must reach to be a
 	// "performance trend" an analyst would act on.
-	SignificanceFrac float64
-	// TotalTolerance is the allowed relative deviation of a significant
+	significanceFrac = 0.015
+	// totalTolerance is the allowed relative deviation of a significant
 	// cell's total severity.
-	TotalTolerance float64
-	// PatternThreshold is the minimum similarity (normalized dot product)
+	totalTolerance = 0.35
+	// patternThreshold is the minimum similarity (normalized dot product)
 	// between full and reconstructed per-rank severity patterns.
-	PatternThreshold float64
-	// RankTolerance is the allowed per-rank severity deviation, relative
+	patternThreshold = 0.80
+	// rankTolerance is the allowed per-rank severity deviation, relative
 	// to the cell's largest full-trace rank severity — the paper's
 	// "approximately the same severity ... for each thread" requirement.
-	RankTolerance float64
-	// SpuriousFactor scales the significance bar for diagnoses that
+	rankTolerance = 0.50
+	// spuriousFactor scales the significance bar for diagnoses that
 	// appear only in the reconstruction; a reconstructed-only cell above
-	// SpuriousFactor × significance fails the verdict.
-	SpuriousFactor float64
-}
-
-// DefaultCompareOptions returns the guideline parameters used by the
-// evaluation: 1.5% significance, 35% total tolerance, 0.8 pattern
-// similarity, 2× spurious bar.
-func DefaultCompareOptions() CompareOptions {
-	return CompareOptions{
-		SignificanceFrac: 0.015,
-		TotalTolerance:   0.35,
-		PatternThreshold: 0.80,
-		RankTolerance:    0.50,
-		SpuriousFactor:   2,
-	}
-}
+	// spuriousFactor × significance fails the verdict.
+	spuriousFactor = 2
+)
 
 // Verdict is the outcome of a retention comparison.
 type Verdict struct {
@@ -67,9 +55,9 @@ func (v Verdict) String() string {
 	return "lost: " + strings.Join(v.Issues, "; ")
 }
 
-// significance returns the severity bar for d under opts.
-func significance(d *expert.Diagnosis, opts CompareOptions) float64 {
-	return opts.SignificanceFrac * d.WallTime * float64(d.NumRanks)
+// significance returns the severity bar for d.
+func significance(d *expert.Diagnosis) float64 {
+	return significanceFrac * d.WallTime * float64(d.NumRanks)
 }
 
 // patternSimilarity measures how well the shape of the reconstructed
@@ -99,9 +87,9 @@ func patternSimilarity(full, approx []float64) float64 {
 // appear in the reconstruction with the same sign, a comparable total,
 // and the same cross-rank disparity pattern; and the reconstruction must
 // not invent significant diagnoses of its own.
-func Compare(full, approx *expert.Diagnosis, opts CompareOptions) Verdict {
+func Compare(full, approx *expert.Diagnosis) Verdict {
 	var issues []string
-	sig := significance(full, opts)
+	sig := significance(full)
 	if sig <= 0 {
 		sig = 1
 	}
@@ -110,7 +98,7 @@ func Compare(full, approx *expert.Diagnosis, opts CompareOptions) Verdict {
 			// Execution time carries trends only through its cross-rank
 			// disparity (the paper's do_work columns): compare the
 			// mean-centered severity vectors.
-			if issue := compareDisparity(k, full.Sev[k], approx.Sev[k], sig, opts); issue != "" {
+			if issue := compareDisparity(k, full.Sev[k], approx.Sev[k], sig); issue != "" {
 				issues = append(issues, issue)
 			}
 			continue
@@ -129,29 +117,27 @@ func Compare(full, approx *expert.Diagnosis, opts CompareOptions) Verdict {
 			issues = append(issues, fmt.Sprintf("%s: severity sign flipped (%.0f vs %.0f)", k, fTotal, aTotal))
 			continue
 		}
-		if rel := math.Abs(aTotal-fTotal) / math.Abs(fTotal); rel > opts.TotalTolerance {
+		if rel := math.Abs(aTotal-fTotal) / math.Abs(fTotal); rel > totalTolerance {
 			issues = append(issues, fmt.Sprintf("%s: total severity off by %.0f%% (%.0f vs %.0f)",
 				k, 100*rel, fTotal, aTotal))
 		}
-		if ps := patternSimilarity(full.Sev[k], aVec); ps < opts.PatternThreshold {
+		if ps := patternSimilarity(full.Sev[k], aVec); ps < patternThreshold {
 			issues = append(issues, fmt.Sprintf("%s: rank disparity not preserved (similarity %.2f)", k, ps))
 		}
-		if opts.RankTolerance > 0 {
-			fVec := full.Sev[k]
-			var maxF, worst float64
-			worstRank := -1
-			for r := range fVec {
-				if af := math.Abs(fVec[r]); af > maxF {
-					maxF = af
-				}
-				if d := math.Abs(aVec[r] - fVec[r]); d > worst {
-					worst, worstRank = d, r
-				}
+		fVec := full.Sev[k]
+		var maxF, worst float64
+		worstRank := -1
+		for r := range fVec {
+			if af := math.Abs(fVec[r]); af > maxF {
+				maxF = af
 			}
-			if maxF > 0 && worst > opts.RankTolerance*maxF {
-				issues = append(issues, fmt.Sprintf("%s: rank %d severity off by %.0f (%.0f%% of cell max)",
-					k, worstRank, worst, 100*worst/maxF))
+			if d := math.Abs(aVec[r] - fVec[r]); d > worst {
+				worst, worstRank = d, r
 			}
+		}
+		if maxF > 0 && worst > rankTolerance*maxF {
+			issues = append(issues, fmt.Sprintf("%s: rank %d severity off by %.0f (%.0f%% of cell max)",
+				k, worstRank, worst, 100*worst/maxF))
 		}
 	}
 	// Spurious diagnoses: significant in the reconstruction, absent or
@@ -161,7 +147,7 @@ func Compare(full, approx *expert.Diagnosis, opts CompareOptions) Verdict {
 			continue
 		}
 		aTotal := approx.Total(k)
-		if math.Abs(aTotal) < opts.SpuriousFactor*sig {
+		if math.Abs(aTotal) < spuriousFactor*sig {
 			continue
 		}
 		if math.Abs(full.Total(k)) < sig {
@@ -190,7 +176,7 @@ func centered(v []float64) []float64 {
 // signal an analyst reads from the paper's do_work columns. Totals are
 // not judged — reconstruction preserves event counts, so totals only
 // drift through clipping.
-func compareDisparity(k expert.Key, fVec, aVec []float64, sig float64, opts CompareOptions) string {
+func compareDisparity(k expert.Key, fVec, aVec []float64, sig float64) string {
 	if len(fVec) == 0 || len(aVec) != len(fVec) {
 		return ""
 	}
@@ -203,7 +189,7 @@ func compareDisparity(k expert.Key, fVec, aVec []float64, sig float64, opts Comp
 		return "" // no disparity worth preserving
 	}
 	aC := centered(aVec)
-	if ps := patternSimilarity(fC, aC); ps < opts.PatternThreshold {
+	if ps := patternSimilarity(fC, aC); ps < patternThreshold {
 		return fmt.Sprintf("%s: work disparity not preserved (similarity %.2f)", k, ps)
 	}
 	return ""
@@ -297,11 +283,11 @@ func SideBySide(labels []string, diags []*expert.Diagnosis, keys []expert.Key) s
 	return b.String()
 }
 
-// SignificantKeys returns d's non-execution cells with |total| >= frac of
-// aggregate wall time, in deterministic order — the cells an analyst
-// would look at first.
-func SignificantKeys(d *expert.Diagnosis, frac float64) []expert.Key {
-	bar := frac * d.WallTime * float64(d.NumRanks)
+// SignificantKeys returns d's non-execution cells whose |total| reaches
+// the significance bar (1.5 % of aggregate wall time), in deterministic
+// order — the cells an analyst would look at first.
+func SignificantKeys(d *expert.Diagnosis) []expert.Key {
+	bar := significance(d)
 	var out []expert.Key
 	for _, k := range d.Keys() {
 		if k.Metric == expert.MetricExecution {

@@ -47,7 +47,7 @@ func TestPatternSimilarity(t *testing.T) {
 
 func TestCompareIdenticalRetained(t *testing.T) {
 	full := diag(10000, []float64{0, 5000, 0, 5000}, nil)
-	v := Compare(full, full, DefaultCompareOptions())
+	v := Compare(full, full)
 	if !v.Retained {
 		t.Errorf("identical diagnoses must be retained: %v", v)
 	}
@@ -59,7 +59,7 @@ func TestCompareIdenticalRetained(t *testing.T) {
 func TestCompareMissingCell(t *testing.T) {
 	full := diag(10000, []float64{0, 5000, 0, 5000}, nil)
 	approx := diag(10000, nil, nil)
-	v := Compare(full, approx, DefaultCompareOptions())
+	v := Compare(full, approx)
 	if v.Retained {
 		t.Error("missing significant diagnosis must fail")
 	}
@@ -71,7 +71,7 @@ func TestCompareMissingCell(t *testing.T) {
 func TestCompareSignFlip(t *testing.T) {
 	full := diag(10000, []float64{0, 5000, 0, 5000}, nil)
 	approx := diag(10000, []float64{0, -5000, 0, -5000}, nil)
-	v := Compare(full, approx, DefaultCompareOptions())
+	v := Compare(full, approx)
 	if v.Retained || !strings.Contains(v.String(), "sign") {
 		t.Errorf("sign flip not caught: %v", v)
 	}
@@ -80,7 +80,7 @@ func TestCompareSignFlip(t *testing.T) {
 func TestCompareTotalOff(t *testing.T) {
 	full := diag(10000, []float64{0, 5000, 0, 5000}, nil)
 	approx := diag(10000, []float64{0, 2000, 0, 2000}, nil)
-	v := Compare(full, approx, DefaultCompareOptions())
+	v := Compare(full, approx)
 	if v.Retained || !strings.Contains(v.String(), "total severity") {
 		t.Errorf("total deviation not caught: %v", v)
 	}
@@ -90,7 +90,7 @@ func TestCompareDisparityInverted(t *testing.T) {
 	full := diag(10000, []float64{100, 8000, 100, 8000}, nil)
 	// Same total, disparity moved to the other ranks.
 	approx := diag(10000, []float64{8000, 100, 8000, 100}, nil)
-	v := Compare(full, approx, DefaultCompareOptions())
+	v := Compare(full, approx)
 	if v.Retained {
 		t.Errorf("inverted disparity must fail: %v", v)
 	}
@@ -100,7 +100,7 @@ func TestCompareRankTolerance(t *testing.T) {
 	full := diag(100000, []float64{10000, 10000, 10000, 10000}, nil)
 	// Total off by 12.5% (passes), pattern similar, but one rank off 50%+.
 	approx := diag(100000, []float64{4000, 11000, 10000, 10000}, nil)
-	v := Compare(full, approx, DefaultCompareOptions())
+	v := Compare(full, approx)
 	if v.Retained || !strings.Contains(v.String(), "rank") {
 		t.Errorf("per-rank deviation not caught: %v", v)
 	}
@@ -110,7 +110,7 @@ func TestCompareInsignificantIgnored(t *testing.T) {
 	// A tiny cell (below significance) may be arbitrarily wrong.
 	full := diag(1e6, []float64{0, 10, 0, 0}, nil)
 	approx := diag(1e6, []float64{0, -10, 0, 0}, nil)
-	v := Compare(full, approx, DefaultCompareOptions())
+	v := Compare(full, approx)
 	if !v.Retained {
 		t.Errorf("insignificant cells must not fail the verdict: %v", v)
 	}
@@ -119,7 +119,7 @@ func TestCompareInsignificantIgnored(t *testing.T) {
 func TestCompareSpurious(t *testing.T) {
 	full := diag(10000, nil, nil)
 	approx := diag(10000, []float64{0, 90000, 0, 0}, nil)
-	v := Compare(full, approx, DefaultCompareOptions())
+	v := Compare(full, approx)
 	if v.Retained || !strings.Contains(v.String(), "spurious") {
 		t.Errorf("spurious diagnosis not caught: %v", v)
 	}
@@ -129,19 +129,19 @@ func TestCompareExecutionDisparity(t *testing.T) {
 	// Planted work disparity: upper ranks do 2x work.
 	full := diag(10000, nil, []float64{10000, 10000, 20000, 20000})
 	flat := diag(10000, nil, []float64{15000, 15000, 15000, 15000})
-	v := Compare(full, flat, DefaultCompareOptions())
+	v := Compare(full, flat)
 	if v.Retained || !strings.Contains(v.String(), "disparity") {
 		t.Errorf("lost work disparity not caught: %v", v)
 	}
 	// Preserved disparity passes even when totals shift a little.
 	kept := diag(10000, nil, []float64{10500, 10400, 20300, 20600})
-	if v := Compare(full, kept, DefaultCompareOptions()); !v.Retained {
+	if v := Compare(full, kept); !v.Retained {
 		t.Errorf("preserved disparity wrongly failed: %v", v)
 	}
 	// Uniform execution (no disparity) is never judged.
 	uniform := diag(10000, nil, []float64{10000, 10000, 10000, 10000})
 	shifted := diag(10000, nil, []float64{11000, 9000, 10500, 9500})
-	if v := Compare(uniform, shifted, DefaultCompareOptions()); !v.Retained {
+	if v := Compare(uniform, shifted); !v.Retained {
 		t.Errorf("insignificant disparity judged: %v", v)
 	}
 }
@@ -183,7 +183,7 @@ func TestChartMinFrac(t *testing.T) {
 func TestSideBySide(t *testing.T) {
 	full := diag(10000, []float64{0, 5000, 0, 5000}, nil)
 	approx := diag(10000, []float64{0, 4000, 0, 4000}, nil)
-	keys := SignificantKeys(full, 0.015)
+	keys := SignificantKeys(full)
 	if len(keys) != 1 {
 		t.Fatalf("SignificantKeys = %v", keys)
 	}
@@ -209,7 +209,7 @@ func TestSignificantKeysOrder(t *testing.T) {
 		{Metric: expert.MetricExecution, Location: "exec"}:  {99999},
 		{Metric: expert.MetricLateBroadcast, Location: "c"}: {1}, // insignificant
 	}}
-	keys := SignificantKeys(d, 0.015)
+	keys := SignificantKeys(d)
 	if len(keys) != 2 {
 		t.Fatalf("keys = %v", keys)
 	}

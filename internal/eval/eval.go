@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -98,7 +97,7 @@ func EvaluateReduced(full *trace.Trace, fullDiag *expert.Diagnosis, red *core.Re
 	var verdict cube.Verdict
 	var reducedBytes int64
 	if err == nil {
-		verdict = cube.Compare(fullDiag, diag, cube.DefaultCompareOptions())
+		verdict = cube.Compare(fullDiag, diag)
 		reducedBytes = core.EncodedReducedSize(red)
 	}
 	wg.Wait()
@@ -250,21 +249,11 @@ func (r *Runner) evaluate(c Cell) (*Result, error) {
 // previously evaluated cells are served from the cache; the first error
 // in cell order aborts the grid.
 func (r *Runner) RunGrid(cells []Cell) ([]*Result, error) {
-	return r.RunGridCtx(context.Background(), cells)
-}
-
-// RunGridCtx is RunGrid under a context: once ctx is cancelled, workers
-// stop claiming cells and the grid returns ctx.Err(). Cells already
-// being evaluated run to completion (and stay memoized for later grids).
-func (r *Runner) RunGridCtx(ctx context.Context, cells []Cell) ([]*Result, error) {
 	// Pre-generate traces sequentially so the workers don't all stampede
 	// into the same cache entry (sync.Once already serializes, but this
 	// keeps memory growth predictable).
 	seen := map[string]bool{}
 	for _, c := range cells {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		if !seen[c.Workload] {
 			seen[c.Workload] = true
 			if _, err := r.Diagnosis(c.Workload); err != nil {
@@ -298,9 +287,6 @@ func (r *Runner) RunGridCtx(ctx context.Context, cells []Cell) ([]*Result, error
 			go func() {
 				defer wg.Done()
 				for {
-					if ctx.Err() != nil {
-						return
-					}
 					i := int(next.Add(1)) - 1
 					if i >= len(uniq) {
 						return
@@ -313,9 +299,6 @@ func (r *Runner) RunGridCtx(ctx context.Context, cells []Cell) ([]*Result, error
 	}
 	results := make([]*Result, len(cells))
 	for i, c := range cells {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		res, err := r.Run(c)
 		if err != nil {
 			return nil, err

@@ -161,7 +161,7 @@ func FormatTrendChart(r *Runner, ix *Index, workload string, methods []string) (
 	if err != nil {
 		return "", err
 	}
-	keys := cube.SignificantKeys(fullDiag, cube.DefaultCompareOptions().SignificanceFrac)
+	keys := cube.SignificantKeys(fullDiag)
 	if len(keys) > 4 {
 		keys = keys[:4]
 	}

@@ -53,12 +53,6 @@ const (
 	MetricWaitNxN = "wait_nxn"
 )
 
-// MetricNames lists all metrics the analyzer produces.
-var MetricNames = []string{
-	MetricExecution, MetricLateSender, MetricLateReceiver,
-	MetricEarlyGather, MetricLateBroadcast, MetricWaitBarrier, MetricWaitNxN,
-}
-
 // Abbrev returns the short chart label used in the paper's figures
 // (e.g. "NN" for Wait at N×N, "LS" for Late Sender).
 func Abbrev(metric string) string {
@@ -151,7 +145,7 @@ func (d *Diagnosis) MaxAbs() float64 {
 }
 
 // metric is the engine's index of a metric; metricNames maps it back to
-// the metric's name in a copy of MetricNames no caller can modify.
+// the metric's name and lists every metric the analyzer produces.
 type metric uint8
 
 const (

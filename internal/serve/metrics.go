@@ -11,7 +11,6 @@ package serve
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -78,45 +77,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum += v
 	h.samples++
 	h.mu.Unlock()
-}
-
-// Count returns the number of samples observed.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.samples
-}
-
-// Quantile estimates the q-quantile (0..1) by linear interpolation
-// inside the owning bucket; NaN with no samples.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.quantileLocked(q)
-}
-
-func (h *Histogram) quantileLocked(q float64) float64 {
-	if h.samples == 0 {
-		return math.NaN()
-	}
-	rank := float64(q * float64(h.samples))
-	var seen int64
-	for i, c := range h.counts {
-		if float64(seen+c) >= rank && c > 0 {
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := lo
-			if i < len(h.bounds) {
-				hi = h.bounds[i]
-			}
-			frac := (rank - float64(seen)) / float64(c)
-			return lo + float64((hi-lo)*frac)
-		}
-		seen += c
-	}
-	return h.bounds[len(h.bounds)-1]
 }
 
 // Metrics is the service's metric registry. All fields are safe for

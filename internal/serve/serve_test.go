@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -528,22 +529,29 @@ func TestBadRequests(t *testing.T) {
 	srv := NewServer(Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	for _, q := range []string{"method=nope", "threshold=x", "format=v3"} {
-		resp := postReduce(t, ts.URL, []byte("TRC1junk"), q)
+	// Each query goes with a valid upload, so only the query can be at
+	// fault. sample_n is a library method, not one the service offers.
+	upload := encodeTrace(t, workloadTrace(t), 1)
+	for _, q := range []string{"method=nope", "threshold=x", "format=v3", "method=sample_n&threshold=4"} {
+		resp := postReduce(t, ts.URL, upload, q)
 		readBody(t, resp)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", q, resp.StatusCode)
 		}
 	}
-	resp := postReduce(t, ts.URL, []byte("not a trace at all"), "method=avgWave")
-	readBody(t, resp)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("junk upload: status %d, want 400", resp.StatusCode)
+	for name, body := range map[string][]byte{
+		"junk upload":           []byte("not a trace at all"),
+		"bytes after the trace": append(slices.Clip(upload), "junk"...),
+	} {
+		resp := postReduce(t, ts.URL, body, "method=avgWave")
+		readBody(t, resp)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
 	}
-	// Non-finite and negative thresholds, on a valid upload so only the
-	// threshold can be at fault. A NaN cache key never equals itself: had
-	// such a request been served, its entry could never be hit or evicted.
-	upload := encodeTrace(t, workloadTrace(t), 1)
+	// Non-finite and negative thresholds. A NaN cache key never equals
+	// itself: had such a request been served, its entry could never be
+	// hit or evicted.
 	for _, q := range []string{"threshold=NaN", "threshold=Inf", "threshold=%2BInf", "threshold=-1"} {
 		resp := postReduce(t, ts.URL, upload, "method=avgWave&"+q)
 		readBody(t, resp)

@@ -116,9 +116,6 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // for those). Safe to call more than once.
 func (s *Server) Drain() { s.draining.Store(true) }
 
-// Draining reports whether Drain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Handler returns the service's HTTP routes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()

@@ -199,7 +199,10 @@ var blockReads bufpool.Pool[byte]
 // plain version-2 stream, once the footer has been verified). Once the
 // context is done it returns ctx.Err(). The header promised every
 // section, so a version-1 section cut short is io.ErrUnexpectedEOF, not
-// a clean end.
+// a clean end. A container ends at its last rank section (version 1) or
+// its footer (version 2): a byte after that is an error, not io.EOF. A
+// random-access version-2 read finds the footer at the input's end, so
+// its footer check already rejects such bytes.
 func (c *Container[T]) Next() (T, error) {
 	var zero T
 	if c.fail != nil {
@@ -210,8 +213,8 @@ func (c *Container[T]) Next() (T, error) {
 	}
 	i := c.next
 	if i == c.Ranks {
-		if c.Version == 2 && c.sr == nil {
-			if err := checkBlockFooter(c.br, c.magic, c.observed, c.pos()); err != nil {
+		if c.sr == nil {
+			if err := c.checkEnd(); err != nil {
 				return zero, c.latch(err)
 			}
 		}
@@ -234,6 +237,25 @@ func (c *Container[T]) Next() (T, error) {
 		return zero, c.latch(err)
 	}
 	return v, nil
+}
+
+// checkEnd verifies that an input read in order ends with the
+// container: after its footer, checked against the blocks read, on
+// version 2, and after its last rank section on version 1.
+func (c *Container[T]) checkEnd() error {
+	if c.Version == 2 {
+		if err := checkBlockFooter(c.br, c.magic, c.observed, c.pos()); err != nil {
+			return err
+		}
+	}
+	switch _, err := c.br.ReadByte(); err {
+	case io.EOF:
+		return nil
+	case nil:
+		return fmt.Errorf("trace: %s: bytes after the container's end", c.magic)
+	default:
+		return fmt.Errorf("trace: %s: reading past the container's end: %w", c.magic, err)
+	}
 }
 
 // nextBlock reads block i of a plain version-2 stream through its inline

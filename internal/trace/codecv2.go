@@ -52,8 +52,6 @@ const (
 	// than this cannot be written (and a header declaring more is
 	// hostile).
 	maxBlockPayload = 1 << 30
-	// maxBlocks matches the rank-count cap: v2 stores one block per rank.
-	maxBlocks = 1 << 20
 )
 
 // castagnoli is the CRC32-C table used for all v2 block checksums.

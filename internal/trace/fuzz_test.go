@@ -2,6 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"io"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -66,5 +70,122 @@ func FuzzDecodeRoundTrip(f *testing.F) {
 			t.Fatalf("round trip changed trace shape: %s/%d/%d vs %s/%d/%d",
 				t1.Name, t1.NumRanks(), t1.NumEvents(), t2.Name, t2.NumRanks(), t2.NumEvents())
 		}
+	})
+}
+
+// FuzzReadPaths holds every read path of the trace containers to one
+// verdict on the same bytes: NextRank on a random-access input and on a
+// plain stream, the reader RankAt returns over every index, All (the
+// body of Decode) on both inputs, and SignatureOfWith on both. They must
+// all accept or all reject, and when they accept they must return equal
+// ranks and equal signatures. Their error texts may differ: only a plain
+// stream can name the block it found truncated. The seeds include the
+// golden containers with bytes appended after their end, which mutation
+// alone does not find. Run it with
+//
+//	go test -run '^$' -fuzz '^FuzzReadPaths$' -fuzztime 20s ./internal/trace
+func FuzzReadPaths(f *testing.F) {
+	for _, name := range []string{"golden.trc1", "golden.trc2"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(append(slices.Clip(data), "junk"...))
+	}
+	opts := DecoderOptions{Limits: DecodeLimits{MaxStringLen: 1 << 10, MaxNames: 1 << 10, MaxRanks: 1 << 10}}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<20 {
+			return // bound fuzz memory, not a format property
+		}
+		type read struct {
+			path  string
+			ranks []*RankTrace
+			sig   *Signature
+			err   error
+		}
+		var reads []read
+		for _, in := range []struct {
+			name string
+			r    func() io.Reader
+		}{
+			{"random-access", func() io.Reader { return bytes.NewReader(data) }},
+			{"stream", func() io.Reader { return streamOnly{bytes.NewReader(data)} }},
+		} {
+			ranks, err := nextRanks(in.r(), opts)
+			reads = append(reads, read{path: in.name + " NextRank", ranks: ranks, err: err})
+			if d, err := NewDecoderWith(in.r(), opts); err == nil {
+				if at := RankAt(d); at != nil {
+					ranks, err := atRanks(at, d.NumRanks())
+					reads = append(reads, read{path: in.name + " RankAt", ranks: ranks, err: err})
+				}
+			}
+			d, err := NewDecoderWith(in.r(), opts)
+			if err == nil {
+				ranks, err = d.c.All()
+			}
+			reads = append(reads, read{path: in.name + " All", ranks: ranks, err: err})
+			sig, err := SignatureOfWith(in.r(), opts)
+			reads = append(reads, read{path: in.name + " SignatureOfWith", sig: &sig, err: err})
+		}
+		var first *read // the first path to return ranks
+		var sig *Signature
+		for i := range reads {
+			r := &reads[i]
+			if (r.err == nil) != (reads[0].err == nil) {
+				t.Fatalf("read paths disagree: %s err=%v, %s err=%v", reads[0].path, reads[0].err, r.path, r.err)
+			}
+			switch {
+			case r.err != nil:
+			case r.sig != nil:
+				if sig != nil && *r.sig != *sig {
+					t.Fatalf("%s returned signature %s, another path %s", r.path, r.sig, sig)
+				}
+				sig = r.sig
+			case first == nil:
+				first = r
+			case !equalRanks(r.ranks, first.ranks):
+				t.Fatalf("%s and %s returned different ranks", first.path, r.path)
+			}
+		}
+	})
+}
+
+// nextRanks reads every rank of the container r holds through NextRank.
+func nextRanks(r io.Reader, opts DecoderOptions) ([]*RankTrace, error) {
+	d, err := NewDecoderWith(r, opts)
+	if err != nil {
+		return nil, err
+	}
+	var ranks []*RankTrace
+	for {
+		rt, err := d.NextRank()
+		if err == io.EOF {
+			return ranks, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		ranks = append(ranks, rt)
+	}
+}
+
+// atRanks reads ranks 0..n-1 through a reader RankAt returned.
+func atRanks(at func(int) (*RankTrace, error), n int) ([]*RankTrace, error) {
+	ranks := make([]*RankTrace, n)
+	for i := range ranks {
+		var err error
+		if ranks[i], err = at(i); err != nil {
+			return nil, err
+		}
+	}
+	return ranks, nil
+}
+
+// equalRanks reports whether a and b hold the same ranks, an empty event
+// list equal to a nil one.
+func equalRanks(a, b []*RankTrace) bool {
+	return slices.EqualFunc(a, b, func(x, y *RankTrace) bool {
+		return x.Rank == y.Rank && slices.Equal(x.Events, y.Events)
 	})
 }

@@ -30,10 +30,9 @@ func Pad(v []float64) []float64 {
 
 // step performs one level of the transform on v[:n], writing trends to the
 // first n/2 slots and fluctuations to the second n/2 via the scratch
-// buffer tmp (len >= n), with the given scale factor applied to both
-// (1 for the average transform, √2⁻¹… no: Haar uses (a+b)/√2 and
-// (a−b)/√2, i.e. scale = 1/√2 relative to sum, which equals the pairwise
-// average multiplied by √2).
+// buffer tmp (len >= n). Each is a pairwise half-sum or half-difference
+// multiplied by scale: 1 for the average transform, √2 for Haar, whose
+// (a+b)/√2 and (a−b)/√2 equal (a+b)/2 × √2 and (a−b)/2 × √2.
 func step(v, tmp []float64, n int, scale float64) {
 	half := n / 2
 	for i := 0; i < half; i++ {
@@ -82,21 +81,15 @@ func Haar(v []float64) []float64 {
 	return out
 }
 
-// AverageInPlace applies the multi-level average transform to v, which
-// must already have power-of-two length. It is the allocation-lean form
-// of Average for callers that own a padded buffer.
-func AverageInPlace(v []float64) { transform(v, 1) }
-
-// HaarInPlace applies the multi-level Haar transform to v, which must
-// already have power-of-two length.
-func HaarInPlace(v []float64) { transform(v, math.Sqrt2) }
-
-// AverageInPlaceScratch is AverageInPlace with a caller-owned scratch
-// buffer of len >= len(v), so repeated transforms can run allocation-free.
+// AverageInPlaceScratch applies the multi-level average transform to v,
+// which must already have power-of-two length, through a caller-owned
+// scratch buffer of len >= len(v), so repeated transforms can run
+// allocation-free.
 func AverageInPlaceScratch(v, tmp []float64) { transformScratch(v, tmp, 1) }
 
-// HaarInPlaceScratch is HaarInPlace with a caller-owned scratch buffer of
-// len >= len(v).
+// HaarInPlaceScratch applies the multi-level Haar transform to v, which
+// must already have power-of-two length, through a caller-owned scratch
+// buffer of len >= len(v).
 func HaarInPlaceScratch(v, tmp []float64) { transformScratch(v, tmp, math.Sqrt2) }
 
 // Euclidean returns the Euclidean (L2) distance between equal-length

@@ -224,7 +224,7 @@ func evaluateReducedReconstruct(full *trace.Trace, fullDiag *expert.Diagnosis, r
 	if err != nil {
 		return nil, fmt.Errorf("eval: analyzing reconstructed %s/%s: %w", full.Name, method, err)
 	}
-	verdict := cube.Compare(fullDiag, diag, cube.DefaultCompareOptions())
+	verdict := cube.Compare(fullDiag, diag)
 	sizes := core.SizeReport{FullBytes: fullBytes, ReducedBytes: core.EncodedReducedSize(red)}
 	return &eval.Result{
 		Workload:       full.Name,

@@ -30,9 +30,6 @@ const (
 	FormatV2 Format = 2
 )
 
-// FormatNames lists the accepted format spellings in display order.
-var FormatNames = []string{"v1", "v2"}
-
 // ParseFormat parses a container-format name (a -format flag value).
 func ParseFormat(s string) (Format, error) {
 	switch s {

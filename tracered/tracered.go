@@ -148,7 +148,7 @@ func ApproximationDistanceReduced(full *Trace, red *Reduced, quantile float64) (
 // retains the full trace's performance trends under the study's
 // guidelines.
 func CompareDiagnoses(full, approx *Diagnosis) Verdict {
-	return cube.Compare(full, approx, cube.DefaultCompareOptions())
+	return cube.Compare(full, approx)
 }
 
 // Chart renders a diagnosis as a per-rank severity chart (the textual
