@@ -97,3 +97,43 @@ func BenchmarkReduceMethods(b *testing.B) {
 // reference path the parity tests compare against; the gap between the
 // two benchmarks is the pool's speedup (or, at -cpu 1, its overhead).
 func BenchmarkReduceSequentialRef(b *testing.B) { benchReduce(b, core.ReduceSequential) }
+
+// BenchmarkFeedEvents times RankReducer.FeedEvents, the engine's fused
+// split-and-match walk over one decoded rank, on one goroutine. Per
+// method, one iteration reduces every rank of the 20 catalog traces,
+// each with a new reducer, as a batch Reduce caller that keeps its
+// reduction does. It reports ns/segment beside B/op.
+func BenchmarkFeedEvents(b *testing.B) {
+	var ranks []*trace.RankTrace
+	segments := 0
+	for _, name := range eval.AllNames() {
+		full := reduceBenchTrace(b, name)
+		for i := range full.Ranks {
+			rt := &full.Ranks[i]
+			ranks = append(ranks, rt)
+			for _, e := range rt.Events {
+				if e.Kind == trace.KindMarkBegin {
+					segments++
+				}
+			}
+		}
+	}
+	for _, method := range core.MethodNames {
+		b.Run(method, func(b *testing.B) {
+			p, err := core.DefaultMethod(method)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, rt := range ranks {
+					if err := core.NewRankReducer(rt.Rank, p).FeedEvents(rt.Rank, rt.Events); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*segments), "ns/segment")
+		})
+	}
+}

@@ -119,7 +119,7 @@ func TestCodecV2ReduceFromV2Parity(t *testing.T) {
 			if d.Version() != 2 {
 				t.Fatalf("decoder picked version %d for a TRC2 container", d.Version())
 			}
-			streamed, _ := pipelineReduce(t, enc.Bytes(), method, 1)
+			streamed, _ := pipelineReduce(t, enc.Bytes(), method, 1, 0)
 			pSeq, _ := core.DefaultMethod(method)
 			ref, err := core.ReduceSequential(full, pSeq)
 			if err != nil {

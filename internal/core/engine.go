@@ -15,14 +15,18 @@ import (
 // One engine runs every rank-parallel reduction — batch Reduce over an
 // in-memory trace and the pipelined ReduceStreamToWriterOpts over a
 // decoder. A worker claims the next rank index, takes that rank from the
-// source, reduces it, recycles the rank's events, and hands the
-// reduction to a sink: collectSink builds a *Reduced; encodeSink
-// (pipeline.go) encodes each rank's container chunk in file order.
+// source, reduces it with the worker's one RankReducer (reset between
+// ranks), recycles the rank's events, and hands the reduction to a
+// sink: collectSink builds a *Reduced; encodeSink (pipeline.go) encodes
+// each rank's container chunk in file order.
 
 // rankSink receives each reduced rank on the worker that reduced it.
 type rankSink interface {
 	// put takes rank i's finished reducer. Calls run concurrently, one
-	// per rank index, and never wait for one another.
+	// per rank index, and never wait for one another. The reducer is
+	// reset for the worker's next rank once put returns, so put takes
+	// the reduction (Finish) and its counters out of it; the reduction's
+	// storage is the sink's from then on.
 	put(i int, r *RankReducer)
 	// abort tells the sink the run has failed, so it may drop what it
 	// has not finished.
@@ -103,6 +107,7 @@ func reduceRanks(name string, p Policy, src rankSource, opts StreamOptions, sink
 			"worker", strconv.Itoa(w),
 		), func(context.Context) {
 			defer wg.Done()
+			var r *RankReducer
 			for {
 				mu.Lock()
 				if stop {
@@ -133,7 +138,11 @@ func reduceRanks(name string, p Policy, src rankSource, opts StreamOptions, sink
 					fail(i, err)
 					return
 				}
-				r := NewRankReducer(i, p)
+				if r == nil {
+					r = NewRankReducer(i, p)
+				} else {
+					r.reset(i)
+				}
 				if err := r.FeedEvents(rt.Rank, rt.Events); err != nil {
 					fail(i, fmt.Errorf("trace %q: %w", name, err))
 					return

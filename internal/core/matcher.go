@@ -31,12 +31,14 @@ import (
 // to re-check it.
 type Class struct {
 	proto *segment.Segment
-	segs  []*segment.Segment
-	ids   []int
+	// next chains the classes that share proto's signature bucket.
+	next *Class
+	segs []*segment.Segment
+	ids  []int
 	// The state slab: row i of the width-wide row-major data matrix is
 	// representative i's prepared vector; norm[i]/maxAbs[i] are its
 	// pruning scalars. Grown by append, so rows may relocate — readers
-	// (the kernels) fetch rows at use time via Row, never hold them.
+	// (the kernels) fetch rows at use time, never hold them.
 	width  int
 	data   []float64
 	norm   []float64
@@ -69,6 +71,14 @@ func (c *Class) add(rep *segment.Segment, id int, cs *RepState) {
 	c.maxAbs = append(c.maxAbs, cs.MaxAbs)
 }
 
+// reset empties the class for reuse, keeping its slab's storage. It
+// drops every pointer to the old representatives, so none outlives the
+// rank that kept it.
+func (c *Class) reset() {
+	clear(c.segs)
+	*c = Class{segs: c.segs[:0], ids: c.ids[:0], data: c.data[:0], norm: c.norm[:0], maxAbs: c.maxAbs[:0]}
+}
+
 // setRow overwrites representative i's slab row after a mutating Absorb
 // re-prepared it. No-op for classes without rows.
 func (c *Class) setRow(i int, cs *RepState) {
@@ -87,17 +97,29 @@ func (c *Class) setRow(i int, cs *RepState) {
 // once per comparison), and keeps each representative's prepared state
 // in its class's contiguous slab — transformed wavelet vectors,
 // Minkowski norms, max-abs values — computed once at storage time rather
-// than on every scan. Every scan is the paper's first-match linear scan
-// over the class, run by the policy's fused slab kernel.
+// than on every scan. A scan first tries the class of the segment before
+// it, since consecutive segments mostly share a shape, and looks the
+// candidate's signature up only when that class does not fit. Every scan
+// is the paper's first-match linear scan over the class, run by the
+// policy's fused slab kernel.
 //
-// A Matcher indexes one rank's representatives and is not safe for
-// concurrent use; the engine runs one per RankReducer.
+// A Matcher indexes one rank's representatives at a time and is not
+// safe for concurrent use; each engine worker runs one RankReducer,
+// whose matcher it resets between ranks.
 type Matcher struct {
 	policy Policy
-	// buckets maps a signature to its comparability classes in creation
-	// order. Almost every bucket holds exactly one class; extras appear
-	// only on signature collisions between non-comparable segments.
-	buckets map[segment.Signature][]*Class
+	// buckets maps a signature to its first comparability class; the
+	// rest follow through Class.next. Almost every bucket holds exactly
+	// one class; more appear only on signature collisions between
+	// non-comparable segments.
+	buckets map[segment.Signature]*Class
+	// classes holds every Class the matcher has made; the first nclasses
+	// belong to the current rank, and reset recycles them all.
+	classes  []*Class
+	nclasses int
+	// last is the class the latest Scan returned or Insert created, the
+	// first one the next Scan tries.
+	last *Class
 	// scratch is the single candidate RepState the matcher reuses for
 	// every Scan, keeping the steady-state hot path allocation-free. Its
 	// contents are valid until the next Prepare into it.
@@ -106,7 +128,33 @@ type Matcher struct {
 
 // NewMatcher returns an empty matcher for policy p.
 func NewMatcher(p Policy) *Matcher {
-	return &Matcher{policy: p, buckets: map[segment.Signature][]*Class{}}
+	return &Matcher{policy: p, buckets: map[segment.Signature]*Class{}}
+}
+
+// reset empties the matcher for the next rank. It keeps the bucket map's
+// table, the Class structs and their slabs' storage, and drops every
+// pointer to the old rank's representatives, the predecessor class
+// included, so the next rank can neither match nor keep alive a
+// representative of the last one.
+func (m *Matcher) reset() {
+	clear(m.buckets)
+	for _, c := range m.classes[:m.nclasses] {
+		c.reset()
+	}
+	m.nclasses = 0
+	m.last = nil
+}
+
+// newClass returns an empty class with prototype proto, a recycled one
+// when reset left any.
+func (m *Matcher) newClass(proto *segment.Segment) *Class {
+	if m.nclasses == len(m.classes) {
+		m.classes = append(m.classes, &Class{})
+	}
+	c := m.classes[m.nclasses]
+	m.nclasses++
+	c.proto = proto
+	return c
 }
 
 // MatchMode is the type of StreamOptions.Mode. Every scan is the
@@ -149,23 +197,30 @@ func NewMatcherMode(p Policy, _ MatchMode) *Matcher { return NewMatcher(p) }
 // is -1 when the class exists but no stored representative matches.
 // cs is the candidate's prepared state (a view of the matcher's reusable
 // scratch, valid until the next Scan), computed once per scanned segment
-// and reusable by Insert when the candidate is kept; the empty-bucket
-// short-circuit returns before any Prepare work, so candidates of a new
-// signature (the common case on irregular workloads) cost one hash
-// lookup, and the kept clone is prepared at insertion instead.
+// and reusable by Insert when the candidate is kept.
+//
+// The class is found in two steps. First the class the previous Scan
+// returned or Insert created is tried with one Comparable check, which
+// on a segment shaped like its predecessor (the common case) costs no
+// hash. Only when it does not fit is cand's signature computed and its
+// bucket searched. Both steps find the same class: comparability is an
+// equivalence and comparable segments share a signature, so a bucket
+// holds at most one class per shape. A candidate whose bucket is empty
+// returns before any Prepare work, and the kept clone is prepared at
+// insertion instead.
 func (m *Matcher) Scan(cand *segment.Segment) (cls *Class, idx int, cs *RepState) {
-	classes := m.buckets[cand.Sig()]
-	if len(classes) == 0 {
-		return nil, -1, nil
-	}
-	for _, c := range classes {
-		if c.proto.Comparable(cand) {
-			cs = &m.scratch
-			m.policy.Prepare(cand, cs)
-			return c, m.policy.Match(c, cand, cs), cs
+	c := m.last
+	if c == nil || !c.proto.Comparable(cand) {
+		for c = m.buckets[cand.Sig()]; c != nil && !c.proto.Comparable(cand); c = c.next {
 		}
+		if c == nil {
+			return nil, -1, nil
+		}
+		m.last = c
 	}
-	return nil, -1, nil
+	cs = &m.scratch
+	m.policy.Prepare(cand, cs)
+	return c, m.policy.Match(c, cand, cs), cs
 }
 
 // Insert stores rep — the kept (cloned, start-normalized) form of a
@@ -181,9 +236,11 @@ func (m *Matcher) Insert(cls *Class, rep *segment.Segment, id int, cs *RepState)
 		m.policy.Prepare(rep, cs)
 	}
 	if cls == nil {
-		cls = &Class{proto: rep}
+		cls = m.newClass(rep)
 		sig := rep.Sig()
-		m.buckets[sig] = append(m.buckets[sig], cls)
+		cls.next = m.buckets[sig]
+		m.buckets[sig] = cls
+		m.last = cls
 	}
 	cls.add(rep, id, cs)
 }

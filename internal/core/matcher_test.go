@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/segment"
@@ -228,7 +229,10 @@ func (x *xorshift) next() uint64 {
 // genSegments produces a deterministic stream of segments across several
 // pattern classes with measurement spreads chosen to sit on both sides
 // of every default threshold — including near-boundary values that
-// stress the pruning margin.
+// stress the pruning margin. Some segments differ from a class of the
+// same context and event count only in their last event's Bytes or
+// Peer, so the matcher's predecessor check fails at the last event and
+// the bucket lookup has to run.
 func genSegments(n int) []*segment.Segment {
 	rng := &xorshift{s: 0x9e3779b97f4a7c15}
 	contexts := []string{"main.1", "main.2", "main.3.1"}
@@ -252,6 +256,12 @@ func genSegments(n int) []*segment.Segment {
 				Name: "op", Kind: trace.KindCompute, Enter: enter, Exit: exit,
 				Peer: trace.NoPeer, Root: trace.NoPeer,
 			})
+		}
+		switch rng.next() % 6 {
+		case 0:
+			ev[nev-1].Bytes = 64
+		case 1:
+			ev[nev-1].Peer = 1
 		}
 		segs = append(segs, &segment.Segment{
 			Context: ctx,
@@ -328,6 +338,53 @@ func TestMatcherBruteForceParity(t *testing.T) {
 	}
 }
 
+// TestRankReducerResetParity: a reducer reset between ranks, as each
+// engine worker's is, reduces every rank exactly as a fresh reducer
+// does, for every method. The matcher keeps its table and slabs across
+// the reset but no class, representative or predecessor class of the
+// rank before, so a first segment shaped like the last rank's last one
+// must start a new class.
+func TestRankReducerResetParity(t *testing.T) {
+	segs := genSegments(3000)
+	ranks := [][]*segment.Segment{segs[:1200], nil, segs[1200:2000], segs[2000:]}
+	for _, method := range MethodNames {
+		p, err := DefaultMethod(method)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused := NewRankReducer(0, p)
+		for i, rank := range ranks {
+			if i > 0 {
+				reused.reset(i)
+			}
+			fresh := NewRankReducer(i, p)
+			for _, s := range rank {
+				// iter_avg mutates what it keeps, so each side feeds its
+				// own copy.
+				reused.Feed(s.Clone())
+				fresh.Feed(s.Clone())
+			}
+			got, want := reused.Finish(), fresh.Finish()
+			if got.Rank != want.Rank || len(got.Stored) != len(want.Stored) || !slices.Equal(got.Execs, want.Execs) {
+				t.Fatalf("%s rank %d: rank %d, %d stored, %d execs; fresh reducer: rank %d, %d stored, %d execs",
+					method, i, got.Rank, len(got.Stored), len(got.Execs), want.Rank, len(want.Stored), len(want.Execs))
+			}
+			for j, g := range got.Stored {
+				w := want.Stored[j]
+				if g.Context != w.Context || g.Start != w.Start || g.End != w.End || g.Weight != w.Weight || !slices.Equal(g.Events, w.Events) {
+					t.Fatalf("%s rank %d: stored %d differs: %+v vs %+v", method, i, j, g, w)
+				}
+			}
+			if reused.TotalSegments() != fresh.TotalSegments() || reused.Matches() != fresh.Matches() ||
+				reused.PossibleMatches() != fresh.PossibleMatches() {
+				t.Errorf("%s rank %d: counters (%d,%d,%d), fresh reducer (%d,%d,%d)", method, i,
+					reused.TotalSegments(), reused.Matches(), reused.PossibleMatches(),
+					fresh.TotalSegments(), fresh.Matches(), fresh.PossibleMatches())
+			}
+		}
+	}
+}
+
 // collisionSegment builds a minimal segment with the given context and
 // duration whose signature is then forced to collide.
 func collisionSegment(ctx string, dur trace.Time, start trace.Time) *segment.Segment {
@@ -348,7 +405,8 @@ func collisionSegment(ctx string, dur trace.Time, start trace.Time) *segment.Seg
 // to keep them in separate comparability groups: instances of either
 // pattern must match only representatives of their own group, never leak
 // across, and the possible-match counter must see exactly one class per
-// candidate.
+// candidate. The feed orders alternate the patterns and repeat each, so
+// the predecessor check both hits and falls back to the shared bucket.
 func TestMatcherSignatureCollisionDefense(t *testing.T) {
 	const forced = segment.Signature(0xdeadbeef)
 	mkA := func(start trace.Time) *segment.Segment {
@@ -368,24 +426,34 @@ func TestMatcherSignatureCollisionDefense(t *testing.T) {
 		t.Fatal("collision segments must not be comparable")
 	}
 
-	rr := NewRankReducer(0, NewRelDiff(0.8))
-	rr.Feed(mkA(0))    // kept: representative 0, class A
-	rr.Feed(mkB(1000)) // kept: representative 1, class B (same bucket)
-	rr.Feed(mkA(2000)) // must match representative 0, not B's
-	rr.Feed(mkB(3000)) // must match representative 1, not A's
-	out := rr.Finish()
-
-	if len(out.Stored) != 2 {
-		t.Fatalf("stored %d representatives, want 2 (one per comparability group)", len(out.Stored))
-	}
-	wantIDs := []int{0, 1, 0, 1}
-	for i, ex := range out.Execs {
-		if ex.ID != wantIDs[i] {
-			t.Errorf("exec %d matched representative %d, want %d", i, ex.ID, wantIDs[i])
+	for _, order := range []string{"ABAB", "AABBAB"} {
+		rr := NewRankReducer(0, NewRelDiff(0.8))
+		var wantIDs []int
+		for i, p := range order {
+			start := trace.Time(1000 * i)
+			if p == 'A' {
+				// A is fed first: representative 0, class A.
+				rr.Feed(mkA(start))
+				wantIDs = append(wantIDs, 0)
+				continue
+			}
+			// B's first instance is kept as representative 1 in a second
+			// class of the same bucket; every later one must match it.
+			rr.Feed(mkB(start))
+			wantIDs = append(wantIDs, 1)
 		}
-	}
-	if rr.Matches() != 2 || rr.PossibleMatches() != 2 {
-		t.Errorf("matches=%d possible=%d, want 2 and 2", rr.Matches(), rr.PossibleMatches())
+		out := rr.Finish()
+		if len(out.Stored) != 2 {
+			t.Fatalf("%s: stored %d representatives, want 2 (one per comparability group)", order, len(out.Stored))
+		}
+		for i, ex := range out.Execs {
+			if ex.ID != wantIDs[i] {
+				t.Errorf("%s: exec %d matched representative %d, want %d", order, i, ex.ID, wantIDs[i])
+			}
+		}
+		if want := len(order) - 2; rr.Matches() != want || rr.PossibleMatches() != want {
+			t.Errorf("%s: matches=%d possible=%d, want %d and %d", order, rr.Matches(), rr.PossibleMatches(), want, want)
+		}
 	}
 
 	// The bucket must hold two distinct classes, each with one member.

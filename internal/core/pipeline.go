@@ -74,10 +74,9 @@ type rankNameIDs map[string]uint32
 func (m rankNameIDs) ID(name string) uint32 { return m[name] }
 
 // snapshotRankNames registers one rank's names into nt (in the batch
-// prescan's visit order) and returns the rank's private id snapshot and
-// the largest id in it.
-func snapshotRankNames(nt *trace.NameTable, rr *RankReduced) (rankNameIDs, uint32) {
-	ids := make(rankNameIDs)
+// prescan's visit order), records them with their ids in the empty map
+// ids, the rank's private snapshot, and returns the largest id in it.
+func snapshotRankNames(nt *trace.NameTable, rr *RankReduced, ids rankNameIDs) uint32 {
 	var maxID uint32
 	add := func(name string) {
 		if _, ok := ids[name]; ok {
@@ -93,7 +92,7 @@ func snapshotRankNames(nt *trace.NameTable, rr *RankReduced) (rankNameIDs, uint3
 			add(e.Name)
 		}
 	}
-	return ids, maxID
+	return maxID
 }
 
 // passthroughCounter counts the bytes actually forwarded to w.
@@ -163,7 +162,11 @@ var chunkBufs bufpool.Pool[byte]
 // encodeSink registers each reduced rank's names in rank order and
 // encodes the rank's chunk on a worker, spooling the chunks until write
 // assembles the container. Each chunk is drawn from chunkBufs at a bound
-// on its encoded size and returned by release.
+// on its encoded size and returned by release. Once a rank's chunk is
+// encoded, its records counted and its stats taken, its reduction goes
+// back to the pools (releaseRank) and its id snapshot map to idMaps; a
+// rank still parked when the run aborts is left to the garbage
+// collector.
 type encodeSink struct {
 	version int
 	nt      *trace.NameTable
@@ -176,6 +179,8 @@ type encodeSink struct {
 	aborted bool
 	slots   []rankSlot
 	stats   StreamStats
+	// idMaps holds emptied id snapshot maps for the next registrations.
+	idMaps []rankNameIDs
 }
 
 // rankSlot is one rank's place in the container: its reduction while it
@@ -214,7 +219,13 @@ func (s *encodeSink) put(i int, r *RankReducer) {
 	// right behind it, one registration per lock so that other workers
 	// can park or register meanwhile.
 	for {
-		ids, maxID := snapshotRankNames(s.nt, &rr)
+		var ids rankNameIDs
+		if n := len(s.idMaps); n > 0 {
+			ids, s.idMaps = s.idMaps[n-1], s.idMaps[:n-1]
+		} else {
+			ids = make(rankNameIDs)
+		}
+		maxID := snapshotRankNames(s.nt, &rr, ids)
 		s.next++
 		s.mu.Unlock()
 		s.encode(i, &rr, ids, maxID)
@@ -228,16 +239,23 @@ func (s *encodeSink) put(i int, r *RankReducer) {
 	}
 }
 
-// encode encodes rank i's chunk from its id snapshot and spools it.
+// encode encodes rank i's chunk from its id snapshot and spools it, then
+// gives the rank's reduction and its emptied snapshot back for reuse.
 func (s *encodeSink) encode(i int, rr *RankReduced, ids rankNameIDs, maxID uint32) {
 	size := rankReducedV1Size(rr)
 	if s.version == 2 {
 		size = rankReducedV2Bound(maxID, rr)
 	}
 	chunk := appendRankReduced(chunkBufs.Get(int(size)), s.version, ids, rr)
+	rank, records := uint32(rr.Rank), rankRecords(rr)
+	// The chunk, the record count and (in put) the stats are all taken:
+	// nothing reads the reduction any more.
+	releaseRank(rr)
+	clear(ids)
 	s.mu.Lock()
 	sl := &s.slots[i]
-	sl.chunk, sl.rank, sl.records = chunk, uint32(rr.Rank), rankRecords(rr)
+	sl.chunk, sl.rank, sl.records = chunk, rank, records
+	s.idMaps = append(s.idMaps, ids)
 	s.mu.Unlock()
 }
 
@@ -259,11 +277,21 @@ func (s *encodeSink) release() {
 }
 
 // write assembles the container through reducedFamily.Write once the
-// name table is complete.
+// name table is complete. A destination with a Grow method (a
+// bytes.Buffer) is first grown by the container's size, so it
+// allocates once instead of doubling as the container arrives.
 func (s *encodeSink) write(w io.Writer) (*StreamStats, error) {
 	s.stats.Ranks = len(s.slots)
+	header := []string{s.stats.Name, s.stats.Method}
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		var payload int64
+		for i := range s.slots {
+			payload += int64(len(s.slots[i].chunk))
+		}
+		g.Grow(int(reducedFamily.Size(s.version, header, s.nt.Names(), len(s.slots), payload)))
+	}
 	cw := &passthroughCounter{w: w}
-	err := reducedFamily.Write(cw, s.version, []string{s.stats.Name, s.stats.Method}, s.nt.Names(), len(s.slots),
+	err := reducedFamily.Write(cw, s.version, header, s.nt.Names(), len(s.slots),
 		func(i int) (uint32, uint32, []byte) {
 			sl := &s.slots[i]
 			return sl.rank, sl.records, sl.chunk

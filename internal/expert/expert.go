@@ -465,11 +465,14 @@ func nextEvent(evs []trace.Event, i int) int {
 func Analyze(t *trace.Trace) (*Diagnosis, error) {
 	a := newAnalysis(t.NumRanks())
 
-	// First pass: wall time and stream sizes. The stream of every
-	// communication event is recorded in walk order, so the second pass
-	// resolves no channel again; an event has at most one stream.
+	// First pass: wall time, stream sizes and the trace's TRC1 size. The
+	// stream of every communication event is recorded in walk order, so
+	// the second pass resolves no channel again; an event has at most
+	// one stream.
 	var wall trace.Time
-	streamOf := streamIDs.Get(t.NumEvents())
+	var size trace.Sizer
+	events := t.NumEvents()
+	streamOf := streamIDs.Get(events)
 	defer func() {
 		streamIDs.Put(streamOf)
 		a.release()
@@ -478,6 +481,7 @@ func Analyze(t *trace.Trace) (*Diagnosis, error) {
 		evs := t.Ranks[r].Events
 		for i := range evs {
 			wall = max(wall, evs[i].Exit)
+			size.Name(evs[i].Name)
 			if st := a.stream(r, &evs[i]); st >= 0 {
 				a.count[st]++
 				streamOf = append(streamOf, int32(st))
@@ -513,6 +517,6 @@ func Analyze(t *trace.Trace) (*Diagnosis, error) {
 		return nil, err
 	}
 	d := a.diagnosis(t.Name, wall)
-	d.FullBytes = trace.EncodedSize(t)
+	d.FullBytes = size.Size(t.Name, len(t.Ranks), events)
 	return d, nil
 }

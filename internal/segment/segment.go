@@ -88,8 +88,9 @@ func mixString(h uint64, x string) uint64 {
 // Sig returns the segment's signature, computing and caching it on first
 // call. It covers exactly what Comparable compares — the context, the
 // event count, and each event's SameShape fields — so comparable
-// segments always share a signature. The value is not stable across
-// releases; see Signature.
+// segments always share a signature and it can key a bucket of
+// comparability classes; Comparable settles a collision. The value is
+// not stable across releases; see Signature.
 func (s *Segment) Sig() Signature {
 	if s.sig != 0 {
 		return s.sig
@@ -124,11 +125,11 @@ func (s *Segment) ForceSig(sig Signature) { s.sig = sig }
 // Comparable reports whether two segments have the same context and the
 // same events (names, kinds, message parameters) in the same order — the
 // precondition every similarity method shares (paper compareSegments).
+// It is a pure shape check and never computes a signature, so a caller
+// that already holds a likely class (core.Matcher's predecessor check)
+// confirms it without hashing the candidate.
 func (s *Segment) Comparable(o *Segment) bool {
 	if s.Context != o.Context || len(s.Events) != len(o.Events) {
-		return false
-	}
-	if s.Sig() != o.Sig() {
 		return false
 	}
 	for i := range s.Events {
@@ -175,17 +176,23 @@ func (s *Segment) NumMeasurements() int { return 2*len(s.Events) + 1 }
 
 // Clone returns a deep copy of the segment with base 0: a view's copy
 // has its stamps rebased relative to Start.
-func (s *Segment) Clone() *Segment {
-	c := *s
-	c.Events = append([]trace.Event(nil), s.Events...)
+func (s *Segment) Clone() *Segment { return s.CloneInto(new(Segment), nil) }
+
+// CloneInto is Clone into caller storage: it overwrites *dst with a
+// copy of s whose events are appended to events[:0], which allocates
+// only when events is too short, rebases them as Clone does, and
+// returns dst. The copy shares no storage with s.
+func (s *Segment) CloneInto(dst *Segment, events []trace.Event) *Segment {
+	*dst = *s
+	dst.Events = append(events[:0], s.Events...)
 	if s.base != 0 {
-		for i := range c.Events {
-			c.Events[i].Enter -= s.base
-			c.Events[i].Exit -= s.base
+		for i := range dst.Events {
+			dst.Events[i].Enter -= s.base
+			dst.Events[i].Exit -= s.base
 		}
-		c.base = 0
+		dst.base = 0
 	}
-	return &c
+	return dst
 }
 
 // Split cuts one rank's event stream into segments. Marker events delimit

@@ -309,8 +309,9 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 		s.failSession(w, r, err)
 		return
 	}
-	// Cache an exact-size copy: out's backing array has grown by
-	// doubling, and the cache charges every byte it holds.
+	// Cache an exact-size copy: the pipeline grew out by the container's
+	// size, but the allocator rounds its backing array up to a size
+	// class, and the cache charges every byte it holds.
 	reduced := make([]byte, out.Len())
 	copy(reduced, out.Bytes())
 	ent := &CacheEntry{Body: reduced, Stats: *stats}

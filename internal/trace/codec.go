@@ -37,37 +37,59 @@ const EventRecordSize = 4 + 1 + 8 + 8 + 4 + 4 + 8 + 4
 // encoding: the header with each distinct name once, then 8 header
 // bytes per rank and EventRecordSize per event.
 func EncodedSize(t *Trace) int64 {
-	var size int64
-	var names []string
-	seen := map[string]struct{}{}
-	// counted is a direct-mapped cache in front of seen: slot
-	// nameSlot(s) holds the last name counted or found there, and bit k of
-	// filled marks slot k as holding one. A hit still compares the
-	// strings, so a collision costs one map lookup and never the count.
-	var counted [32]string
-	var filled uint32
+	var s Sizer
+	events := 0
 	for i := range t.Ranks {
-		events := t.Ranks[i].Events
-		size += 8 + int64(len(events))*EventRecordSize
-		for j := range events {
-			name := events[j].Name
-			k := nameSlot(name)
-			if filled&(1<<k) != 0 && counted[k] == name {
-				continue
-			}
-			counted[k] = name
-			filled |= 1 << k
-			if _, ok := seen[name]; !ok {
-				seen[name] = struct{}{}
-				names = append(names, name)
-			}
+		evs := t.Ranks[i].Events
+		events += len(evs)
+		for j := range evs {
+			s.Name(evs[j].Name)
 		}
 	}
-	return HeaderSize([]string{t.Name}, names) + size
+	return s.Size(t.Name, len(t.Ranks), events)
 }
 
-// nameSlot keys a name into EncodedSize's 32-slot cache by its length,
-// first byte and last byte.
+// Sizer computes a trace's TRC1 size (EncodedSize) inside a walk the
+// caller already makes: Name takes every event's name, and Size the
+// workload name, rank count and event count. The zero value is ready to
+// use.
+type Sizer struct {
+	names []string
+	seen  map[string]struct{}
+	// counted is a direct-mapped cache in front of seen: slot
+	// nameSlot(s) holds the last name counted or found there, and bit k
+	// of filled marks slot k as holding one. A hit still compares the
+	// strings, so a collision costs one map lookup and never the count.
+	counted [32]string
+	filled  uint32
+}
+
+// Name counts one event's name, once however often it recurs.
+func (s *Sizer) Name(name string) {
+	k := nameSlot(name)
+	if s.filled&(1<<k) != 0 && s.counted[k] == name {
+		return
+	}
+	s.counted[k] = name
+	s.filled |= 1 << k
+	if _, ok := s.seen[name]; ok {
+		return
+	}
+	if s.seen == nil {
+		s.seen = map[string]struct{}{}
+	}
+	s.seen[name] = struct{}{}
+	s.names = append(s.names, name)
+}
+
+// Size returns the TRC1 size of a trace called name with the given rank
+// and event counts, whose event names went through Name.
+func (s *Sizer) Size(name string, ranks, events int) int64 {
+	return HeaderSize([]string{name}, s.names) + int64(ranks)*8 + int64(events)*EventRecordSize
+}
+
+// nameSlot keys a name into Sizer's 32-slot cache by its length, first
+// byte and last byte.
 func nameSlot(s string) uint {
 	k := uint(len(s))
 	if len(s) > 0 {

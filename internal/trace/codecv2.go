@@ -112,6 +112,18 @@ func HeaderSize(header, names []string) int64 {
 	return n
 }
 
+// Size returns the bytes Write writes for the same version, header,
+// names and n when its sections' payloads total payload bytes: the
+// header and the payloads, plus in version 2 each block's inline header
+// and the footer (block count, index and trailer).
+func (f Family) Size(version int, header, names []string, n int, payload int64) int64 {
+	size := HeaderSize(header, names) + payload
+	if version == 2 {
+		size += int64(n)*(blockHeaderSize+blockEntrySize) + 4 + trailerSize
+	}
+	return size
+}
+
 // Write writes a container of family f in the given version, 1 or 2, to
 // w: the header — the version's magic, the header strings, names as the
 // name table and n as the rank count — then the rank sections

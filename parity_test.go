@@ -193,7 +193,7 @@ func TestStreamingDecodeReduceParity(t *testing.T) {
 			if err := trace.Encode(&enc, full); err != nil {
 				t.Fatalf("encoding trace: %v", err)
 			}
-			streamed, _ := pipelineReduce(t, enc.Bytes(), method, 1)
+			streamed, _ := pipelineReduce(t, enc.Bytes(), method, 1, 0)
 			pSeq, _ := core.DefaultMethod(method)
 			seq, err := core.ReduceSequential(full, pSeq)
 			if err != nil {

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -17,10 +18,25 @@ import (
 	"repro/internal/trace"
 )
 
+// growBuffer is a bytes.Buffer that records the size it is asked to
+// grow by: the pipeline grows such a destination by the container size
+// it computes before writing.
+type growBuffer struct {
+	bytes.Buffer
+	grown int
+}
+
+func (g *growBuffer) Grow(n int) {
+	g.grown = n
+	g.Buffer.Grow(n)
+}
+
 // pipelineReduce decodes the trace container enc and runs it through
-// the pipelined reduce-to-writer with the named method, returning the
-// reduced container of the given version and the run's stats.
-func pipelineReduce(t *testing.T, enc []byte, method string, version int) ([]byte, *core.StreamStats) {
+// the pipelined reduce-to-writer with the named method on the given
+// number of workers (non-positive: GOMAXPROCS), returning the reduced
+// container of the given version and the run's stats. The size the
+// destination was grown by must be the size written.
+func pipelineReduce(t *testing.T, enc []byte, method string, version, workers int) ([]byte, *core.StreamStats) {
 	t.Helper()
 	d, err := trace.NewDecoder(bytes.NewReader(enc))
 	if err != nil {
@@ -31,10 +47,14 @@ func pipelineReduce(t *testing.T, enc []byte, method string, version int) ([]byt
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	stats, err := core.ReduceStreamToWriterOpts(d, p, &out, version, core.StreamOptions{})
+	var out growBuffer
+	stats, err := core.ReduceStreamToWriterOpts(d, p, &out, version, core.StreamOptions{Workers: workers})
 	if err != nil {
 		t.Fatalf("%s v%d: ReduceStreamToWriterOpts: %v", method, version, err)
+	}
+	if int64(out.grown) != stats.BytesWritten || int64(out.Len()) != stats.BytesWritten {
+		t.Errorf("%s v%d: destination grown by %d bytes, %d written, %d counted",
+			method, version, out.grown, out.Len(), stats.BytesWritten)
 	}
 	return out.Bytes(), stats
 }
@@ -43,7 +63,8 @@ func pipelineReduce(t *testing.T, enc []byte, method string, version int) ([]byt
 // through the pipelined reduce-to-writer path in both container
 // versions, each decoded from a trace container of the same version, and
 // requires byte identity with the batch encoding, plus counter agreement
-// in the returned stats.
+// in the returned stats and a destination grown by exactly the bytes
+// written.
 func TestPipelineReducedParity(t *testing.T) {
 	// Force a real worker pool so ranks finish out of turn and are
 	// parked in the encoding sink even on a single-CPU machine.
@@ -75,7 +96,7 @@ func TestPipelineReducedParity(t *testing.T) {
 					if err := core.EncodeReduced(&want, red, version); err != nil {
 						t.Fatalf("%s v%d: batch encode: %v", method, version, err)
 					}
-					got, stats := pipelineReduce(t, encoded[version], method, version)
+					got, stats := pipelineReduce(t, encoded[version], method, version, 0)
 					if !bytes.Equal(want.Bytes(), got) {
 						t.Errorf("%s v%d: pipelined container differs from batch (%d vs %d bytes)",
 							method, version, len(got), want.Len())
@@ -89,6 +110,63 @@ func TestPipelineReducedParity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPipelineReuseParity reduces one trace whose ranks come from
+// different catalog traces, with an empty rank among them, through the
+// pipeline at 1 and 2 workers, from TRC1 (read in order) and TRC2 (read
+// by index) into TRR1 and TRR2. Each run must write the bytes of
+// ReduceSequential followed by EncodeReduced. At 1 worker, one reused
+// reducer serves every rank in turn, so a class, representative or
+// predecessor class left over from one rank would show in the next;
+// at 2, ranks park and their pooled storage passes between workers.
+func TestPipelineReuseParity(t *testing.T) {
+	mixed := trace.New("mixed", 0)
+	for k, workload := range eval.AllNames() {
+		if k == 7 {
+			mixed.Ranks = append(mixed.Ranks, trace.RankTrace{Rank: len(mixed.Ranks)})
+		}
+		src := parityTrace(t, workload)
+		rt := src.Ranks[k%len(src.Ranks)]
+		mixed.Ranks = append(mixed.Ranks, trace.RankTrace{Rank: len(mixed.Ranks), Events: slices.Clone(rt.Events)})
+	}
+	var v1, v2 bytes.Buffer
+	if err := trace.Encode(&v1, mixed); err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.EncodeV2(&v2, mixed); err != nil {
+		t.Fatal(err)
+	}
+	for _, method := range core.MethodNames {
+		p, err := core.DefaultMethod(method)
+		if err != nil {
+			t.Fatal(err)
+		}
+		red, err := core.ReduceSequential(mixed, p)
+		if err != nil {
+			t.Fatalf("%s: ReduceSequential: %v", method, err)
+		}
+		for _, version := range []int{1, 2} {
+			var want bytes.Buffer
+			if err := core.EncodeReduced(&want, red, version); err != nil {
+				t.Fatal(err)
+			}
+			for _, in := range []*bytes.Buffer{&v1, &v2} {
+				for _, workers := range []int{1, 2} {
+					got, stats := pipelineReduce(t, in.Bytes(), method, version, workers)
+					if !bytes.Equal(got, want.Bytes()) {
+						t.Errorf("%s: TRC%d -> TRR%d at %d workers: %d bytes differ from the sequential reduction's %d",
+							method, in.Bytes()[3]-'0', version, workers, len(got), want.Len())
+					}
+					if stats.TotalSegments != red.TotalSegments || stats.Matches != red.Matches ||
+						stats.PossibleMatches != red.PossibleMatches || stats.StoredSegments != red.StoredSegments() {
+						t.Errorf("%s: TRC%d -> TRR%d at %d workers: stats %+v disagree with the sequential counters",
+							method, in.Bytes()[3]-'0', version, workers, stats)
+					}
+				}
+			}
+		}
 	}
 }
 

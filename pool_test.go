@@ -50,15 +50,17 @@ func warmCell(trc []byte, full *tracered.Trace, diag *tracered.Diagnosis, method
 // TestWarmCellAllocBound is the allocation gate of a study cell: after
 // a warm-up pass, nine warm cells (one per method) over a catalog trace
 // allocate at most bound bytes per input event. Each cell's transient
-// working set comes from the pools, so what remains is mostly output
-// the caller keeps: the reduced container, its read-back and the
-// representatives. sync.Pool caches per P, so the figure grows with
-// GOMAXPROCS (on amd64, Go 1.24, 2 CPUs, sweep3d_32p read 21 B/event at
-// 1, 24–27 at 2, 35–37 at 8 and up to 45 at 16); the gate pins
-// GOMAXPROCS at 2, the benchmark's 2 workers on 2 vCPUs, where
-// sweep3d_32p reads 24–27 and NtoN_1024 17, against 63 and 34 without
-// the pools. The race detector drops pooled buffers at random, so the
-// gate is skipped there.
+// working set comes from the pools, the pipeline's per-rank reduction
+// included, so what remains is mostly output the caller keeps: the
+// reduced container and its read-back. sync.Pool caches per P, so the
+// figure grows with GOMAXPROCS (on amd64, Go 1.24, 2 CPUs, sweep3d_32p
+// read 9 B/event at 1, 10–11 at 2, 12–16 at 4, 17–30 at 8 and 19–24 at
+// 16); the gate pins GOMAXPROCS at 2, the benchmark's 2 workers on 2
+// vCPUs, where sweep3d_32p reads 10–11 and NtoN_1024 8. It read 24–27
+// and 17 while the pipeline allocated each rank's matcher, execution
+// log and representatives afresh, and 63 and 34 without the pools. The
+// race detector drops pooled buffers at random, so the gate is skipped
+// there.
 func TestWarmCellAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -68,8 +70,8 @@ func TestWarmCellAllocBound(t *testing.T) {
 		workload string
 		bound    float64 // bytes per input event
 	}{
-		{"sweep3d_32p", 45},
-		{"NtoN_1024", 26},
+		{"sweep3d_32p", 16},
+		{"NtoN_1024", 12},
 	} {
 		full := parityTrace(t, tc.workload)
 		var trc bytes.Buffer
