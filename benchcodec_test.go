@@ -160,8 +160,8 @@ func BenchmarkCodecReducedRoundTrip(b *testing.B) {
 // BenchmarkPipelineReduce measures the end-to-end TRC2 -> reduce ->
 // TRR2 path both ways: batch (decode the full trace, reduce it into a
 // full Reduced, then encode it) against the pipelined
-// ReduceStreamToWriterOpts, which overlaps decode, reduction, and encode
-// and never materializes the Reduced.
+// ReduceStreamToWriterOpts, which overlaps decode and reduction and
+// never materializes the full trace.
 func BenchmarkPipelineReduce(b *testing.B) {
 	full, err := sharedRunner(b).Trace(benchCodecTrace)
 	if err != nil {

@@ -13,10 +13,10 @@
 // containers decode their blocks in parallel). -format selects the
 // version of the written reduced container: v1 (default) or v2.
 //
-// Every run is fully pipelined: the trace is decoded, segmented, and
-// reduced rank by rank on a worker pool, and each rank's reduced block
-// is encoded as soon as it is reduced, so only a pool's worth of ranks
-// is ever held in memory and the full reduction is never materialized.
+// Every run is pipelined: the trace is decoded, segmented, and reduced
+// rank by rank on a worker pool, so only a pool's worth of decoded ranks
+// is ever held in memory, and the compact reduction is then encoded on
+// the same pool. The full trace is never materialized.
 // The container goes to -out, byte-identical to reducing in memory and
 // encoding afterwards; without -out it is only counted, or kept in
 // memory when -verify needs it back. -out may not name the input file.
@@ -26,7 +26,7 @@
 // -cpuprofile/-memprofile/-mutexprofile/-blockprofile write standard
 // pprof profiles of the run, the measurement hooks for matcher and
 // engine work (the mutex and block profiles expose waits on the
-// engine's claim lock and the encoding sink's lock).
+// engine's claim lock).
 package main
 
 import (
@@ -129,10 +129,9 @@ func run(in, out, method string, threshold float64, fv tracered.Format, verify b
 	}
 	defer dec.Close()
 
-	// Decode, per-rank reduction, and reduced-block encode overlap, and
-	// the full Reduced is never materialized. The container goes to the
-	// output file, or to memory when -verify needs it back, or else is
-	// only counted.
+	// Decode and per-rank reduction overlap, and the full trace is never
+	// materialized. The container goes to the output file, or to memory
+	// when -verify needs it back, or else is only counted.
 	var w io.Writer = io.Discard
 	var g *os.File
 	var mem bytes.Buffer

@@ -53,7 +53,7 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the server's lifetime to `file`")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken at shutdown to `file`")
 	mutexprofile := flag.String("mutexprofile", "", "write a mutex-contention profile (fleet/cache locks) to `file`")
-	blockprofile := flag.String("blockprofile", "", "write a blocking profile (fleet waits, the encoding sink's lock) to `file`")
+	blockprofile := flag.String("blockprofile", "", "write a blocking profile (fleet waits, the engine's claim lock) to `file`")
 	flag.Parse()
 
 	cfg := serve.Config{

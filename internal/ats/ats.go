@@ -217,13 +217,6 @@ func ImbalanceAtBarrier(p Params) *Benchmark {
 		Config: mpisim.DefaultConfig(), ExpectMetric: "wait_barrier", ExpectLocation: "MPI_Barrier"}
 }
 
-// RegularSet returns the paper's five regularly-behaving benchmarks.
-func RegularSet(p Params) []*Benchmark {
-	return []*Benchmark{
-		EarlyGather(p), ImbalanceAtBarrier(p), LateReceiver(p), LateSender(p), LateBroadcast(p),
-	}
-}
-
 // InterferencePattern selects the communication step of an irregular
 // benchmark.
 type InterferencePattern int
@@ -336,19 +329,6 @@ func InterferenceParams() Params {
 	return Params{Ranks: 32, Iterations: 150, Work: 1000, Severity: 0, Bytes: 65536, JitterPct: 3}
 }
 
-// InterferenceSet returns the ten irregular benchmarks: the five
-// communication patterns at simulated sizes 32 and 1024.
-func InterferenceSet(p Params) []*Benchmark {
-	patterns := []InterferencePattern{PatternNto1, PatternNtoN, Pattern1toN, Pattern1to1r, Pattern1to1s}
-	var out []*Benchmark
-	for _, sim := range []int{32, 1024} {
-		for _, pat := range patterns {
-			out = append(out, Interference(p, pat, sim))
-		}
-	}
-	return out
-}
-
 // HaloJitter builds the jittered halo-exchange benchmark: the ranks form
 // a ring and every iteration exchange boundary data with both neighbours
 // (eager send + blocking receive, the usual stencil idiom) after a
@@ -408,12 +388,6 @@ func BurstyIO(p Params) *Benchmark {
 	})
 	return &Benchmark{Name: "bursty_io", Pattern: "N-N", Program: prog,
 		Config: mpisim.DefaultConfig(), ExpectMetric: "wait_barrier", ExpectLocation: "MPI_Barrier"}
-}
-
-// ScenarioSet returns the two scenario-diversity benchmarks that extend
-// the paper's original 18-workload grid.
-func ScenarioSet(p Params) []*Benchmark {
-	return []*Benchmark{HaloJitter(p), BurstyIO(p)}
 }
 
 // DynLoadBalance builds the dynamic-load-balancing benchmark: work starts

@@ -105,10 +105,8 @@ func TestImbalanceAtBarrierBenchmark(t *testing.T) {
 }
 
 func TestRegularSetComplete(t *testing.T) {
-	set := RegularSet(smallParams())
-	if len(set) != 5 {
-		t.Fatalf("RegularSet has %d benchmarks, want 5", len(set))
-	}
+	p := smallParams()
+	set := []*Benchmark{EarlyGather(p), ImbalanceAtBarrier(p), LateReceiver(p), LateSender(p), LateBroadcast(p)}
 	names := map[string]bool{}
 	for _, b := range set {
 		names[b.Name] = true
@@ -122,9 +120,11 @@ func TestRegularSetComplete(t *testing.T) {
 
 func TestInterferenceSetComplete(t *testing.T) {
 	p := Params{Ranks: 4, Iterations: 6, Work: 500, Bytes: 512}
-	set := InterferenceSet(p)
-	if len(set) != 10 {
-		t.Fatalf("InterferenceSet has %d benchmarks, want 10", len(set))
+	var set []*Benchmark
+	for _, sim := range []int{32, 1024} {
+		for _, pat := range []InterferencePattern{PatternNto1, PatternNtoN, Pattern1toN, Pattern1to1r, Pattern1to1s} {
+			set = append(set, Interference(p, pat, sim))
+		}
 	}
 	seen := map[string]bool{}
 	for _, b := range set {
@@ -239,12 +239,9 @@ func TestBurstyIO(t *testing.T) {
 }
 
 func TestScenarioSetComplete(t *testing.T) {
-	set := ScenarioSet(smallParams())
-	if len(set) != 2 {
-		t.Fatalf("ScenarioSet has %d benchmarks, want 2", len(set))
-	}
-	if set[0].Name != "halo_jitter" || set[1].Name != "bursty_io" {
-		t.Errorf("ScenarioSet = %q, %q", set[0].Name, set[1].Name)
+	p := smallParams()
+	if h, b := HaloJitter(p), BurstyIO(p); h.Name != "halo_jitter" || b.Name != "bursty_io" {
+		t.Errorf("scenario benchmarks are named %q, %q", h.Name, b.Name)
 	}
 }
 

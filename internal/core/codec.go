@@ -5,7 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"runtime"
 
+	"repro/internal/bufpool"
+	"repro/internal/fanout"
 	"repro/internal/segment"
 	"repro/internal/trace"
 )
@@ -64,18 +67,68 @@ func rankReducedV1Size(rr *RankReduced) int64 {
 
 // EncodeReduced writes r to w as a reduced container of the given
 // version: 1 for TRR1, the default interchange form, or 2 for the
-// columnar TRR2. Each rank's chunk is encoded on the caller's goroutine
-// and written before the next one is encoded.
+// columnar TRR2. It runs writeReduced on the caller's goroutine and
+// leaves r as it was.
 func EncodeReduced(w io.Writer, r *Reduced, version int) error {
 	if err := checkReducedVersion(version); err != nil {
 		return err
 	}
-	nt := reducedNameTable(r)
-	var chunk []byte
-	return reducedFamily.Write(w, version, []string{r.Name, r.Method}, nt.Names(), len(r.Ranks), func(i int) (uint32, uint32, []byte) {
-		rr := &r.Ranks[i]
-		chunk = appendRankReduced(chunk[:0], version, nt, rr)
-		return uint32(rr.Rank), rankRecords(rr), chunk
+	_, err := writeReduced(w, r, version, 1, false)
+	return err
+}
+
+// chunkBufs holds encoded rank chunks until their container is written.
+var chunkBufs bufpool.Pool[byte]
+
+// writeReduced writes red to w as a reduced container of the given
+// version and returns the bytes written; EncodeReduced and the pipeline
+// both write through it. It fills the name table in rank order first,
+// so the chunk encoders only read it, then encodes the ranks' chunks on
+// up to workers goroutines (GOMAXPROCS when non-positive) and writes the
+// container through reducedFamily.Write. Each chunk's buffer is drawn
+// from chunkBufs at the rank's TRR1 size: exact for TRR1, and above a
+// TRR2 chunk whenever its varints are no longer than TRR1's fixed-width
+// fields (append grows the rest). With release, each rank goes back to
+// the pools (releaseRank) once its chunk is encoded, so red keeps only
+// its name and counters; a batch caller, which owns its reduction,
+// passes false.
+func writeReduced(w io.Writer, red *Reduced, version, workers int, release bool) (int64, error) {
+	nt := reducedNameTable(red)
+	type chunk struct {
+		rank, records uint32
+		payload       []byte
+	}
+	chunks := make([]chunk, len(red.Ranks))
+	defer func() {
+		for _, c := range chunks {
+			chunkBufs.Put(c.payload)
+		}
+	}()
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	// Encoding a chunk cannot fail, so neither can the fan-out.
+	fanout.Run(workers, len(chunks), func(i int) error {
+		rr := &red.Ranks[i]
+		buf := chunkBufs.Get(int(rankReducedV1Size(rr)))
+		chunks[i] = chunk{uint32(rr.Rank), rankRecords(rr), appendRankReduced(buf, version, nt, rr)}
+		if release {
+			releaseRank(rr)
+		}
+		return nil
+	})
+	header := []string{red.Name, red.Method}
+	// A destination that can grow (a bytes.Buffer) allocates once instead
+	// of doubling as the container arrives.
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		var payload int64
+		for _, c := range chunks {
+			payload += int64(len(c.payload))
+		}
+		g.Grow(int(reducedFamily.Size(version, header, nt.Names(), len(chunks), payload)))
+	}
+	return reducedFamily.Write(w, version, header, nt.Names(), len(chunks), func(i int) (uint32, uint32, []byte) {
+		return chunks[i].rank, chunks[i].records, chunks[i].payload
 	})
 }
 
@@ -94,7 +147,7 @@ func rankRecords(rr *RankReduced) uint32 { return uint32(len(rr.Stored) + len(rr
 
 // appendRankReduced appends rank rr's chunk in the given container
 // version to dst: a TRR1 rank section or a TRR2 block payload.
-func appendRankReduced(dst []byte, version int, nt trace.NameIDs, rr *RankReduced) []byte {
+func appendRankReduced(dst []byte, version int, nt *trace.NameTable, rr *RankReduced) []byte {
 	if version == 2 {
 		return appendRankReducedV2(dst, nt, rr)
 	}
@@ -103,10 +156,8 @@ func appendRankReduced(dst []byte, version int, nt trace.NameIDs, rr *RankReduce
 
 // appendRankReducedV1 appends one rank's TRR1 section — rank header,
 // stored segments with fixed-width event records, 12-byte exec records —
-// to dst and returns the extended slice. Both the batch encoder above
-// and the pipelined reduce-to-writer path emit rank sections through
-// this helper, so their bytes agree by construction.
-func appendRankReducedV1(dst []byte, nt trace.NameIDs, rr *RankReduced) []byte {
+// to dst and returns the extended slice.
+func appendRankReducedV1(dst []byte, nt *trace.NameTable, rr *RankReduced) []byte {
 	le := binary.LittleEndian
 	dst = le.AppendUint32(dst, uint32(rr.Rank))
 	dst = le.AppendUint32(dst, uint32(len(rr.Stored)))

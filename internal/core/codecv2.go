@@ -35,57 +35,24 @@ import (
 
 const reducedMagicV2 = "TRR2"
 
-// rankReducedV2Bound returns a bound on len(appendRankReducedV2(nil,
-// nt, rr)) for any nt whose ids for rr's names are at most maxID: the
-// size walk with every name id counted at maxID's width, so no name is
-// looked up. It is exact when all those ids share one width (every id
-// below 128, say). The pipeline draws each chunk's buffer by it.
-func rankReducedV2Bound(maxID uint32, rr *RankReduced) int64 {
-	idWidth := int64(trace.UvarintSize(uint64(maxID)))
-	n := int64(trace.UvarintSize(uint64(len(rr.Stored))) + trace.UvarintSize(uint64(len(rr.Execs))))
-	for _, s := range rr.Stored {
-		n += idWidth
-		n += int64(trace.VarintSize(s.End))
-		n += int64(trace.UvarintSize(uint64(s.Weight)))
-		n += int64(trace.UvarintSize(uint64(len(s.Events))))
-		n += trace.EventsV2Bound(idWidth, s.Events)
-	}
-	var prev int64
-	for _, ex := range rr.Execs {
-		n += int64(trace.UvarintSize(uint64(ex.ID)))
-		n += int64(trace.VarintSize(ex.Start - prev))
-		prev = ex.Start
-	}
-	return n
-}
-
-// reducedNameTable prescans r and assigns name-table ids rank by rank in
-// first-use order — the id assignment every reduced encoder (v1, v2, and
-// the pipelined writer, which registers one rank at a time) shares.
+// reducedNameTable assigns r's name-table ids in first-use order: rank by
+// rank, and per stored segment the context first, then its event names.
+// Both container versions share it.
 func reducedNameTable(r *Reduced) *trace.NameTable {
 	nt := trace.NewNameTable()
 	for i := range r.Ranks {
-		registerRankNames(nt, &r.Ranks[i])
+		for _, s := range r.Ranks[i].Stored {
+			nt.ID(s.Context)
+			for _, e := range s.Events {
+				nt.ID(e.Name)
+			}
+		}
 	}
 	return nt
 }
 
-// registerRankNames assigns ids for one rank's names in the exact order
-// the batch prescan visits them: per stored segment, the context first,
-// then its event names. The pipelined writer's snapshotRankNames visits
-// each rank in the same order, in rank order, which yields the same
-// table.
-func registerRankNames(nt *trace.NameTable, rr *RankReduced) {
-	for _, s := range rr.Stored {
-		nt.ID(s.Context)
-		for _, e := range s.Events {
-			nt.ID(e.Name)
-		}
-	}
-}
-
 // appendRankReducedV2 appends one rank's v2 block payload to dst.
-func appendRankReducedV2(dst []byte, nt trace.NameIDs, rr *RankReduced) []byte {
+func appendRankReducedV2(dst []byte, nt *trace.NameTable, rr *RankReduced) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(rr.Stored)))
 	dst = binary.AppendUvarint(dst, uint64(len(rr.Execs)))
 	for _, s := range rr.Stored {

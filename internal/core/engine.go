@@ -16,22 +16,8 @@ import (
 // in-memory trace and the pipelined ReduceStreamToWriterOpts over a
 // decoder. A worker claims the next rank index, takes that rank from the
 // source, reduces it with the worker's one RankReducer (reset between
-// ranks), recycles the rank's events, and hands the reduction to a
-// sink: collectSink builds a *Reduced; encodeSink (pipeline.go) encodes
-// each rank's container chunk in file order.
-
-// rankSink receives each reduced rank on the worker that reduced it.
-type rankSink interface {
-	// put takes rank i's finished reducer. Calls run concurrently, one
-	// per rank index, and never wait for one another. The reducer is
-	// reset for the worker's next rank once put returns, so put takes
-	// the reduction (Finish) and its counters out of it; the reduction's
-	// storage is the sink's from then on.
-	put(i int, r *RankReducer)
-	// abort tells the sink the run has failed, so it may drop what it
-	// has not finished.
-	abort()
-}
+// ranks), recycles the rank's events, and files the rank's reduction and
+// counters in the *Reduced under the rank's index.
 
 // rankSource is where the engine takes its ranks from. An indexed source
 // (at set) hands rank i to the worker that claimed index i, outside the
@@ -40,7 +26,9 @@ type rankSink interface {
 type rankSource struct {
 	// at returns rank i of n; it is called concurrently.
 	at func(i int) (*trace.RankTrace, error)
-	n  int
+	// n is the rank count: where an indexed source ends, and for either
+	// source a cap on the Ranks slice drawn up front.
+	n int
 	// next returns the next rank, and io.EOF after the last.
 	next func() (*trace.RankTrace, error)
 	// recycle, when non-nil, takes each rank back once the reducer has
@@ -50,14 +38,16 @@ type rankSource struct {
 
 // reduceRanks reduces the ranks of src on a pool of opts.Workers workers
 // (GOMAXPROCS when non-positive), numbering them by claim order: rank
-// i's RankReduced.Rank is i.
+// i's RankReduced.Rank is i. The reduction's storage comes from the
+// pools behind RankReducer and is the caller's.
 //
 // The error is deterministic. Each failure is recorded under its rank
 // index, a source error (decode or read) under the index being claimed,
 // and the lowest is returned: ranks are claimed in order and every
 // claimed rank is read and reduced, so every rank before a failed one
-// has run. A cancellation with no failed rank returns ctx.Err().
-func reduceRanks(name string, p Policy, src rankSource, opts StreamOptions, sink rankSink) error {
+// has run. With no failed rank, a run whose context is done by the time
+// every worker has returned returns ctx.Err().
+func reduceRanks(name string, p Policy, src rankSource, opts StreamOptions) (*Reduced, error) {
 	ctx := opts.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -65,15 +55,17 @@ func reduceRanks(name string, p Policy, src rankSource, opts StreamOptions, sink
 	// Latch an already-dead context synchronously: AfterFunc fires on its
 	// own goroutine, and a small stream can finish before it runs.
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
+	// The declared rank count only caps the initial capacity: a hostile
+	// header can promise a million ranks in a few bytes.
+	red := &Reduced{Name: name, Method: p.Name(), Ranks: make([]RankReduced, 0, min(src.n, 1<<12))}
 	var (
-		mu        sync.Mutex // serializes src.next; guards the fields below
-		claimed   int
-		stop      bool
-		cancelled bool
-		errAt     int
-		firstErr  error
+		mu       sync.Mutex // serializes src.next; guards red and the fields below
+		claimed  int
+		stop     bool
+		errAt    int
+		firstErr error
 	)
 	fail := func(i int, err error) {
 		mu.Lock()
@@ -82,13 +74,11 @@ func reduceRanks(name string, p Policy, src rankSource, opts StreamOptions, sink
 			errAt, firstErr = i, err
 		}
 		mu.Unlock()
-		sink.abort()
 	}
 	stopCancel := context.AfterFunc(ctx, func() {
 		mu.Lock()
-		stop, cancelled = true, true
+		stop = true
 		mu.Unlock()
-		sink.abort()
 	})
 	defer stopCancel()
 	workers := opts.Workers
@@ -152,39 +142,24 @@ func reduceRanks(name string, p Policy, src rankSource, opts StreamOptions, sink
 				if src.recycle != nil {
 					src.recycle(rt)
 				}
-				sink.put(i, r)
+				mu.Lock()
+				for len(red.Ranks) <= i {
+					red.Ranks = append(red.Ranks, RankReduced{})
+				}
+				red.Ranks[i] = r.Finish()
+				red.TotalSegments += r.TotalSegments()
+				red.Matches += r.Matches()
+				red.PossibleMatches += r.PossibleMatches()
+				mu.Unlock()
 			}
 		})
 	}
 	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
 	if firstErr != nil {
-		return firstErr
+		return nil, firstErr
 	}
-	if cancelled {
-		return ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	return nil
+	return red, nil
 }
-
-// collectSink gathers the reduced ranks into one *Reduced.
-type collectSink struct {
-	mu  sync.Mutex
-	red *Reduced
-}
-
-func (c *collectSink) put(i int, r *RankReducer) {
-	rr := r.Finish()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for len(c.red.Ranks) <= i {
-		c.red.Ranks = append(c.red.Ranks, RankReduced{})
-	}
-	c.red.Ranks[i] = rr
-	c.red.TotalSegments += r.TotalSegments()
-	c.red.Matches += r.Matches()
-	c.red.PossibleMatches += r.PossibleMatches()
-}
-
-func (c *collectSink) abort() {}

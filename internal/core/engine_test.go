@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -275,71 +276,75 @@ func TestPipelineImbalancedParity(t *testing.T) {
 	}
 }
 
-// TestPipelineParkedRanksStop fails and cancels a run while ranks are
-// parked. Rank 3's read blocks until ranks 4..7 have been reduced and
-// parked behind it, with ranks 0..2 registered and encoded; then rank 3
-// fails, or the run is cancelled and rank 3 arrives afterwards. The run
-// must return the failure or ctx.Err(), drop the parked ranks, hand back
-// every chunk it encoded, and leave no goroutine behind.
-func TestPipelineParkedRanksStop(t *testing.T) {
+// gatedBlockAt is a random-access reader over a v2 container that
+// counts its ReadAt calls, and whose ReadAt of the block at offset at
+// waits for release, then fails with err when it is set.
+type gatedBlockAt struct {
+	*bytes.Reader
+	at      int64
+	release chan struct{}
+	err     error
+	reads   *atomic.Int32
+}
+
+func (g gatedBlockAt) ReadAt(p []byte, off int64) (int, error) {
+	g.reads.Add(1)
+	if off == g.at {
+		<-g.release
+		if g.err != nil {
+			return 0, g.err
+		}
+	}
+	return g.Reader.ReadAt(p, off)
+}
+
+// TestPipelineStopsAfterReducedRanks fails and cancels a pipelined run
+// once every rank but one is reduced. Rank 3's block read, on one of the
+// four workers, blocks until the other three workers have reduced ranks
+// 0..2 and 4..7 and returned; then rank 3 fails, or the context is
+// cancelled and rank 3 arrives afterwards. The run must return the
+// failure or context.Canceled, write nothing, and leave no goroutine
+// behind.
+func TestPipelineStopsAfterReducedRanks(t *testing.T) {
 	forceWorkers(t, 4)
-	tr := buildMultiRankTrace("parked", 8, 20, rand.New(rand.NewSource(31)))
+	tr := buildMultiRankTrace("stops", 8, 20, rand.New(rand.NewSource(31)))
+	data := encodeTraceV2(t, tr)
+	at := blockOffset(t, data, 3)
 	errRank := errors.New("injected rank 3 failure")
 	for _, mode := range []string{"failure", "cancel"} {
 		t.Run(mode, func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			s := &encodeSink{version: 2, nt: trace.NewNameTable()}
-			// ready reports ranks 0..2 registered and ranks 4..7 parked.
-			ready := func() bool {
-				s.mu.Lock()
-				defer s.mu.Unlock()
-				if s.next != 3 || len(s.slots) != len(tr.Ranks) {
-					return false
-				}
-				for i := 4; i < len(s.slots); i++ {
-					if !s.slots[i].parked {
-						return false
-					}
-				}
-				return true
+			r := gatedBlockAt{Reader: bytes.NewReader(data), at: at, release: make(chan struct{}), reads: new(atomic.Int32)}
+			if mode == "failure" {
+				r.err = errRank
 			}
-			release := make(chan struct{})
-			src := rankSource{n: len(tr.Ranks), at: func(i int) (*trace.RankTrace, error) {
-				if i == 3 {
-					<-release
-					if mode == "failure" {
-						return nil, errRank
-					}
-				}
-				return &tr.Ranks[i], nil
-			}}
+			d := openDecoder(t, r, trace.DecoderOptions{})
+			opened := r.reads.Load()
 			p, _ := DefaultMethod("avgWave")
+			var out bytes.Buffer
 			done := make(chan error, 1)
-			go func() { done <- reduceRanks(tr.Name, p, src, StreamOptions{Workers: 4, Ctx: ctx}, s) }()
+			go func() {
+				_, err := ReduceStreamToWriterOpts(d, p, &out, 2, StreamOptions{Workers: 4, Ctx: ctx})
+				done <- err
+			}()
+			// Once all eight blocks have been read, a worker other than
+			// rank 3's returns only after reducing what it claimed and
+			// finding no rank left to claim. So with just the run's
+			// goroutine and rank 3's worker left, ranks 0..2 and 4..7 are
+			// reduced.
 			deadline := time.Now().Add(10 * time.Second)
-			for !ready() {
+			for r.reads.Load() < opened+8 || runtime.NumGoroutine() > before+2 {
 				if time.Now().After(deadline) {
-					t.Fatal("ranks 0..2 never registered, or ranks 4..7 never parked behind rank 3")
+					t.Fatal("ranks 0..2 and 4..7 were never reduced while rank 3's read blocked")
 				}
 				time.Sleep(time.Millisecond)
 			}
 			if mode == "cancel" {
-				// The engine learns of the cancellation on its own
-				// goroutine; let rank 3 arrive only once it has.
 				cancel()
-				for {
-					s.mu.Lock()
-					aborted := s.aborted
-					s.mu.Unlock()
-					if aborted {
-						break
-					}
-					time.Sleep(time.Millisecond)
-				}
 			}
-			close(release)
+			close(r.release)
 			var err error
 			select {
 			case err = <-done:
@@ -353,19 +358,8 @@ func TestPipelineParkedRanksStop(t *testing.T) {
 			if !errors.Is(err, want) {
 				t.Fatalf("error = %v, want %v", err, want)
 			}
-			if s.next != 3 {
-				t.Errorf("%d ranks registered, want ranks 0..2", s.next)
-			}
-			for i := range s.slots {
-				if sl := &s.slots[i]; (sl.chunk != nil) != (i < 3) {
-					t.Errorf("rank %d: chunk %v, want chunks for exactly ranks 0..2", i, sl.chunk != nil)
-				}
-			}
-			s.release()
-			for i := range s.slots {
-				if sl := &s.slots[i]; sl.chunk != nil || sl.parked || sl.rr.Stored != nil {
-					t.Errorf("rank %d still holds its chunk or reduction after release", i)
-				}
+			if out.Len() != 0 {
+				t.Errorf("the failed run wrote %d bytes", out.Len())
 			}
 			waitPipelineGoroutines(t, before)
 		})

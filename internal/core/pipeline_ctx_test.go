@@ -31,7 +31,7 @@ func (c *cancelAfter) Read(p []byte) (int, error) {
 // TestReduceStreamToWriterOptsCancel cancels the pipeline mid-stream:
 // the decoder runs under the same context, so it stops yielding ranks,
 // and the run must return the cancellation error instead of hanging on
-// the engine's claim lock or the encoding sink's lock.
+// the engine's claim lock.
 func TestReduceStreamToWriterOptsCancel(t *testing.T) {
 	forceWorkers(t, 4)
 	rng := rand.New(rand.NewSource(7))

@@ -11,7 +11,6 @@ import (
 	"testing/iotest"
 	"time"
 
-	"repro/internal/segment"
 	"repro/internal/trace"
 )
 
@@ -55,8 +54,8 @@ func failingFrom(t testing.TB, tr *trace.Trace, k int, err error) io.Reader {
 }
 
 // forceWorkers raises GOMAXPROCS for the test so the pipeline actually
-// runs multiple workers (and ranks finished out of turn are parked in
-// the encoding sink) even on a single-CPU machine.
+// runs multiple workers, reducing and encoding ranks out of turn, even
+// on a single-CPU machine.
 func forceWorkers(t *testing.T, n int) {
 	t.Helper()
 	prev := runtime.GOMAXPROCS(n)
@@ -241,7 +240,7 @@ func TestReduceStreamToWriterFailingWriter(t *testing.T) {
 
 // TestReduceStreamToWriterSourceError: decoder and reducer failures must
 // propagate out of the pipeline without leaving a worker waiting on the
-// engine's claim lock or the encoding sink's lock.
+// engine's claim lock.
 func TestReduceStreamToWriterSourceError(t *testing.T) {
 	forceWorkers(t, 4)
 	before := runtime.NumGoroutine()
@@ -288,46 +287,6 @@ func TestReduceStreamToWriterBadVersion(t *testing.T) {
 	for _, v := range []int{0, 3, -1} {
 		if _, err := ReduceStreamToWriterOpts(decoderOf(t, trace.New("x", 0)), p, io.Discard, v, StreamOptions{}); err == nil {
 			t.Errorf("version %d accepted", v)
-		}
-	}
-}
-
-// TestRankReducedV2Size holds the bound the pipeline draws each TRR2
-// chunk's buffer by to the chunk's encoded length: never below it, and
-// equal to it when every name id of the rank takes one byte. The "wide"
-// reduction's one rank uses ids 0..199, so its bound counts each of the
-// 128 one-byte ids at two bytes.
-func TestRankReducedV2Size(t *testing.T) {
-	loop, err := Reduce(buildMultiRankTrace("loop", 4, 12, rand.New(rand.NewSource(2))), NewIterAvg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg := &segment.Segment{Context: "wide.ctx", End: 400, Weight: 1}
-	for k := 0; k < 199; k++ {
-		seg.Events = append(seg.Events, trace.Event{Name: fmt.Sprintf("f%03d", k), Kind: trace.KindCompute,
-			Enter: trace.Time(2 * k), Exit: trace.Time(2*k + 1), Peer: trace.NoPeer, Root: trace.NoPeer})
-	}
-	wide := &Reduced{Name: "wide", Method: "avgWave", Ranks: []RankReduced{
-		{Rank: 0, Stored: []*segment.Segment{seg}, Execs: []Exec{{ID: 0, Start: 5}}},
-	}}
-	for name, red := range map[string]*Reduced{"edge-shapes": v2TestReduced(), "loop": loop, "wide": wide} {
-		nt := reducedNameTable(red)
-		for i := range red.Ranks {
-			rr := &red.Ranks[i]
-			var maxID uint32
-			for _, s := range rr.Stored {
-				maxID = max(maxID, nt.ID(s.Context))
-				for _, e := range s.Events {
-					maxID = max(maxID, nt.ID(e.Name))
-				}
-			}
-			got, want := rankReducedV2Bound(maxID, rr), int64(len(appendRankReducedV2(nil, nt, rr)))
-			if maxID < 128 && got != want || got < want {
-				t.Errorf("%s rank %d: rankReducedV2Bound(%d) = %d, chunk is %d bytes", name, rr.Rank, maxID, got, want)
-			}
-			if name == "wide" && got != want+128 {
-				t.Errorf("wide: bound %d, want the chunk's %d bytes plus one per one-byte id (128)", got, want)
-			}
 		}
 	}
 }

@@ -72,24 +72,18 @@ func (r *Reduced) StoredSegments() int {
 // appended as a new representative.
 //
 // Ranks are independent (the paper reduces intra-process), so Reduce
-// runs the rank-parallel engine over t.Ranks: one RankReducer per rank
-// on a worker pool bounded by GOMAXPROCS and the rank count. The output
+// runs the rank-parallel engine over t.Ranks: one RankReducer per worker
+// on a pool bounded by GOMAXPROCS and the rank count. The output
 // is deterministic — per-rank results land in the rank-indexed Ranks
 // slice — and byte-identical to the single-threaded reference
 // ReduceSequential. Because p is shared by the workers, policies must be
 // safe for concurrent use on distinct ranks' segments; every built-in
 // policy is stateless and qualifies.
 func Reduce(t *trace.Trace, p Policy) (*Reduced, error) {
-	src := rankSource{
+	return reduceRanks(t.Name, p, rankSource{
 		at: func(i int) (*trace.RankTrace, error) { return &t.Ranks[i], nil },
 		n:  len(t.Ranks),
-	}
-	c := &collectSink{red: &Reduced{Name: t.Name, Method: p.Name(), Ranks: make([]RankReduced, 0, len(t.Ranks))}}
-	workers := max(1, min(runtime.GOMAXPROCS(0), len(t.Ranks)))
-	if err := reduceRanks(t.Name, p, src, StreamOptions{Workers: workers}, c); err != nil {
-		return nil, err
-	}
-	return c.red, nil
+	}, StreamOptions{Workers: max(1, min(runtime.GOMAXPROCS(0), len(t.Ranks)))})
 }
 
 // ReduceSequential is the retained single-threaded reference

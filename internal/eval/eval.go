@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/cube"
 	"repro/internal/expert"
+	"repro/internal/fanout"
 	"repro/internal/trace"
 )
 
@@ -261,7 +261,7 @@ func (r *Runner) RunGrid(cells []Cell) ([]*Result, error) {
 			}
 		}
 	}
-	// Dedupe into a work list; the pool claims cells by atomic counter.
+	// Dedupe into a work list for the pool.
 	uniq := make([]Cell, 0, len(cells))
 	inList := map[Cell]bool{}
 	for _, c := range cells {
@@ -276,27 +276,10 @@ func (r *Runner) RunGrid(cells []Cell) ([]*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(uniq) {
-		workers = len(uniq)
-	}
-	if workers > 1 {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(uniq) {
-						return
-					}
-					r.Run(uniq[i]) // memoized; errors resurface below
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	fanout.Run(workers, len(uniq), func(i int) error {
+		r.Run(uniq[i]) // memoized; errors resurface below
+		return nil
+	})
 	results := make([]*Result, len(cells))
 	for i, c := range cells {
 		res, err := r.Run(c)

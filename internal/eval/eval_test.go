@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -42,11 +43,42 @@ func TestLookup(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Lookup: %v", err)
 	}
-	if w.Ranks != 8 || w.Group != "regular" {
+	if w.Name != "late_sender" || w.Group != "regular" {
 		t.Errorf("late_sender metadata: %+v", w)
 	}
 	if _, err := Lookup("bogus"); err == nil {
 		t.Error("unknown workload must fail")
+	}
+}
+
+// TestCatalogNamesItsPrograms: every entry's declared name is the name
+// of the program it builds, so the trace carries it too.
+func TestCatalogNamesItsPrograms(t *testing.T) {
+	for _, w := range Catalog() {
+		prog, _, err := w.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		if prog.Name() != w.Name {
+			t.Errorf("entry %q builds program %q", w.Name, prog.Name())
+		}
+	}
+}
+
+// TestCatalogLookupBuildsNothing: listing the catalog and looking up
+// every name builds no program; building one takes megabytes.
+func TestCatalogLookupBuildsNothing(t *testing.T) {
+	const bound = 64 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, name := range AllNames() {
+		if _, err := Lookup(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Errorf("AllNames and 20 Lookups allocated %d bytes, want at most %d", got, bound)
 	}
 }
 

@@ -8,6 +8,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -24,77 +25,77 @@ type Workload struct {
 	Name string
 	// Group is "regular", "interference", "dynamic", or "application".
 	Group string
-	// Ranks is the process count.
-	Ranks int
 	// Build constructs the program and cost model.
 	Build func() (*mpisim.Program, mpisim.Config, error)
 }
 
-// fromBenchmark adapts an ats.Benchmark into a Workload.
-func fromBenchmark(group string, mk func() *ats.Benchmark) Workload {
-	b := mk() // build once for metadata; rebuilt on demand
-	return Workload{
-		Name:  b.Name,
-		Group: group,
-		Ranks: b.Program.NumRanks(),
-		Build: func() (*mpisim.Program, mpisim.Config, error) {
-			nb := mk()
-			return nb.Program, nb.Config, nil
-		},
-	}
+// fromBenchmark adapts an ats constructor into a Workload named name;
+// nothing is built until Build runs.
+func fromBenchmark(name, group string, mk func() *ats.Benchmark) Workload {
+	return Workload{Name: name, Group: group, Build: func() (*mpisim.Program, mpisim.Config, error) {
+		b := mk()
+		return b.Program, b.Config, nil
+	}}
+}
+
+// fromSweep3D adapts a Sweep3D input into a Workload named name.
+func fromSweep3D(name string, in sweep3d.Config) Workload {
+	return Workload{Name: name, Group: "application", Build: func() (*mpisim.Program, mpisim.Config, error) {
+		p, err := sweep3d.Build(name, in)
+		return p, mpisim.DefaultConfig(), err
+	}}
 }
 
 // Catalog returns the study's 20 workloads in presentation order: the
 // paper's 18, then the two scenario-diversity extensions before the
 // Sweep3D applications.
-func Catalog() []Workload {
+func Catalog() []Workload { return slices.Clone(catalog) }
+
+// catalog is the list Catalog copies, made once. Each entry's name is
+// declared here, so neither listing the catalog nor looking a name up
+// builds a program.
+var catalog = func() []Workload {
 	var ws []Workload
 	reg := ats.DefaultParams()
-	for _, mk := range []func(ats.Params) *ats.Benchmark{
-		ats.EarlyGather, ats.ImbalanceAtBarrier, ats.LateReceiver, ats.LateSender, ats.LateBroadcast,
+	for _, b := range []struct {
+		name string
+		mk   func(ats.Params) *ats.Benchmark
+	}{
+		{"early_gather", ats.EarlyGather},
+		{"imbalance_at_mpi_barrier", ats.ImbalanceAtBarrier},
+		{"late_receiver", ats.LateReceiver},
+		{"late_sender", ats.LateSender},
+		{"late_broadcast", ats.LateBroadcast},
 	} {
-		mk := mk
-		ws = append(ws, fromBenchmark("regular", func() *ats.Benchmark { return mk(reg) }))
+		ws = append(ws, fromBenchmark(b.name, "regular", func() *ats.Benchmark { return b.mk(reg) }))
 	}
 	intf := ats.InterferenceParams()
 	for _, sim := range []int{32, 1024} {
 		for _, pat := range []ats.InterferencePattern{
 			ats.PatternNto1, ats.PatternNtoN, ats.Pattern1toN, ats.Pattern1to1r, ats.Pattern1to1s,
 		} {
-			sim, pat := sim, pat
-			ws = append(ws, fromBenchmark("interference",
+			ws = append(ws, fromBenchmark(fmt.Sprintf("%s_%d", pat, sim), "interference",
 				func() *ats.Benchmark { return ats.Interference(intf, pat, sim) }))
 		}
 	}
 	dyn := ats.DefaultParams()
 	dyn.Iterations = 64
-	ws = append(ws, fromBenchmark("dynamic", func() *ats.Benchmark { return ats.DynLoadBalance(dyn) }))
 	scen := ats.DefaultParams()
-	ws = append(ws,
-		fromBenchmark("scenario", func() *ats.Benchmark { return ats.HaloJitter(scen) }),
-		fromBenchmark("scenario", func() *ats.Benchmark { return ats.BurstyIO(scen) }),
+	return append(ws,
+		fromBenchmark("dyn_load_balance", "dynamic", func() *ats.Benchmark { return ats.DynLoadBalance(dyn) }),
+		fromBenchmark("halo_jitter", "scenario", func() *ats.Benchmark { return ats.HaloJitter(scen) }),
+		fromBenchmark("bursty_io", "scenario", func() *ats.Benchmark { return ats.BurstyIO(scen) }),
+		fromSweep3D("sweep3d_8p", sweep3d.Input50()),
+		fromSweep3D("sweep3d_32p", sweep3d.Input150()),
 	)
-	ws = append(ws,
-		Workload{Name: "sweep3d_8p", Group: "application", Ranks: sweep3d.Input50().Ranks(),
-			Build: func() (*mpisim.Program, mpisim.Config, error) {
-				p, err := sweep3d.Build("sweep3d_8p", sweep3d.Input50())
-				return p, mpisim.DefaultConfig(), err
-			}},
-		Workload{Name: "sweep3d_32p", Group: "application", Ranks: sweep3d.Input150().Ranks(),
-			Build: func() (*mpisim.Program, mpisim.Config, error) {
-				p, err := sweep3d.Build("sweep3d_32p", sweep3d.Input150())
-				return p, mpisim.DefaultConfig(), err
-			}},
-	)
-	return ws
-}
+}()
 
 // BenchmarkNames returns the 18 non-application workload names (the
 // paper's 16 plus the two scenario extensions — the set the threshold
 // sweeps of Figures 9–16 cover).
 func BenchmarkNames() []string {
 	var names []string
-	for _, w := range Catalog() {
+	for _, w := range catalog {
 		if w.Group != "application" {
 			names = append(names, w.Name)
 		}
@@ -108,7 +109,7 @@ func ApplicationNames() []string { return []string{"sweep3d_8p", "sweep3d_32p"} 
 // AllNames returns all 20 workload names in catalog order.
 func AllNames() []string {
 	var names []string
-	for _, w := range Catalog() {
+	for _, w := range catalog {
 		names = append(names, w.Name)
 	}
 	return names
@@ -116,15 +117,12 @@ func AllNames() []string {
 
 // Lookup finds a workload by name.
 func Lookup(name string) (Workload, error) {
-	for _, w := range Catalog() {
+	for _, w := range catalog {
 		if w.Name == name {
 			return w, nil
 		}
 	}
-	var known []string
-	for _, w := range Catalog() {
-		known = append(known, w.Name)
-	}
+	known := AllNames()
 	sort.Strings(known)
 	return Workload{}, fmt.Errorf("eval: unknown workload %q (known: %v)", name, known)
 }

@@ -9,10 +9,10 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/bufpool"
+	"repro/internal/fanout"
 )
 
 // The read side of every container, the trace containers TRC1/TRC2 and
@@ -336,7 +336,7 @@ func (c *Container[T]) All() ([]T, error) {
 		// The block index has been checked against the container's
 		// size, so every declared rank is backed by a block.
 		vs := make([]T, c.Ranks)
-		err := fanOut(runtime.GOMAXPROCS(0), c.Ranks, func(i int) (err error) {
+		err := fanout.Run(runtime.GOMAXPROCS(0), c.Ranks, func(i int) (err error) {
 			vs[i], err = at(i)
 			return err
 		})
@@ -361,49 +361,6 @@ func (c *Container[T]) All() ([]T, error) {
 		}
 		vs = append(vs, v)
 	}
-}
-
-// fanOut runs fn(0), ..., fn(n-1) on up to workers goroutines, the
-// caller's among them, each claiming the next index in order. A failure
-// stops further claims, but every claimed index runs to its end; since
-// indices are claimed in order, every index below a failing one has run,
-// and the error of the lowest failing index is returned.
-func fanOut(workers, n int, fn func(i int) error) error {
-	var (
-		next     atomic.Int64
-		stop     atomic.Bool
-		mu       sync.Mutex
-		errAt    = n
-		firstErr error
-	)
-	work := func() {
-		for !stop.Load() {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			if err := fn(i); err != nil {
-				stop.Store(true)
-				mu.Lock()
-				if i < errAt {
-					errAt, firstErr = i, err
-				}
-				mu.Unlock()
-				return
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(workers, n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	return firstErr
 }
 
 // readBlockIndex reads a v2 footer from ra (a container of size bytes

@@ -125,6 +125,13 @@ func (nt *NameTable) Names() []string { return nt.names }
 // Encode writes t to w in the binary trace format.
 func Encode(w io.Writer, t *Trace) error { return encode(w, t, 1) }
 
+// EncodeV2 writes t to w in the columnar v2 trace format (TRC2): one
+// delta+varint block per rank, checksummed and indexed by the footer.
+// Each rank is encoded on the caller's goroutine into one reused payload
+// buffer. The v1 format remains the default interchange form; see
+// docs/FORMATS.md for when to prefer v2.
+func EncodeV2(w io.Writer, t *Trace) error { return encode(w, t, 2) }
+
 // encode writes t as a TRC container of the given version. Name ids are
 // assigned in first-use order across ranks, so the table is complete
 // before any rank is encoded; each rank's section is encoded on the
@@ -137,7 +144,7 @@ func encode(w io.Writer, t *Trace, version int) error {
 		}
 	}
 	var section []byte
-	return traceFamily.Write(w, version, []string{t.Name}, nt.names, len(t.Ranks), func(i int) (uint32, uint32, []byte) {
+	_, err := traceFamily.Write(w, version, []string{t.Name}, nt.names, len(t.Ranks), func(i int) (uint32, uint32, []byte) {
 		rt := &t.Ranks[i]
 		if version == 2 {
 			section = AppendEventsV2(section[:0], nt, rt.Events)
@@ -146,6 +153,7 @@ func encode(w io.Writer, t *Trace, version int) error {
 		}
 		return uint32(rt.Rank), uint32(len(rt.Events)), section
 	})
+	return err
 }
 
 // appendRankV1 appends rank rt's TRC1 section — rank id, event count,

@@ -131,10 +131,11 @@ func (f Family) Size(version int, header, names []string, n int, payload int64) 
 // payload as it is. Version 2 writes it as a block behind an inline
 // header carrying rank, records, the payload length and its checksum,
 // and after the last block the footer index. Each payload is written
-// before the next section call, so the caller may reuse one buffer. The
-// first error ends the write and is returned.
+// before the next section call, so the caller may reuse one buffer. It
+// returns the bytes written, the container's size. The first error ends
+// the write and is returned.
 func (f Family) Write(w io.Writer, version int, header, names []string, n int,
-	section func(i int) (rank, records uint32, payload []byte)) error {
+	section func(i int) (rank, records uint32, payload []byte)) (int64, error) {
 	magic := f.V1
 	if version == 2 {
 		magic = f.V2
@@ -151,7 +152,7 @@ func (f Family) Write(w io.Writer, version int, header, names []string, n int,
 	hdr = le.AppendUint32(hdr, uint32(n))
 	bw := newBlockWriter(w)
 	if _, err := bw.Write(hdr); err != nil {
-		return err
+		return 0, err
 	}
 	for i := 0; i < n; i++ {
 		rank, records, payload := section(i)
@@ -162,13 +163,19 @@ func (f Family) Write(w io.Writer, version int, header, names []string, n int,
 			_, err = bw.Write(payload)
 		}
 		if err != nil {
-			return err
+			return 0, err
 		}
 	}
+	var err error
 	if version == 2 {
-		return bw.finish(magic)
+		err = bw.finish(magic)
+	} else {
+		err = bw.flush()
 	}
-	return bw.flush()
+	if err != nil {
+		return 0, err
+	}
+	return int64(bw.off), nil
 }
 
 // appendString appends s to dst behind its u32 length.
@@ -322,21 +329,11 @@ func (c *Cursor) Done() error {
 	return nil
 }
 
-// NameIDs resolves event names to their v2 name-table ids. *NameTable
-// implements it; the pipelined reduce-to-writer path substitutes
-// immutable per-rank snapshots, plain read-only maps, so its encode
-// workers can read ids without synchronizing against later ranks still
-// registering names.
-type NameIDs interface {
-	// ID returns the table id for name, which must already be present.
-	ID(name string) uint32
-}
-
 // AppendEventsV2 appends the v2 varint encoding of events to dst and
 // returns the extended slice. Enter stamps are delta-encoded against the
 // previous event in the slice (the chain starts at 0, so stored-segment
 // events, which are relative to the segment start, encode compactly too).
-func AppendEventsV2(dst []byte, nt NameIDs, events []Event) []byte {
+func AppendEventsV2(dst []byte, nt *NameTable, events []Event) []byte {
 	var prev Time
 	for _, e := range events {
 		dst = binary.AppendUvarint(dst, uint64(nt.ID(e.Name)))

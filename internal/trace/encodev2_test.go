@@ -2,10 +2,8 @@ package trace
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
-	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -150,28 +148,5 @@ func TestBlockWriterErrorLatch(t *testing.T) {
 	}
 	if err := bw.flush(); !errors.Is(err, errInjectedWrite) {
 		t.Errorf("flush after failure = %v, want latched injected error", err)
-	}
-}
-
-// TestVarintSizes checks the size-walk primitives against the real
-// encoders over the 7-bit group boundaries and signed extremes.
-func TestVarintSizes(t *testing.T) {
-	uvals := []uint64{0, 1, 127, 128, 16383, 16384, 1<<35 - 1, 1 << 35, math.MaxUint64}
-	for shift := 0; shift < 64; shift += 7 {
-		uvals = append(uvals, 1<<shift, (1<<shift)-1, (1<<shift)+1)
-	}
-	for _, v := range uvals {
-		if got, want := UvarintSize(v), len(binary.AppendUvarint(nil, v)); got != want {
-			t.Errorf("UvarintSize(%d) = %d, want %d", v, got, want)
-		}
-	}
-	ivals := []int64{0, 1, -1, 63, 64, -64, -65, math.MaxInt64, math.MinInt64}
-	for _, v := range uvals {
-		ivals = append(ivals, int64(v), -int64(v))
-	}
-	for _, v := range ivals {
-		if got, want := VarintSize(v), len(binary.AppendVarint(nil, v)); got != want {
-			t.Errorf("VarintSize(%d) = %d, want %d", v, got, want)
-		}
 	}
 }

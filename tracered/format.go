@@ -135,19 +135,19 @@ type ReduceStreamStats = core.StreamStats
 // ignored.
 type StreamOptions = core.StreamOptions
 
-// ReduceStreamToWriterOpts reduces ranks as d decodes them AND writes
-// the reduced container to w in the requested format, fully pipelined:
-// decode, per-rank reduction, and reduced-block encode overlap on one
-// worker pool. On a random-access v2 input each worker decodes the rank
-// it reduces; a rank's block is encoded once the ranks before it have
-// registered their names, and a rank finished early waits parked, not
-// its worker. The bytes written are identical to WriteReducedFormat of
-// Reduce over the decoded trace, but the full Reduced is never
-// materialized — peak memory is a pool's worth of ranks plus the compact
-// encoded blocks. Each decoded rank goes back to d once reduced. The
+// ReduceStreamToWriterOpts reduces ranks as d decodes them, then writes
+// the reduced container to w in the requested format. Decode and
+// per-rank reduction overlap on one worker pool, and on a random-access
+// v2 input each worker decodes the rank it reduces; then the same pool
+// size encodes the rank blocks in parallel. It runs Reduce and
+// WriteReducedFormat's encoder, so the bytes written are identical to
+// WriteReducedFormat of Reduce over the decoded trace, but the full
+// trace is never materialized: peak memory is a pool's worth of decoded
+// ranks plus every rank's compact reduction, each given back once its
+// block is encoded. Each decoded rank goes back to d once reduced. The
 // serving layer uses opts to bound each session's share of the worker
 // fleet and to stop the pipeline when a client disconnects. When it
-// returns an error it has closed d.
+// returns an error it has closed d, and has written nothing.
 func ReduceStreamToWriterOpts(d *TraceDecoder, m Method, w io.Writer, f Format, opts StreamOptions) (*ReduceStreamStats, error) {
 	return core.ReduceStreamToWriterOpts(d, m, w, int(f), opts)
 }
